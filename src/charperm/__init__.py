@@ -25,6 +25,7 @@ from .errors import (
     DivisionByZero,
     InvalidModulus,
     InvalidSubfield,
+    InvariantViolation,
     NotInSubfield,
     NotQLinear,
     SizeGuard,

@@ -15,7 +15,14 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import BadParameters, NotInSubfield, NotQLinear, SizeGuard, WrongDegree
+from .errors import (
+    BadParameters,
+    InvariantViolation,
+    NotInSubfield,
+    NotQLinear,
+    SizeGuard,
+    WrongDegree,
+)
 from .field import FieldContext
 from . import linearized as lin
 from .linearized import LinearizedPoly
@@ -73,14 +80,17 @@ def s_fast(ctx: FieldContext, poly: LinearizedPoly, *,
         return QuadraticFormReport(dim_fq, False, 0, "zero-sum",
                                    rank=ctx.n - dim_fq + 1)
     two_exp = ctx.m * ctx.n + ker.dim2
-    assert two_exp % 2 == 0, "S^2 = q^n * |kernel| must be an even power of 2"
+    if two_exp % 2:
+        raise InvariantViolation("S^2 = q^n * |kernel| must be an even power of 2")
     magnitude = 1 << (two_exp // 2)
     rank = ctx.n - dim_fq
     if not resolve_sign:
         return QuadraticFormReport(dim_fq, True, magnitude, None, rank,
                                    sign_known=False)
     full = classify_form(ctx, poly)
-    assert abs(full.s_value) == magnitude
+    if abs(full.s_value) != magnitude:
+        raise InvariantViolation(
+            f"classify_form gives |S| = {abs(full.s_value)}, the kernel gives {magnitude}")
     return QuadraticFormReport(dim_fq, True, full.s_value, full.form_type, rank)
 
 
@@ -126,7 +136,9 @@ def classify_form(ctx: FieldContext, poly: LinearizedPoly, *,
 
     # remaining vectors span the radical of the polar form
     radical_dim = len(work)
-    assert radical_dim == ctx.n - 2 * planes
+    if radical_dim != ctx.n - 2 * planes:
+        raise InvariantViolation(
+            f"radical dimension {radical_dim} != n - 2 * {planes} hyperbolic planes")
     if any(quad_value(ctx, poly, v) != 0 for v in work):
         report = QuadraticFormReport(radical_dim, False, 0, "zero-sum",
                                      rank=2 * planes + 1)
@@ -139,7 +151,10 @@ def classify_form(ctx: FieldContext, poly: LinearizedPoly, *,
     if cross_check:
         if ctx.bits > ctx.size_cap:
             raise SizeGuard("cross check needs a full-field sum")
-        assert s_bruteforce(ctx, poly) == report.s_value
+        brute = s_bruteforce(ctx, poly)
+        if brute != report.s_value:
+            raise InvariantViolation(
+                f"classify_form gives S = {report.s_value}, the full sum gives {brute}")
     return report
 
 
@@ -188,13 +203,16 @@ def s_zero_binomial(ctx: FieldContext, a: int, b: int, k: int) -> bool:
         return b != 0
     if n % 2 == 1:
         e, rem = divmod(q ** (k * n) + 1, q ** k + 1)
-        assert rem == 0
+        if rem:
+            raise InvariantViolation(f"q^k + 1 does not divide q^(kn) + 1 (k={k} n={n})")
         t = ctx.trace_to(ctx.mul(b, ctx.pow(a, -e)), ctx.m)
         return t != 1
     total = 0
     for i in range(n // 2):
         e, rem = divmod(2 * (q ** (2 * k * i) - 1), q ** k + 1)
-        assert rem == 0
+        if rem:
+            raise InvariantViolation(
+                f"q^k + 1 does not divide 2(q^(2ki) - 1) (k={k} i={i})")
         term = ctx.mul(ctx.frobenius(b, (ctx.m * 2 * k * i) % ctx.bits),
                        ctx.pow(a, -e))
         total ^= term

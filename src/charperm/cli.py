@@ -494,6 +494,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         if args.command == "field-info":
             return _cmd_field_info(args)
         if args.command == "eval":

@@ -34,8 +34,13 @@ class WrongDegree(CharpermError):
 
 
 class BadParameters(CharpermError):
-    """Parameters violate the preconditions of a criterion or family."""
+    """Parameters violate the preconditions of a criterion, family or transform."""
 
 
 class UnknownTheorem(CharpermError):
     """Verification campaign id is not registered."""
+
+
+class InvariantViolation(CharpermError):
+    """A mathematical invariant of a computed result failed: an arithmetic
+    bug, not a bad input."""

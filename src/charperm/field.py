@@ -4,7 +4,8 @@ Field elements are plain ints: bit i holds the coefficient of x^i in the
 residue class modulo the field modulus, so addition is xor and there are no
 per-element wrapper objects.  A FieldContext fixes m, n, the modulus and the
 chosen F_q-basis, and provides both scalar operations and numpy lookup tables
-for whole-field sweeps.
+for whole-field sweeps.  Every table is built from GF(2)-linearity (see
+_linear_table): a few scalar calls per bit, not one per element.
 """
 
 from __future__ import annotations
@@ -15,9 +16,11 @@ import numpy as np
 
 from . import gf2
 from .errors import (
+    BadParameters,
     DivisionByZero,
     InvalidModulus,
     InvalidSubfield,
+    InvariantViolation,
     NotInSubfield,
     SizeGuard,
 )
@@ -154,8 +157,10 @@ class FieldContext:
     def norm_to(self, a: int, sub_m: int) -> int:
         """Relative norm onto GF(2^sub_m): a^((2^bits-1)/(2^sub_m-1))."""
         self._check_subfield_degree(sub_m)
-        e = self.group_order // ((1 << sub_m) - 1)
-        assert e * ((1 << sub_m) - 1) == self.group_order
+        e, rem = divmod(self.group_order, (1 << sub_m) - 1)
+        if rem:
+            raise InvariantViolation(
+                f"2^{sub_m} - 1 does not divide the group order {self.group_order}")
         return self.pow(a, e)
 
     def chi(self, a: int) -> int:
@@ -197,7 +202,10 @@ class FieldContext:
             # kernel of a |-> a^(2^sub_m) + a
             cols = [self.frobenius(1 << j, sub_m) ^ (1 << j) for j in range(self.bits)]
             basis = gf2.mat_kernel(cols)
-            assert len(basis) == sub_m
+            if len(basis) != sub_m:
+                raise InvariantViolation(
+                    f"fixed space of x^(2^{sub_m}) has dimension {len(basis)}, "
+                    f"expected {sub_m}")
             cached = tuple(basis)
             self._subfield_basis[sub_m] = cached
         return cached
@@ -260,7 +268,7 @@ class FieldContext:
             basis = self._power_basis(g)
             if basis is not None:
                 return basis
-        raise AssertionError("no power basis found")
+        raise InvariantViolation("no power basis found")
 
     def _power_basis(self, g: int) -> Tuple[int, ...] | None:
         powers = [1]
@@ -309,16 +317,32 @@ class FieldContext:
 
     @property
     def exp_table(self) -> np.ndarray:
-        """Doubled power table: exp_table[i] = g^i for 0 <= i < 2*(order-1)."""
+        """Doubled power table: exp_table[i] = g^i for 0 <= i < 2*(order-1).
+
+        Built by exponent doubling: with g^0 .. g^(L-1) in place, the next
+        block g^L .. g^(2L-1) is that prefix times the constant g^L, a
+        GF(2)-linear map applied through 8-bit slice tables.
+        """
         arr = self._caches.get("exp")
         if arr is None:
             go = max(self.group_order, 1)
-            half = np.empty(go, dtype=np.int64)
-            t = 1
-            for i in range(go):
-                half[i] = t
-                t = self.mul(t, self.generator)
-            arr = np.concatenate([half, half])
+            arr = np.empty(2 * go, dtype=np.int64)
+            arr[0] = 1
+            filled, c = 1, self.generator        # c = g^filled
+            while filled < go:
+                count = min(filled, go - filled)
+                cols = [self.mul(c, 1 << j) for j in range(self.bits)]
+                slices = [_linear_table(cols[lo:lo + 8])
+                          for lo in range(0, self.bits, 8)]
+                for start in range(0, count, _CHUNK):
+                    src = arr[start:min(start + _CHUNK, count)]
+                    dst = arr[filled + start:filled + start + src.size]
+                    dst[:] = slices[0][src & 0xFF]
+                    for i, table in enumerate(slices[1:], 1):
+                        dst ^= table[(src >> (8 * i)) & 0xFF]
+                filled += count
+                c = self.mul(c, c)
+            arr[go:] = arr[:go]
             self._caches["exp"] = arr
         return arr
 
@@ -336,39 +360,33 @@ class FieldContext:
     def chi_table(self) -> np.ndarray:
         arr = self._caches.get("chi")
         if arr is None:
-            t = self.elements & self.trace_mask
-            t = _parity_vec(t, self.bits)
+            # the absolute trace bit is linear: parity of v & trace_mask
+            mask = self.trace_mask
+            t = _linear_table([(mask >> j) & 1 for j in range(self.bits)])
             arr = (1 - 2 * t).astype(np.int8)
             self._caches["chi"] = arr
         return arr
 
-    @property
-    def sqr_table(self) -> np.ndarray:
-        return self.frob_table(1)
-
     def frob_table(self, k: int) -> np.ndarray:
-        """Permutation array v |-> v^(2^k) over all elements."""
+        """Permutation array v |-> v^(2^k) over all elements, k modulo bits.
+
+        Frobenius is GF(2)-linear, so the table is built from the images of
+        the bits unit vectors alone (see _linear_table).
+        """
         k %= self.bits
         arr = self._frob_tables.get(k)
         if arr is None:
-            if k == 0:
-                arr = self.elements.copy()
-            elif k == 1:
-                arr = np.fromiter((self.mul(v, v) for v in range(self.order)),
-                                  dtype=np.int64, count=self.order)
-            else:
-                arr = self.frob_table(k - 1)[self.frob_table(1)]
+            arr = _linear_table([self.frobenius(1 << j, k) for j in range(self.bits)])
             self._frob_tables[k] = arr
         return arr
 
     def trace_table(self, sub_m: int) -> np.ndarray:
-        """trace_to(v, sub_m) for every element v."""
+        """trace_to(v, sub_m) for every element v, built from the traces of
+        the unit vectors by linearity (see _linear_table)."""
         self._check_subfield_degree(sub_m)
         arr = self._trace_tables.get(sub_m)
         if arr is None:
-            arr = np.zeros(self.order, dtype=np.int64)
-            for i in range(self.bits // sub_m):
-                arr ^= self.frob_table((sub_m * i) % self.bits)
+            arr = _linear_table([self.trace_to(1 << j, sub_m) for j in range(self.bits)])
             self._trace_tables[sub_m] = arr
         return arr
 
@@ -414,30 +432,42 @@ class FieldContext:
     @property
     def chi_index_table(self) -> np.ndarray:
         """For each u, the GF(2) functional index s such that the absolute
-        trace of u*w equals the bit parity of s & w for all w."""
+        trace of u*w equals the bit parity of s & w for all w.  The map
+        u |-> s is GF(2)-linear, so only the unit vectors' indices are
+        computed directly."""
         arr = self._caches.get("chi_index")
         if arr is None:
+            mask = self.trace_mask
             basis_masks = []
             for j in range(self.bits):
                 s = 0
                 for i in range(self.bits):
-                    if self.trace_to(self.mul(1 << j, 1 << i), 1) & 1:
+                    if (self.mul(1 << j, 1 << i) & mask).bit_count() & 1:
                         s |= 1 << i
                 basis_masks.append(s)
-            arr = np.zeros(self.order, dtype=np.int64)
-            for j, s in enumerate(basis_masks):
-                arr ^= ((self.elements >> j) & 1) * s
+            arr = _linear_table(basis_masks)
             self._caches["chi_index"] = arr
         return arr
 
 
-def _parity_vec(t: np.ndarray, bits: int) -> np.ndarray:
-    t = t.copy()
-    shift = 1
-    while shift < bits:
-        t ^= t >> shift
-        shift <<= 1
-    return t & 1
+# Elements per block when exp_table applies a linear map, which bounds the
+# temporaries of that step to a few MB whatever the field size.
+_CHUNK = 1 << 16
+
+
+def _linear_table(images: Sequence[int]) -> np.ndarray:
+    """Table of the GF(2)-linear map sending unit vector 1 << j to images[j].
+
+    Entry v is the xor of images[j] over the set bits j of v.  Built by
+    doubling into one array: out[L:2L] = out[:L] ^ images[j] for L = 2^j,
+    so the cost is one vector xor per image and no scalar call per element.
+    """
+    out = np.empty(1 << len(images), dtype=np.int64)
+    out[0] = 0
+    for j, image in enumerate(images):
+        half = 1 << j
+        np.bitwise_xor(out[:half], image, out=out[half:2 * half])
+    return out
 
 
 def build_context(m: int, n: int, modulus: int | None = None, *,
@@ -451,7 +481,8 @@ def walsh_hadamard(vec: Iterable[int] | np.ndarray) -> np.ndarray:
     """In-order Walsh-Hadamard transform of a length-2^k integer vector."""
     v = np.asarray(vec, dtype=np.int64).copy()
     size = v.size
-    assert size & (size - 1) == 0
+    if size & (size - 1):
+        raise BadParameters(f"Walsh-Hadamard input length {size} is not a power of two")
     h = 1
     while h < size:
         v = v.reshape(-1, 2, h)

@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, NamedTuple, Tuple, Union
 import numpy as np
 
 from . import gf2
-from .errors import NotQLinear
+from .errors import InvariantViolation, NotQLinear
 from .field import FieldContext
 
 
@@ -147,8 +147,9 @@ def kernel(ctx: FieldContext, poly: LinearizedPoly) -> Kernel:
     multiple of m; a violation signals an arithmetic bug.
     """
     basis = gf2.mat_kernel(to_matrix(ctx, poly))
-    if poly.q_linear:
-        assert len(basis) % ctx.m == 0, "q-linear kernel dimension not a multiple of m"
+    if poly.q_linear and len(basis) % ctx.m:
+        raise InvariantViolation(
+            f"q-linear kernel dimension {len(basis)} is not a multiple of m = {ctx.m}")
     return Kernel(tuple(basis), len(basis))
 
 

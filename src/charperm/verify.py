@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -807,6 +808,12 @@ def _run_block(campaign_id: str, m: int, n: int, modulus: Optional[int],
     return SWEEPS[campaign_id].run_units(ctx, seed, budget, lo, hi)
 
 
+def _pool_workers(jobs: int, tasks: int) -> int:
+    """Worker processes for run_verify: the requested jobs, but never more
+    than there are tasks or CPUs, and at least one."""
+    return max(1, min(jobs, tasks, os.cpu_count() or 1))
+
+
 def run_verify(campaign: VerifyCampaign, *, jobs: int = 1,
                size_cap: Optional[int] = None,
                charsum_cap: Optional[int] = None) -> CampaignReport:
@@ -840,10 +847,11 @@ def run_verify(campaign: VerifyCampaign, *, jobs: int = 1,
             tasks.append((campaign.theorem_id, ctx.m, ctx.n, ctx.modulus,
                           ctx.size_cap, ctx.charsum_cap,
                           campaign.seed, budget, lo, hi))
-    if jobs <= 1:
+    workers = _pool_workers(jobs, len(tasks))
+    if workers == 1:
         results = [_run_block(*t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_block, *t) for t in tasks]
             results = [f.result() for f in futures]
     for t, g, mm in results:

@@ -115,6 +115,15 @@ def test_exit_code_parse_error(capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_usage_error(capsys, jobs):
+    code, out, err = run_cli(capsys, "verify", "--campaign", "thm4",
+                             "--fields", "1:2", "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: --jobs must be at least 1, got {jobs}\n"
+
+
 def test_search_csv_header_always(capsys):
     code, out, _ = run_cli(capsys, "search", "--field", "1:3", "--template",
                            "tu", "--coeffs", "", "--format", "csv")

@@ -1,9 +1,14 @@
 """Field contexts: scalar arithmetic, subfields, characters, tables."""
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charperm import (
+    BadParameters,
     DivisionByZero,
     InvalidModulus,
     InvalidSubfield,
@@ -170,7 +175,7 @@ def test_tables_match_scalars(gf64_tower):
     np.testing.assert_array_equal(
         ctx.chi_table, np.array([ctx.chi(v) for v in range(64)]))
     np.testing.assert_array_equal(
-        ctx.sqr_table, np.array([ctx.mul(v, v) for v in range(64)]))
+        ctx.frob_table(1), np.array([ctx.mul(v, v) for v in range(64)]))
 
 
 def test_pow_vec(gf16):
@@ -216,6 +221,11 @@ def test_walsh_hadamard_matches_direct():
         assert out[s] == direct
 
 
+def test_walsh_hadamard_rejects_length_not_power_of_two():
+    with pytest.raises(BadParameters):
+        walsh_hadamard([1, 2, 3])
+
+
 def test_chi_index_table_routes_sums(gf8):
     # row u of the transformed histogram equals sum_v chi(u * f(v))
     ctx = gf8
@@ -226,3 +236,90 @@ def test_chi_index_table_routes_sums(gf8):
     for u in range(8):
         direct = sum(ctx.chi(ctx.mul(u, int(values[v]))) for v in range(8))
         assert sums[u] == direct
+
+
+# ---- every table against its scalar definition -----------------------------
+
+SMALL_FIELDS = [(m, n) for m in range(1, 13) for n in range(1, 13) if m * n <= 12]
+
+
+def _assert_table(table, expected, length):
+    assert table.dtype == np.int64 and table.shape == (length,)
+    np.testing.assert_array_equal(table, np.array(expected, dtype=np.int64))
+
+
+@pytest.mark.parametrize("m,n", SMALL_FIELDS, ids=lambda v: str(v))
+def test_every_table_matches_scalars_exhaustively(m, n):
+    ctx = build_context(m, n)
+    order, go, bits = ctx.order, max(ctx.group_order, 1), ctx.bits
+    # frobs[k][v] = v^(2^k) by k scalar squarings
+    frobs = [list(range(order))]
+    for _ in range(bits - 1):
+        frobs.append([ctx.mul(v, v) for v in frobs[-1]])
+    for k in range(bits):
+        _assert_table(ctx.frob_table(k), frobs[k], order)
+    for d in range(1, bits + 1):
+        if bits % d == 0:
+            expected = [0] * order
+            for i in range(bits // d):
+                expected = [t ^ f for t, f in zip(expected, frobs[d * i])]
+            _assert_table(ctx.trace_table(d), expected, order)
+    powers, t = [], 1
+    for _ in range(go):
+        powers.append(t)
+        t = ctx.mul(t, ctx.generator)
+    assert t == 1 and len(set(powers)) == go
+    _assert_table(ctx.exp_table, powers + powers, 2 * go)
+    logs = [0] * order
+    for i, p in enumerate(powers):
+        logs[p] = i
+    _assert_table(ctx.log_table, logs, order)
+    np.testing.assert_array_equal(ctx.chi_table, [ctx.chi(v) for v in range(order)])
+    # chi(u * w) = (-1)^popcount(s_u & w): both sides are characters in w,
+    # so the unit vectors w = 1 << i decide it
+    idx = ctx.chi_index_table
+    assert idx.dtype == np.int64 and idx.shape == (order,)
+    for u in range(order):
+        s = int(idx[u])
+        for i in range(bits):
+            assert ctx.chi(ctx.mul(u, 1 << i)) == 1 - 2 * ((s >> i) & 1)
+
+
+MID_FIELDS = [(13, 1), (7, 2), (5, 3), (4, 4), (1, 17), (6, 3), (19, 1), (4, 5)]
+
+
+def test_tables_match_scalars_on_random_elements_13_to_20_bits():
+    contexts = {}
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(field=st.sampled_from(MID_FIELDS), data=st.data())
+    def check(field, data):
+        if field not in contexts:
+            contexts[field] = build_context(*field)
+        ctx = contexts[field]
+        v = data.draw(st.integers(0, ctx.order - 1), label="v")
+        w = data.draw(st.integers(0, ctx.order - 1), label="w")
+        i = data.draw(st.integers(0, ctx.group_order - 1), label="i")
+        k = data.draw(st.sampled_from((1, ctx.m, ctx.bits - 1)), label="k")
+        assert ctx.frob_table(k)[v] == ctx.frobenius(v, k)
+        for d in (1, ctx.m):
+            assert ctx.trace_table(d)[v] == ctx.trace_to(v, d)
+        g_i = ctx.pow(ctx.generator, i)
+        assert ctx.exp_table[i] == ctx.exp_table[i + ctx.group_order] == g_i
+        assert ctx.log_table[g_i] == i
+        assert ctx.chi_table[v] == ctx.chi(v)
+        s = int(ctx.chi_index_table[v])
+        assert ctx.chi(ctx.mul(v, w)) == 1 - 2 * ((s & w).bit_count() & 1)
+
+    check()
+
+
+def test_24_bit_tables_smoke():
+    ctx = build_context(8, 3)
+    sqr, tr = ctx.frob_table(1), ctx.trace_table(8)
+    for table in (sqr, tr):
+        assert table.dtype == np.int64 and table.shape == (1 << 24,)
+    rng = random.Random(24)
+    for v in [0, 1, ctx.order - 1] + [rng.randrange(ctx.order) for _ in range(197)]:
+        assert sqr[v] == ctx.mul(v, v)
+        assert tr[v] == ctx.trace_to(v, 8)

@@ -13,7 +13,7 @@ from charperm import (
     run_verify,
 )
 from charperm.errors import BadParameters, UnknownTheorem, WrongDegree
-from charperm.verify import normalize_field
+from charperm.verify import _pool_workers, normalize_field
 
 
 def _run(cid, **kw):
@@ -124,6 +124,17 @@ def test_jobs_do_not_change_reports():
         assert a.cases_total == b.cases_total
         assert a.cases_agreeing == b.cases_agreeing
         assert a.mismatches == b.mismatches
+
+
+def test_pool_workers_clamped_to_tasks_and_cpus(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    assert _pool_workers(2, 10) == 2
+    assert _pool_workers(10 ** 6, 10) == 4
+    assert _pool_workers(8, 3) == 3
+    assert _pool_workers(8, 0) == 1
+    assert _pool_workers(0, 5) == 1
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert _pool_workers(8, 5) == 1
 
 
 def test_same_seed_same_report():
