@@ -41,8 +41,14 @@ from .verify import (
 )
 
 
-def _elem(s: str) -> int:
-    return int(s, 16)
+def _elem(ctx: FieldContext, s: Optional[str]) -> int:
+    """A field element from hex text; it must lie in 0 .. order - 1."""
+    if s is None:
+        raise ValueError("missing field element")
+    v = int(s, 16)
+    if not 0 <= v < ctx.order:
+        raise ValueError(f"{s!r} is not an element of GF(2^{ctx.bits})")
+    return v
 
 
 def _hex(x: int) -> str:
@@ -92,7 +98,7 @@ def _parse_blob(ctx: FieldContext, blob: str) -> Dict[str, object]:
         if kind is None:
             raise ValueError(f"unknown argument key {key!r}")
         if kind == "elem":
-            out[key] = _elem(value)
+            out[key] = _elem(ctx, value)
         elif kind == "int":
             out[key] = int(value, 10)
         elif kind == "lin":
@@ -229,25 +235,27 @@ def _cmd_eval(args) -> int:
     ctx = _context_from(args)
     op = args.op
     if op in ("add", "mul"):
-        xs = [_elem(s) for s in args.elems.split(",")]
+        xs = [_elem(ctx, s) for s in (args.elems or "").split(",")]
         if len(xs) != 2:
             raise ValueError("--elems needs exactly two comma-separated elements")
         r = ctx.add(*xs) if op == "add" else ctx.mul(*xs)
         print(_hex(r))
     elif op == "inv":
-        print(_hex(ctx.inv(_elem(args.elem))))
+        print(_hex(ctx.inv(_elem(ctx, args.elem))))
     elif op == "pow":
-        print(_hex(ctx.pow(_elem(args.elem), args.exp)))
+        if args.exp is None:
+            raise ValueError("--op pow needs --exp")
+        print(_hex(ctx.pow(_elem(ctx, args.elem), args.exp)))
     elif op == "frobenius":
-        print(_hex(ctx.frobenius(_elem(args.elem), args.k)))
+        print(_hex(ctx.frobenius(_elem(ctx, args.elem), args.k)))
     elif op in ("trace", "norm"):
         sub = args.sub if args.sub else ctx.m
         fn = ctx.trace_to if op == "trace" else ctx.norm_to
-        print(_hex(fn(_elem(args.elem), sub)))
+        print(_hex(fn(_elem(ctx, args.elem), sub)))
     elif op == "chi":
-        print(ctx.chi(_elem(args.elem)))
+        print(ctx.chi(_elem(ctx, args.elem)))
     elif op == "psi":
-        print(ctx.psi(_elem(args.elem)))
+        print(ctx.psi(_elem(ctx, args.elem)))
     elif op == "charsum":
         poly = lin.parse_linearized(ctx, args.poly)
         print(s_bruteforce(ctx, poly))
@@ -375,7 +383,7 @@ def _cmd_search(args) -> int:
             fixed[key] = int(value, 10)
     coeffs: Optional[List[int]] = None
     if args.coeffs is not None:
-        coeffs = [_elem(c) for c in args.coeffs.split(",") if c.strip()]
+        coeffs = [_elem(ctx, c) for c in args.coeffs.split(",") if c.strip()]
     rows = run_search(ctx, args.template, fixed, coeffs)
     axes = list(tpl.axes) if tpl else []
     header = axes + ["is_permutation", "matched_criteria"]

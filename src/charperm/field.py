@@ -6,6 +6,10 @@ per-element wrapper objects.  A FieldContext fixes m, n, the modulus and the
 chosen F_q-basis, and provides both scalar operations and numpy lookup tables
 for whole-field sweeps.  Every table is built from GF(2)-linearity (see
 _linear_table): a few scalar calls per bit, not one per element.
+
+Up to _TABLE_BITS = 16 bits the scalar mul, pow, inv and frobenius are one
+lookup each in the context's own exp_table/log_table; above that they stay
+bit-serial, so a large context builds no table it was not asked for.
 """
 
 from __future__ import annotations
@@ -74,6 +78,7 @@ class FieldContext:
         self._frob_tables: dict[int, np.ndarray] = {}
         self._trace_tables: dict[int, np.ndarray] = {}
         self._caches: dict[str, object] = {}
+        self._views: tuple | None = None     # see _load_views
         self.fq_basis = self._build_fq_basis()
 
     def __repr__(self):
@@ -87,27 +92,29 @@ class FieldContext:
     def __hash__(self):
         return hash((self.m, self.n, self.modulus))
 
+    def __getstate__(self):
+        # memoryviews do not pickle; _load_views makes them again on demand
+        return {**self.__dict__, "_views": None}
+
     # ---- scalar arithmetic ------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
         return a ^ b
 
     def mul(self, a: int, b: int) -> int:
-        """Product in GF(2^bits): carry-less multiply reduced by the modulus."""
-        r = 0
-        mod = self.modulus
-        top = 1 << self.bits
-        while b:
-            if b & 1:
-                r ^= a
-            b >>= 1
-            a <<= 1
-            if a & top:
-                a ^= mod
-        return r
+        """Product in GF(2^bits): exp[log a + log b] up to _TABLE_BITS bits,
+        the bit-serial multiply above."""
+        if not (a and b):
+            return 0
+        if self.bits > _TABLE_BITS:
+            return self._mul_serial(a, b)
+        exp, log = self._views or self._load_views()
+        return exp[log[a] + log[b]]
 
     def pow(self, a: int, e: int) -> int:
-        """a^e with exponents reduced modulo the group order for a != 0.
+        """a^e with exponents reduced modulo the group order for a != 0:
+        exp[(log a * e) mod group_order] up to _TABLE_BITS bits,
+        square-and-multiply above.
 
         0^0 = 1; 0^e = 0 for e > 0; negative e with a = 0 raises.
         """
@@ -117,18 +124,10 @@ class FieldContext:
             if e < 0:
                 raise DivisionByZero("inverse of zero")
             return 0
-        if self.group_order:
-            e %= self.group_order
-        else:
-            e = 0
-        r = 1
-        base = a
-        while e:
-            if e & 1:
-                r = self.mul(r, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return r
+        if self.bits > _TABLE_BITS:
+            return self._pow_serial(a, e)
+        exp, log = self._views or self._load_views()
+        return exp[log[a] * e % self.group_order]
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -136,23 +135,24 @@ class FieldContext:
         return self.pow(a, -1)
 
     def frobenius(self, a: int, k: int) -> int:
-        """a^(2^k), k taken modulo bits (so negative k works)."""
-        for _ in range(k % self.bits):
-            a = self.mul(a, a)
-        return a
+        """a^(2^k), k taken modulo bits (so negative k works):
+        exp[(log a * 2^k) mod group_order] up to _TABLE_BITS bits, k
+        squarings above."""
+        k %= self.bits
+        if not (a and k):
+            return a
+        if self.bits > _TABLE_BITS:
+            for _ in range(k):
+                a = self._mul_serial(a, a)
+            return a
+        exp, log = self._views or self._load_views()
+        return exp[(log[a] << k) % self.group_order]
 
     def trace_to(self, a: int, sub_m: int) -> int:
-        """Relative trace onto GF(2^sub_m): sum of a^(2^(sub_m * i))."""
+        """Relative trace onto GF(2^sub_m): sum of a^(2^(sub_m * i)), one
+        frobenius(t, sub_m) step per term."""
         self._check_subfield_degree(sub_m)
-        r = 0
-        t = a
-        steps = self.bits // sub_m
-        for i in range(steps):
-            r ^= t
-            if i + 1 < steps:
-                for _ in range(sub_m):
-                    t = self.mul(t, t)
-        return r
+        return self._orbit_sum(a, sub_m, self.bits // sub_m)
 
     def norm_to(self, a: int, sub_m: int) -> int:
         """Relative norm onto GF(2^sub_m): a^((2^bits-1)/(2^sub_m-1))."""
@@ -172,13 +172,7 @@ class FieldContext:
         self._check_subfield_degree(sub_m)
         if self.frobenius(a, sub_m) != a:
             raise NotInSubfield(f"0x{a:x} is not in GF(2^{sub_m})")
-        r = 0
-        t = a
-        for i in range(sub_m):
-            r ^= t
-            if i + 1 < sub_m:
-                t = self.mul(t, t)
-        return r
+        return self._orbit_sum(a, 1, sub_m)
 
     def psi(self, a: int) -> int:
         """Canonical additive character of the subfield F_q, at a in F_q."""
@@ -187,6 +181,46 @@ class FieldContext:
     def in_subfield(self, a: int, sub_m: int) -> bool:
         self._check_subfield_degree(sub_m)
         return self.frobenius(a, sub_m) == a
+
+    def _orbit_sum(self, a: int, step: int, terms: int) -> int:
+        """Sum of a^(2^(step * i)) for 0 <= i < terms."""
+        r = t = a
+        for _ in range(terms - 1):
+            t = self.frobenius(t, step)
+            r ^= t
+        return r
+
+    def _mul_serial(self, a: int, b: int) -> int:
+        """Carry-less multiply reduced by the modulus, one bit of b at a time."""
+        r = 0
+        mod = self.modulus
+        top = 1 << self.bits
+        while b:
+            if b & 1:
+                r ^= a
+            b >>= 1
+            a <<= 1
+            if a & top:
+                a ^= mod
+        return r
+
+    def _pow_serial(self, a: int, e: int) -> int:
+        """Square-and-multiply through _mul_serial, for a != 0."""
+        e %= self.group_order
+        r = 1
+        while e:
+            if e & 1:
+                r = self._mul_serial(r, a)
+            a = self._mul_serial(a, a)
+            e >>= 1
+        return r
+
+    def _load_views(self) -> tuple:
+        """(exp, log) memoryviews over exp_table and log_table, which the
+        scalar operations read up to _TABLE_BITS bits; the tables are built
+        on first use."""
+        self._views = (memoryview(self.exp_table), memoryview(self.log_table))
+        return self._views
 
     def _check_subfield_degree(self, sub_m: int):
         if sub_m < 1 or self.bits % sub_m != 0:
@@ -302,7 +336,7 @@ class FieldContext:
             else:
                 primes = gf2._prime_factors(go)
                 g = 2
-                while any(self.pow(g, go // p) == 1 for p in primes):
+                while any(self._pow_serial(g, go // p) == 1 for p in primes):
                     g += 1
             self._caches["generator"] = g
         return g
@@ -331,7 +365,7 @@ class FieldContext:
             filled, c = 1, self.generator        # c = g^filled
             while filled < go:
                 count = min(filled, go - filled)
-                cols = [self.mul(c, 1 << j) for j in range(self.bits)]
+                cols = [self._mul_serial(c, 1 << j) for j in range(self.bits)]
                 slices = [_linear_table(cols[lo:lo + 8])
                           for lo in range(0, self.bits, 8)]
                 for start in range(0, count, _CHUNK):
@@ -341,7 +375,7 @@ class FieldContext:
                     for i, table in enumerate(slices[1:], 1):
                         dst ^= table[(src >> (8 * i)) & 0xFF]
                 filled += count
-                c = self.mul(c, c)
+                c = self._mul_serial(c, c)
             arr[go:] = arr[:go]
             self._caches["exp"] = arr
         return arr
@@ -453,6 +487,11 @@ class FieldContext:
 # Elements per block when exp_table applies a linear map, which bounds the
 # temporaries of that step to a few MB whatever the field size.
 _CHUNK = 1 << 16
+
+# Largest field (in bits) whose scalar operations read exp_table and
+# log_table: 1.5 MB of tables at 16 bits, but about 400 MB at 24, so larger
+# fields keep the bit-serial multiply and never build them as a side effect.
+_TABLE_BITS = 16
 
 
 def _linear_table(images: Sequence[int]) -> np.ndarray:

@@ -82,16 +82,16 @@ def add(ctx: FieldContext, l1: LinearizedPoly, l2: LinearizedPoly) -> Linearized
 
 
 def evaluate(ctx: FieldContext, poly: LinearizedPoly, x: int) -> int:
-    """L(x), walking the Frobenius orbit of x once."""
+    """L(x), walking the Frobenius orbit of x once: one frobenius step
+    from each nonzero term to the next."""
     r = 0
     t = x
-    last = max(poly.support(), default=-1)
+    at = 0
     for i, c in enumerate(poly.coeffs):
         if c:
+            t = ctx.frobenius(t, i - at)
+            at = i
             r ^= ctx.mul(c, t)
-        if i >= last:
-            break
-        t = ctx.mul(t, t)
     return r
 
 

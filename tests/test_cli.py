@@ -1,11 +1,15 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import contextlib
 import csv
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from charperm import build_context, gf2
 from charperm.cli import main
 
 
@@ -48,6 +52,94 @@ def test_eval_arithmetic(capsys):
     code, out, _ = run_cli(capsys, "eval", "--field", "2:3", "--op", "frobenius",
                            "--elem", "2", "--k", "2")
     assert (code, out) == (0, "10\n")
+
+
+# GF(2^6) has elements 0 .. 3f; 3:2 gives the n = 2 that check-thm4 needs
+@pytest.mark.parametrize("field,argv", [
+    ("2:3", ("--op", "mul", "--elems=3,-1")),
+    ("2:3", ("--op", "inv", "--elem=-1")),
+    ("2:3", ("--op", "mul", "--elems", "0x100,0x3")),
+    ("2:3", ("--op", "mul", "--elems", "3f,40")),
+    ("2:3", ("--op", "trace", "--elem", "0x99")),
+    ("2:3", ("--op", "chi", "--elem", "40")),
+    ("2:3", ("--op", "pow", "--elem=-40", "--exp", "3")),
+    ("3:2", ("--op", "check-thm4", "--args", "a=-1;b=3")),
+    ("3:2", ("--op", "check-thm4", "--args", "a=1;b=40")),
+    ("2:3", ("--op", "check-family:tu", "--args", "a=1;u=40")),
+    ("2:3", ("--op", "check-family:tu", "--args", "a=1;v=-2")),
+])
+def test_eval_rejects_out_of_field_elements(capsys, field, argv):
+    code, out, err = run_cli(capsys, "eval", "--field", field, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field,argv,want", [
+    ("2:3", ("--op", "mul", "--elems", "3f,3f"), "2a\n"),
+    ("2:3", ("--op", "inv", "--elem", "3f"), "20\n"),
+    ("2:3", ("--op", "pow", "--elem", "3f", "--exp", "63"), "1\n"),
+    ("3:2", ("--op", "check-thm4", "--args", "a=3f;b=3f"), None),
+    ("2:3", ("--op", "check-family:tu", "--args", "a=1;u=3f;v=3f"), None),
+])
+def test_eval_accepts_largest_element(capsys, field, argv, want):
+    code, out, _ = run_cli(capsys, "eval", "--field", field, *argv)
+    assert code == 0
+    if want is not None:
+        assert out == want
+
+
+def test_eval_missing_operands_are_usage_errors(capsys):
+    for argv in (("--op", "chi"), ("--op", "mul"), ("--op", "pow", "--elem", "3")):
+        code, out, err = run_cli(capsys, "eval", "--field", "2:3", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+FUZZ_OPS = ("mul", "inv", "pow", "frobenius", "trace", "chi")
+
+
+def _parse_hex(text):
+    try:
+        return int(text, 16)
+    except ValueError:
+        return None
+
+
+def test_eval_fuzzed_elements_exit_cleanly():
+    contexts = {"2:3": build_context(2, 3), "4:4": build_context(4, 4)}
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(field=st.sampled_from(sorted(contexts)), op=st.sampled_from(FUZZ_OPS),
+           data=st.data())
+    def check(field, op, data):
+        ctx = contexts[field]
+        element = st.one_of(
+            st.integers(0, ctx.order - 1).map(lambda v: format(v, "x")),
+            st.integers(-ctx.order, 4 * ctx.order - 1).map(lambda v: format(v, "x")),
+            st.text(max_size=6))
+        x = data.draw(element, label="x")
+        argv = ["eval", "--field", field, "--op", op]
+        if op == "mul":
+            y = data.draw(element, label="y")
+            argv.append(f"--elems={x},{y}")
+        else:
+            argv.append(f"--elem={x}")
+        if op == "pow":
+            argv.append(f"--exp={data.draw(st.integers(-70000, 70000), label='e')}")
+        if op == "frobenius":
+            argv.append(f"--k={data.draw(st.integers(-40, 40), label='k')}")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if op == "mul" and "," not in x + y:
+            a, b = _parse_hex(x), _parse_hex(y)
+            if a is not None and b is not None and 0 <= a < ctx.order and 0 <= b < ctx.order:
+                assert code == 0
+                assert out.getvalue() == format(gf2.poly_mulmod(a, b, ctx.modulus), "x") + "\n"
+
+    check()
 
 
 def test_field_info(capsys):

@@ -1,5 +1,6 @@
 """Field contexts: scalar arithmetic, subfields, characters, tables."""
 
+import pickle
 import random
 
 import numpy as np
@@ -15,6 +16,7 @@ from charperm import (
     NotInSubfield,
     SizeGuard,
     build_context,
+    gf2,
     walsh_hadamard,
 )
 
@@ -238,6 +240,42 @@ def test_chi_index_table_routes_sums(gf8):
         assert sums[u] == direct
 
 
+# ---- an oracle independent of the context's tables --------------------------
+
+def oracle_mul(ctx, a, b):
+    return gf2.poly_mulmod(a, b, ctx.modulus)
+
+
+def oracle_pow(ctx, a, e):
+    """a^e for a != 0 by square-and-multiply on gf2.poly_mulmod."""
+    e %= ctx.group_order
+    r = 1
+    while e:
+        if e & 1:
+            r = oracle_mul(ctx, r, a)
+        a = oracle_mul(ctx, a, a)
+        e >>= 1
+    return r
+
+
+def oracle_frobenius(ctx, a, k):
+    for _ in range(k % ctx.bits):
+        a = oracle_mul(ctx, a, a)
+    return a
+
+
+def oracle_trace(ctx, a, d):
+    r = 0
+    for _ in range(ctx.bits // d):
+        r ^= a
+        a = oracle_frobenius(ctx, a, d)
+    return r
+
+
+def oracle_chi(ctx, a):
+    return 1 - 2 * oracle_trace(ctx, a, 1)
+
+
 # ---- every table against its scalar definition -----------------------------
 
 SMALL_FIELDS = [(m, n) for m in range(1, 13) for n in range(1, 13) if m * n <= 12]
@@ -252,10 +290,10 @@ def _assert_table(table, expected, length):
 def test_every_table_matches_scalars_exhaustively(m, n):
     ctx = build_context(m, n)
     order, go, bits = ctx.order, max(ctx.group_order, 1), ctx.bits
-    # frobs[k][v] = v^(2^k) by k scalar squarings
+    # frobs[k][v] = v^(2^k) by k oracle squarings
     frobs = [list(range(order))]
     for _ in range(bits - 1):
-        frobs.append([ctx.mul(v, v) for v in frobs[-1]])
+        frobs.append([oracle_mul(ctx, v, v) for v in frobs[-1]])
     for k in range(bits):
         _assert_table(ctx.frob_table(k), frobs[k], order)
     for d in range(1, bits + 1):
@@ -267,14 +305,19 @@ def test_every_table_matches_scalars_exhaustively(m, n):
     powers, t = [], 1
     for _ in range(go):
         powers.append(t)
-        t = ctx.mul(t, ctx.generator)
+        t = oracle_mul(ctx, t, ctx.generator)
     assert t == 1 and len(set(powers)) == go
     _assert_table(ctx.exp_table, powers + powers, 2 * go)
     logs = [0] * order
     for i, p in enumerate(powers):
         logs[p] = i
     _assert_table(ctx.log_table, logs, order)
-    np.testing.assert_array_equal(ctx.chi_table, [ctx.chi(v) for v in range(order)])
+    # chis[v] = (-1)^(absolute trace of v), the trace summed from frobs
+    chis = [1] * order
+    for k in range(bits):
+        chis = [c * (1 - 2 * (f & 1)) for c, f in zip(chis, frobs[k])]
+    np.testing.assert_array_equal(ctx.chi_table, chis)
+    assert [ctx.chi(v) for v in range(order)] == chis
     # chi(u * w) = (-1)^popcount(s_u & w): both sides are characters in w,
     # so the unit vectors w = 1 << i decide it
     idx = ctx.chi_index_table
@@ -282,6 +325,7 @@ def test_every_table_matches_scalars_exhaustively(m, n):
     for u in range(order):
         s = int(idx[u])
         for i in range(bits):
+            assert chis[oracle_mul(ctx, u, 1 << i)] == 1 - 2 * ((s >> i) & 1)
             assert ctx.chi(ctx.mul(u, 1 << i)) == 1 - 2 * ((s >> i) & 1)
 
 
@@ -301,15 +345,18 @@ def test_tables_match_scalars_on_random_elements_13_to_20_bits():
         w = data.draw(st.integers(0, ctx.order - 1), label="w")
         i = data.draw(st.integers(0, ctx.group_order - 1), label="i")
         k = data.draw(st.sampled_from((1, ctx.m, ctx.bits - 1)), label="k")
-        assert ctx.frob_table(k)[v] == ctx.frobenius(v, k)
+        assert ctx.frob_table(k)[v] == ctx.frobenius(v, k) == oracle_frobenius(ctx, v, k)
         for d in (1, ctx.m):
-            assert ctx.trace_table(d)[v] == ctx.trace_to(v, d)
-        g_i = ctx.pow(ctx.generator, i)
+            assert ctx.trace_table(d)[v] == ctx.trace_to(v, d) == oracle_trace(ctx, v, d)
+        g_i = oracle_pow(ctx, ctx.generator, i)
+        assert ctx.pow(ctx.generator, i) == g_i
         assert ctx.exp_table[i] == ctx.exp_table[i + ctx.group_order] == g_i
         assert ctx.log_table[g_i] == i
-        assert ctx.chi_table[v] == ctx.chi(v)
+        assert ctx.chi_table[v] == ctx.chi(v) == oracle_chi(ctx, v)
         s = int(ctx.chi_index_table[v])
-        assert ctx.chi(ctx.mul(v, w)) == 1 - 2 * ((s & w).bit_count() & 1)
+        vw = oracle_mul(ctx, v, w)
+        assert ctx.mul(v, w) == vw
+        assert ctx.chi(vw) == oracle_chi(ctx, vw) == 1 - 2 * ((s & w).bit_count() & 1)
 
     check()
 
@@ -323,3 +370,109 @@ def test_24_bit_tables_smoke():
     for v in [0, 1, ctx.order - 1] + [rng.randrange(ctx.order) for _ in range(197)]:
         assert sqr[v] == ctx.mul(v, v)
         assert tr[v] == ctx.trace_to(v, 8)
+    # the scalar calls above are bit-serial: no exp/log table was built
+    assert set(ctx._frob_tables) == {1} and set(ctx._trace_tables) == {8}
+    assert "exp" not in ctx._caches and "log" not in ctx._caches
+
+
+# ---- scalar operations against the oracle, both sides of the 16-bit line ---
+
+def _same_bits_contexts(bits):
+    """Every tower m:n with m*n = bits; they share the default modulus."""
+    ctxs = [build_context(m, bits // m) for m in range(1, bits + 1) if bits % m == 0]
+    assert len({ctx.modulus for ctx in ctxs}) == 1
+    return ctxs
+
+
+@pytest.mark.parametrize("bits", range(1, 9))
+def test_mul_matches_oracle_on_every_pair(bits):
+    ctxs = _same_bits_contexts(bits)
+    order = 1 << bits
+    expected = [oracle_mul(ctxs[0], a, b) for a in range(order) for b in range(order)]
+    for ctx in ctxs:
+        assert [ctx.mul(a, b) for a in range(order) for b in range(order)] == expected
+
+
+@pytest.mark.parametrize("bits", range(1, 13))
+def test_scalar_ops_match_oracle_on_every_element(bits):
+    # bits = 1 is the field 1:1, whose multiplicative group has order 1
+    ctxs = _same_bits_contexts(bits)
+    ref = ctxs[0]
+    order, go = 1 << bits, (1 << bits) - 1
+    nonzero = range(1, order)
+    frobs = [list(range(order))]
+    for _ in range(bits - 1):
+        frobs.append([oracle_mul(ref, v, v) for v in frobs[-1]])
+    exponents = (0, 1, 3, -1, go + 2)
+    pows = {e: [oracle_pow(ref, a, e) for a in nonzero] for e in exponents}
+    for ctx in ctxs:
+        for k in range(-1, bits + 1):
+            assert [ctx.frobenius(v, k) for v in range(order)] == frobs[k % bits]
+        for d in range(1, bits + 1):
+            if bits % d == 0:
+                expected = [0] * order
+                for i in range(bits // d):
+                    expected = [t ^ f for t, f in zip(expected, frobs[d * i])]
+                assert [ctx.trace_to(v, d) for v in range(order)] == expected
+        for e in exponents:
+            assert [ctx.pow(a, e) for a in nonzero] == pows[e]
+        assert [ctx.inv(a) for a in nonzero] == pows[-1]
+        assert (ctx.pow(0, 0), ctx.pow(0, 3)) == (1, 0)
+        with pytest.raises(DivisionByZero):
+            ctx.inv(0)
+        with pytest.raises(DivisionByZero):
+            ctx.pow(0, -1)
+
+
+WIDE_FIELDS = [(3, 3), (5, 2), (11, 1), (2, 6), (13, 1), (7, 2), (5, 3), (4, 4),
+               (1, 17), (6, 3), (19, 1), (4, 5), (3, 7), (11, 2), (8, 3), (2, 12)]
+
+
+def test_scalar_ops_match_oracle_9_to_24_bits():
+    contexts = {}
+
+    @settings(max_examples=160, deadline=None, derandomize=True, database=None)
+    @given(field=st.sampled_from(WIDE_FIELDS), data=st.data())
+    def check(field, data):
+        if field not in contexts:
+            contexts[field] = build_context(*field)
+        ctx = contexts[field]
+        a = data.draw(st.integers(0, ctx.order - 1), label="a")
+        b = data.draw(st.integers(0, ctx.order - 1), label="b")
+        e = data.draw(st.integers(-2 * ctx.order, 2 * ctx.order), label="e")
+        k = data.draw(st.integers(-ctx.bits, 2 * ctx.bits), label="k")
+        assert ctx.mul(a, b) == oracle_mul(ctx, a, b)
+        assert ctx.frobenius(a, k) == oracle_frobenius(ctx, a, k)
+        for d in (1, ctx.m):
+            assert ctx.trace_to(a, d) == oracle_trace(ctx, a, d)
+        if a:
+            assert ctx.pow(a, e) == oracle_pow(ctx, a, e)
+            inv = ctx.inv(a)
+            assert inv == oracle_pow(ctx, a, -1) and oracle_mul(ctx, a, inv) == 1
+        else:
+            assert ctx.pow(a, abs(e)) == (0 if e else 1)
+
+    check()
+
+
+def test_context_pickles_after_scalar_lookups(gf64_tower):
+    gf64_tower.mul(3, 5)
+    copy = pickle.loads(pickle.dumps(gf64_tower))
+    assert copy == gf64_tower
+    assert [copy.mul(a, 0x2b) for a in range(64)] == [
+        gf64_tower.mul(a, 0x2b) for a in range(64)]
+
+
+def test_scalar_ops_build_exp_log_only_up_to_16_bits():
+    big = build_context(4, 5)
+    a, b = 0x12345, 0xabcde
+    big.mul(a, b)
+    big.pow(a, 1000)
+    big.inv(b)
+    big.frobenius(a, 3)
+    big.trace_to(b, 4)
+    big.trace_to(b, 1)
+    assert "exp" not in big._caches and "log" not in big._caches
+    small = build_context(4, 4)
+    small.mul(0x1234, 0xabcd)
+    assert "exp" in small._caches and "log" in small._caches
