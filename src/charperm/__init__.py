@@ -66,7 +66,6 @@ from .permtest import (
     family_polynomial,
     family_predicate,
     format_monomial,
-    from_linearized,
     gold_poly,
     is_perm_bruteforce,
     is_perm_charsum,

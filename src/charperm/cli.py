@@ -20,22 +20,15 @@ from typing import Dict, List, Optional
 
 from . import linearized as lin
 from . import permtest as pt
-from .charsum import (
-    bilinear_psi_sum,
-    classify_form,
-    s_bruteforce,
-    s_fast,
-    s_zero_binomial,
-    s_zero_quadratic_ext,
-)
+from .charsum import classify_form, s_bruteforce, s_fast
 from .errors import BadParameters, CharpermError
 from .field import DEFAULT_CHARSUM_CAP, DEFAULT_SIZE_CAP, FieldContext, build_context
 from .verify import (
     SWEEPS,
     TEMPLATES,
     VerifyCampaign,
-    family_agreement,
     field_label,
+    replay_case,
     run_search,
     run_verify,
 )
@@ -110,103 +103,6 @@ def _parse_blob(ctx: FieldContext, blob: str) -> Dict[str, object]:
     return out
 
 
-def _require(args_map: Dict[str, object], *keys: str) -> List[object]:
-    missing = [k for k in keys if k not in args_map]
-    if missing:
-        raise ValueError(f"missing argument keys {missing}")
-    return [args_map[k] for k in keys]
-
-
-# ---- replay checks for campaign mismatches ---------------------------------
-
-def _check_thm4(ctx, a):
-    x, b = _require(a, "a", "b")
-    s = s_bruteforce(ctx, lin.q_linearized(ctx, [(1, x), (0, b)]))
-    return {"structured": s_zero_quadratic_ext(ctx, x, b), "brute": s == 0, "s": s}
-
-
-def _check_thm5(ctx, a):
-    x, b, k = _require(a, "a", "b", "k")
-    s = s_bruteforce(ctx, lin.q_linearized(ctx, [(k, x), (0, b)]))
-    return {"structured": s_zero_binomial(ctx, x, b, k), "brute": s == 0, "s": s}
-
-
-def _check_thm6(ctx, a):
-    l0, l1 = _require(a, "l0", "l1")
-    spec = pt.quad_family(ctx, {0: l0, 1: l1})
-    brute = pt.is_perm_bruteforce(ctx, pt.expand_quadspec(ctx, spec))
-    return {"structured": pt.perm_quad_ext(ctx, l0, l1),
-            "brute": brute.is_permutation}
-
-
-def _check_thm7(ctx, a):
-    k, l0 = _require(a, "k", "l0")
-    brute = pt.is_perm_bruteforce(ctx, pt.gold_poly(ctx, k, l0))
-    return {"structured": pt.perm_gold_linearized(ctx, k, l0),
-            "brute": brute.is_permutation}
-
-
-def _check_thm_tr(ctx, a):
-    l0, l1, shift = _require(a, "l0", "l1", "shift")
-    spec = pt.trace_form_spec(ctx, l0, l1, shift)
-    brute = pt.is_perm_bruteforce(ctx, pt.expand_traceform(ctx, spec))
-    return {"structured": pt.perm_trace_form(ctx, spec),
-            "brute": brute.is_permutation}
-
-
-def _check_corollary(ctx, a):
-    x, k, l = _require(a, "a", "k", "l")
-    brute = pt.is_perm_bruteforce(ctx, pt.monomial_trace_poly(ctx, x, k, l))
-    return {"structured": pt.perm_monomial_trace(ctx, x, k, l),
-            "brute": brute.is_permutation}
-
-
-def _check_prop2(ctx, a):
-    x, b = _require(a, "a", "b")
-    return {"structured": ctx.psi(ctx.mul(x, b)) * ctx.q,
-            "brute": bilinear_psi_sum(ctx, x, b)}
-
-
-def _check_prop3(ctx, a):
-    (poly,) = _require(a, "poly")
-    return {"structured": s_fast(ctx, poly).s_value,
-            "brute": s_bruteforce(ctx, poly)}
-
-
-def _check_thm1(ctx, a):
-    (f,) = _require(a, "monomials")
-    return {"structured": pt.is_perm_charsum(ctx, f).is_permutation,
-            "brute": pt.is_perm_bruteforce(ctx, f).is_permutation}
-
-
-def _check_family(name):
-    def check(ctx, a):
-        fam = pt.FAMILIES[name]
-        params = {k: a[k] for k in a}
-        structured = pt.family_predicate(ctx, name, params)
-        brute = pt.is_perm_bruteforce(
-            ctx, pt.family_polynomial(ctx, name, params)).is_permutation
-        out = {"structured": structured, "brute": brute}
-        out["agree"] = family_agreement(fam.exact, structured, brute)
-        return out
-    return check
-
-
-_CHECKS = {
-    "thm4": _check_thm4,
-    "thm5": _check_thm5,
-    "thm6": _check_thm6,
-    "thm7": _check_thm7,
-    "thm_tr": _check_thm_tr,
-    "corollary": _check_corollary,
-    "prop2": _check_prop2,
-    "prop3": _check_prop3,
-    "thm1": _check_thm1,
-}
-for _name in ("tu", "abnorm", "q4", "trform", "aqk"):
-    _CHECKS[f"family:{_name}"] = _check_family(_name)
-
-
 # ---- subcommand handlers ---------------------------------------------------
 
 def _cmd_field_info(args) -> int:
@@ -266,13 +162,14 @@ def _cmd_eval(args) -> int:
         f = pt.parse_monomial(ctx, args.monomials)
         _emit(_report_json(pt.is_perm_bruteforce(ctx, f)))
     elif op.startswith("check-"):
-        check = _CHECKS.get(op[len("check-"):])
-        if check is None:
+        sweep = SWEEPS.get(op[len("check-"):])
+        if sweep is None:
             raise ValueError(f"unknown check op {op!r}")
-        out = check(ctx, _parse_blob(ctx, args.args or ""))
-        if "agree" not in out:
-            out["agree"] = out["structured"] == out["brute"]
-        _emit(out)
+        params = _parse_blob(ctx, args.args or "")
+        missing = [k for k in sweep.keys if k not in params]
+        if missing:
+            raise ValueError(f"missing argument keys {missing}")
+        _emit(replay_case(ctx, sweep.campaign_id, params))
     else:
         raise ValueError(f"unknown eval op {op!r}")
     return 0
@@ -333,8 +230,6 @@ def _cmd_permtest(args, parser) -> int:
         if method == "structured":
             parser.error("--method structured needs a structured form "
                          "(quadspec, traceform or family)")
-        rep = (pt.is_perm_charsum(ctx, f) if method == "charsum"
-               else pt.is_perm_bruteforce(ctx, f))
     elif form == "quadspec":
         parts = [lin.parse_linearized(ctx, p) for p in args.poly.split("|")]
         spec = pt.quad_family(ctx, parts)
@@ -342,8 +237,6 @@ def _cmd_permtest(args, parser) -> int:
             rep = pt.is_perm_quadspec(ctx, spec)
         else:
             f = pt.expand_quadspec(ctx, spec)
-            rep = (pt.is_perm_charsum(ctx, f) if method == "charsum"
-                   else pt.is_perm_bruteforce(ctx, f))
     elif form == "traceform":
         pieces = args.poly.split("|")
         if len(pieces) != 3:
@@ -355,8 +248,6 @@ def _cmd_permtest(args, parser) -> int:
             rep = pt.PermReport(pt.perm_trace_form(ctx, spec), "structured")
         else:
             f = pt.expand_traceform(ctx, spec)
-            rep = (pt.is_perm_charsum(ctx, f) if method == "charsum"
-                   else pt.is_perm_bruteforce(ctx, f))
     elif form == "family":
         name, _, rest = args.poly.partition(";")
         params = _parse_blob(ctx, rest)
@@ -365,10 +256,11 @@ def _cmd_permtest(args, parser) -> int:
                                 "structured")
         else:
             f = pt.family_polynomial(ctx, name, params)
-            rep = (pt.is_perm_charsum(ctx, f) if method == "charsum"
-                   else pt.is_perm_bruteforce(ctx, f))
     else:
         raise ValueError(f"unknown form {form!r}")
+    if method != "structured":
+        rep = (pt.is_perm_charsum(ctx, f) if method == "charsum"
+               else pt.is_perm_bruteforce(ctx, f))
     _emit(_report_json(rep))
     return 0
 
@@ -407,13 +299,12 @@ _MISMATCH_CSV = ["row_type", "campaign", "field", "cases_total",
 def _cmd_verify(args) -> int:
     ids = list(SWEEPS) if args.campaign == "all" else [args.campaign]
     fields = tuple(f for f in (args.fields or "").split(",") if f)
-    caps = (args.max_n, args.max_n) if args.max_n else (None, None)
+    cap = args.max_n or None
     reports = []
     for cid in ids:
         campaign = VerifyCampaign(cid, field_ranges=fields,
                                   sample_budget=args.sample, seed=args.seed)
-        rep = run_verify(campaign, jobs=args.jobs,
-                         size_cap=caps[0], charsum_cap=caps[1])
+        rep = run_verify(campaign, jobs=args.jobs, size_cap=cap, charsum_cap=cap)
         print(f"campaign {cid}: total={rep.cases_total} "
               f"agree={rep.cases_agreeing} wall={rep.wall_time:.2f}s",
               file=sys.stderr)

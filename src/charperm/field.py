@@ -9,7 +9,8 @@ _linear_table): a few scalar calls per bit, not one per element.
 
 Up to _TABLE_BITS = 16 bits the scalar mul, pow, inv and frobenius are one
 lookup each in the context's own exp_table/log_table; above that they stay
-bit-serial, so a large context builds no table it was not asked for.
+bit-serial, so a large context builds no table it was not asked for.  On
+both routes they raise BadParameters for an operand outside 0 .. order - 1.
 """
 
 from __future__ import annotations
@@ -104,6 +105,8 @@ class FieldContext:
     def mul(self, a: int, b: int) -> int:
         """Product in GF(2^bits): exp[log a + log b] up to _TABLE_BITS bits,
         the bit-serial multiply above."""
+        if not 0 <= a | b < self.order:
+            self._reject(a, b)
         if not (a and b):
             return 0
         if self.bits > _TABLE_BITS:
@@ -118,6 +121,8 @@ class FieldContext:
 
         0^0 = 1; 0^e = 0 for e > 0; negative e with a = 0 raises.
         """
+        if not 0 <= a < self.order:
+            self._reject(a)
         if a == 0:
             if e == 0:
                 return 1
@@ -138,6 +143,8 @@ class FieldContext:
         """a^(2^k), k taken modulo bits (so negative k works):
         exp[(log a * 2^k) mod group_order] up to _TABLE_BITS bits, k
         squarings above."""
+        if not 0 <= a < self.order:
+            self._reject(a)
         k %= self.bits
         if not (a and k):
             return a
@@ -189,6 +196,12 @@ class FieldContext:
             t = self.frobenius(t, step)
             r ^= t
         return r
+
+    def _reject(self, *operands: int):
+        """Raise for the operands outside 0 .. order - 1.  mul tests both
+        at once: a | b lies in that range exactly when a and b do."""
+        bad = ", ".join(hex(x) for x in operands if not 0 <= x < self.order)
+        raise BadParameters(f"{bad} is not an element of GF(2^{self.bits})")
 
     def _mul_serial(self, a: int, b: int) -> int:
         """Carry-less multiply reduced by the modulus, one bit of b at a time."""
@@ -444,10 +457,20 @@ class FieldContext:
         return out
 
     def mul_elementwise(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = np.zeros(np.broadcast(x, y).shape, dtype=np.int64)
+        """Elementwise product of two arrays that broadcast against each
+        other.  Equal shapes multiply their nonzero pairs only, the faster
+        route for large tables; otherwise the logs are looked up before
+        broadcasting (a column of coefficients against a table, say) and
+        the products with a zero factor are cleared afterwards."""
+        x, y = np.asarray(x), np.asarray(y)
+        if x.shape != y.shape:
+            out = np.take(self.exp_table, np.take(self.log_table, x)
+                          + np.take(self.log_table, y))
+            out[(x == 0) | (y == 0)] = 0
+            return out
+        out = np.zeros(x.shape, dtype=np.int64)
         nz = (x != 0) & (y != 0)
-        out[nz] = self.exp_table[self.log_table[np.broadcast_to(x, out.shape)[nz]]
-                                 + self.log_table[np.broadcast_to(y, out.shape)[nz]]]
+        out[nz] = self.exp_table[self.log_table[x[nz]] + self.log_table[y[nz]]]
         return out
 
     def pow_vec(self, arr: np.ndarray, e: int) -> np.ndarray:

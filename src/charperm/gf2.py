@@ -127,11 +127,6 @@ def mat_apply(cols: List[int], x: int) -> int:
     return r
 
 
-def mat_mul(a_cols: List[int], b_cols: List[int]) -> List[int]:
-    """Columns of the product A*B."""
-    return [mat_apply(a_cols, c) for c in b_cols]
-
-
 def mat_rank(vecs: List[int]) -> int:
     """Rank of the span of the given bit-vectors."""
     pivots: List[int] = []
@@ -185,14 +180,3 @@ def mat_invert(cols: List[int], n: int) -> List[int]:
                 inv[j] ^= inv[i]
     # column ops reduce work to the identity, so inv now holds A^-1
     return inv
-
-
-def mat_transpose(cols: List[int], nrows: int) -> List[int]:
-    """Transpose: returns the rows of the matrix as ints (new columns)."""
-    out = []
-    for i in range(nrows):
-        r = 0
-        for j, c in enumerate(cols):
-            r |= (c >> i & 1) << j
-        out.append(r)
-    return out

@@ -63,17 +63,24 @@ def q_linearized(ctx: FieldContext, qpairs: PairsLike = ()) -> LinearizedPoly:
                       q_linear=True)
 
 
+def linearized_rows(ctx: FieldContext, pairs) -> np.ndarray:
+    """linearized for a stack of polynomials, as coefficient rows: each
+    coefficient is a scalar or an array, and the stack has their broadcast
+    shape, with one last axis of length bits (see evaluate_all).  The
+    coefficients are not checked."""
+    shape = np.broadcast_shapes(*(np.shape(c) for _, c in pairs))
+    rows = np.zeros(shape + (ctx.bits,), dtype=np.int64)
+    for i, c in pairs:
+        rows[..., i % ctx.bits] ^= c
+    return rows
+
+
 def zero(ctx: FieldContext) -> LinearizedPoly:
     return linearized(ctx)
 
 
 def identity(ctx: FieldContext) -> LinearizedPoly:
     return linearized(ctx, [(0, 1)])
-
-
-def trace_poly(ctx: FieldContext) -> LinearizedPoly:
-    """The relative trace onto F_q as a q-linear polynomial."""
-    return q_linearized(ctx, [(i, 1) for i in range(ctx.n)])
 
 
 def add(ctx: FieldContext, l1: LinearizedPoly, l2: LinearizedPoly) -> LinearizedPoly:
@@ -95,26 +102,43 @@ def evaluate(ctx: FieldContext, poly: LinearizedPoly, x: int) -> int:
     return r
 
 
-def evaluate_all(ctx: FieldContext, poly: LinearizedPoly) -> np.ndarray:
-    """L(v) for every field element v, as an array indexed by v."""
-    out = np.zeros(ctx.order, dtype=np.int64)
-    for i in poly.support():
-        out ^= ctx.mul_vec(poly.coeffs[i], ctx.frob_table(i))
+def _columns(ctx: FieldContext, rows: np.ndarray) -> np.ndarray:
+    """Indices i at which some row has a nonzero coefficient."""
+    return np.flatnonzero(rows.reshape(-1, ctx.bits).any(axis=0))
+
+
+def evaluate_all(ctx: FieldContext, poly) -> np.ndarray:
+    """L(v) for every field element v, as an array indexed by v.
+
+    poly may also be a stack of coefficient rows (..., bits), rows[..., i]
+    multiplying x^(2^i); the result then has one value table per row, along
+    a new last axis.
+    """
+    rows = np.asarray(getattr(poly, "coeffs", poly), dtype=np.int64)
+    out = np.zeros(rows.shape[:-1] + (ctx.order,), dtype=np.int64)
+    for i in _columns(ctx, rows):
+        out ^= ctx.mul_elementwise(rows[..., i, None], ctx.frob_table(i))
     return out
 
 
-def adjoint(ctx: FieldContext, poly: LinearizedPoly) -> LinearizedPoly:
+def adjoint(ctx: FieldContext, poly):
     """The trace-dual polynomial: sum of (a_i x)^(2^-i).
 
     Its coefficient at index (bits - i) mod bits is frobenius(a_i, bits - i),
     and the absolute trace of u * L(v) equals that of adjoint(L)(u) * v.
+    For a stack of coefficient rows (see evaluate_all) it is the stack of
+    adjoint rows, whose Frobenius steps go through tables.  A single
+    polynomial takes scalar steps and builds no table; s_fast takes one
+    adjoint per call, and through a one-row stack each would cost about
+    four times as much.
     """
-    pairs = []
-    for i, c in enumerate(poly.coeffs):
-        if c:
-            j = (ctx.bits - i) % ctx.bits
-            pairs.append((j, ctx.frobenius(c, j)))
-    return linearized(ctx, pairs)
+    if isinstance(poly, LinearizedPoly):
+        return linearized(ctx, [(-i % ctx.bits, ctx.frobenius(c, -i % ctx.bits))
+                                for i, c in enumerate(poly.coeffs) if c])
+    out = np.zeros_like(poly)
+    for i in _columns(ctx, poly):
+        out[..., -i % ctx.bits] = ctx.frob_table(-i % ctx.bits)[poly[..., i]]
+    return out
 
 
 def compose(ctx: FieldContext, outer: LinearizedPoly,

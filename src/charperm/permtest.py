@@ -62,10 +62,6 @@ def monomial(ctx: FieldContext, terms: Iterable[Tuple[int, int]]) -> MonomialPol
     return MonomialPoly(tuple((c, e) for e, c in kept))
 
 
-def from_linearized(ctx: FieldContext, poly: lin.LinearizedPoly) -> MonomialPoly:
-    return monomial(ctx, [(poly.coeffs[i], 1 << i) for i in poly.support()])
-
-
 def evaluate_poly(ctx: FieldContext, poly: MonomialPoly, x: int) -> int:
     r = 0
     for c, e in poly.terms:
@@ -118,15 +114,29 @@ class PermReport:
     witness: Optional[Witness] = None
 
 
+def _bijective_rows(values: np.ndarray) -> np.ndarray:
+    """Whether each last-axis row of values permutes 0 .. size - 1, where
+    size is the row length.
+
+    One bincount over all rows: row r is shifted by r * size, so its entries
+    land in a bin range of its own.  A single row is counted as it stands.
+    """
+    size = values.shape[-1]
+    rows = values.reshape(-1, size)
+    if rows.shape[0] > 1:
+        rows = rows + np.arange(0, rows.size, size)[:, None]
+    counts = np.bincount(rows.ravel(), minlength=rows.size)
+    return (counts.reshape(-1, size).max(axis=1) <= 1).reshape(values.shape[:-1])
+
+
 def report_from_values(ctx: FieldContext, values: np.ndarray,
                        method: str = "bruteforce") -> PermReport:
     """Occupancy check of a full value table; witness = first collision."""
     values = np.asarray(values)
-    if values.size != ctx.order:
+    if values.ndim != 1 or values.size != ctx.order:
         raise BadParameters(
-            f"value table has {values.size} entries, expected {ctx.order}")
-    counts = np.bincount(values, minlength=ctx.order)
-    if int(counts.max()) <= 1:
+            f"value table has shape {values.shape}, expected ({ctx.order},)")
+    if _bijective_rows(values):
         return PermReport(True, method)
     first_idx = np.full(ctx.order, -1, dtype=np.int64)
     uniq, idx = np.unique(values, return_index=True)
@@ -267,15 +277,29 @@ def perm_quad_ext(ctx: FieldContext, l0: lin.LinearizedPoly,
     """Quadratic extension case: is L1(x^(q+1)) + L0(x^2) a permutation?
 
     Requires n = 2.  Holds iff L1 composed with x^q + x is the zero map and
-    L0 has trivial kernel.
+    L0 has trivial kernel.  Both are read off value tables of L0 and L1 on
+    the whole field, so time and memory grow as 2^bits (the context's size
+    cap bounds them).
     """
+    _need_quad_ext(ctx)
+    return bool(_quad_ext_ok(ctx, lin.evaluate_all(ctx, l0),
+                             lin.evaluate_all(ctx, l1)))
+
+
+def _need_quad_ext(ctx: FieldContext) -> None:
+    """Refuse a field that is not a quadratic extension (n != 2)."""
     if ctx.n != 2:
         raise WrongDegree(f"needs a degree-2 extension, got n={ctx.n}")
-    inner = lin.linearized(ctx, [(ctx.m, 1), (0, 1)])
-    comp = lin.compose(ctx, l1, inner)
-    if any(lin.to_matrix(ctx, comp)):
-        return False
-    return lin.kernel(ctx, l0).dim2 == 0
+
+
+def _quad_ext_ok(ctx: FieldContext, v0: np.ndarray, v1: np.ndarray) -> np.ndarray:
+    """perm_quad_ext on value tables (..., order) of L0 and L1, broadcast
+    over their leading axes: L1 vanishes on the image of x^q + x, which is
+    F_q for n = 2, and L0 vanishes only at 0."""
+    _need_quad_ext(ctx)
+    fq = np.array(ctx.subfield_elements(ctx.m))
+    return (np.all(v1[..., fq] == 0, axis=-1)
+            & (np.count_nonzero(v0, axis=-1) == ctx.order - 1))
 
 
 def gold_poly(ctx: FieldContext, k: int, l0: lin.LinearizedPoly) -> MonomialPoly:
@@ -294,14 +318,18 @@ def perm_gold_linearized(ctx: FieldContext, k: int,
     polynomial.  Holds iff the relative trace of adjoint(L0)(u^(q^k+1)) *
     u^-2 avoids 1 for every u != 0.
     """
+    return bool(_gold_ok(ctx, k, lin.evaluate_all(ctx, lin.adjoint(ctx, l0))))
+
+
+def _gold_ok(ctx: FieldContext, k: int, adj: np.ndarray) -> np.ndarray:
+    """perm_gold_linearized on value tables (..., order) of adjoint(L0)."""
     if ctx.n % 2 == 0 or not 0 < 2 * k < ctx.n or math.gcd(k, ctx.n) != 1:
         raise BadParameters(
             f"needs n odd, 0 < 2k < n and gcd(k, n) = 1, got n={ctx.n} k={k}")
-    adj = lin.evaluate_all(ctx, lin.adjoint(ctx, l0))
     u = ctx.elements[1:]
-    t = adj[ctx.pow_vec(u, (1 << (ctx.m * k)) + 1)]
+    t = adj[..., ctx.pow_vec(u, (1 << (ctx.m * k)) + 1)]
     prod = ctx.mul_elementwise(t, ctx.pow_vec(u, -2))
-    return bool(np.all(ctx.trace_table(ctx.m)[prod] != 1))
+    return np.all(ctx.trace_table(ctx.m)[prod] != 1, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -351,19 +379,25 @@ def perm_trace_form(ctx: FieldContext, spec: TraceFormSpec) -> bool:
     either X lies in F_q and Y^2 + X^(2^shift) != 0, or {1, Y, X^(2^shift)}
     is linearly independent over F_q.
     """
-    x_tab = lin.evaluate_all(ctx, lin.adjoint(ctx, spec.l1))
-    y_tab = lin.evaluate_all(ctx, lin.adjoint(ctx, spec.l0))
-    xl = ctx.frob_table(spec.shift)[x_tab]
+    return bool(_trace_form_ok(
+        ctx, lin.evaluate_all(ctx, lin.adjoint(ctx, spec.l1)),
+        lin.evaluate_all(ctx, lin.adjoint(ctx, spec.l0)), spec.shift))
+
+
+def _trace_form_ok(ctx: FieldContext, x_tab: np.ndarray, y_tab: np.ndarray,
+                   shift: int) -> np.ndarray:
+    """perm_trace_form on value tables (..., order) of adjoint(L1) and
+    adjoint(L0), broadcast over their leading axes."""
+    xl = ctx.frob_table(shift)[x_tab]
     in_fq = ctx.subfield_mask(ctx.m)
     branch1 = in_fq[x_tab] & ((ctx.frob_table(1)[y_tab] ^ xl) != 0)
     # {1, Y, XL} is dependent over F_q iff some projective combination
-    # c2*Y + c3*XL lands in F_q; q+1 classes cover all of them
-    dep = np.zeros(ctx.order, dtype=bool)
-    for c in ctx.subfield_elements(ctx.m):
+    # c2*Y + c3*XL lands in F_q; q+1 classes cover all of them (c = 0 first)
+    dep = in_fq[xl] | in_fq[y_tab]
+    for c in ctx.subfield_elements(ctx.m)[1:]:
         dep |= in_fq[y_tab ^ ctx.mul_vec(c, xl)]
-    dep |= in_fq[xl]
     ok = branch1 | ~dep
-    return bool(np.all(ok[1:]))
+    return np.all(ok[..., 1:], axis=-1)
 
 
 def monomial_trace_poly(ctx: FieldContext, a: int, k: int,

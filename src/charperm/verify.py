@@ -1,15 +1,18 @@
 """Oracle-equivalence campaigns and coefficient-space searches.
 
-Each campaign sweeps a parameter grid, computes a structured verdict (a
-closed-form predicate or fast character-sum route) and an independent
-brute-force verdict for every case, and reports agreement.  For campaigns
-whose printed condition is only sufficient, agreement means the condition
-never claims a non-permutation; for equivalences it means exact match.
+A campaign is one SweepDef in SWEEPS.  Its grid is a list of units, each a
+batch of parameters keyed by the names `charperm eval --args` uses, whose
+values (scalars or arrays) broadcast against each other; a linearized
+polynomial is a coefficient row, so it carries one extra last axis.  Its
+verdicts map a batch to the structured verdict (a closed form from permtest
+or charsum), the brute-force verdict and, where rows show it, the sum S.
 
-Grids are split into units along an outer axis so work can be partitioned
-across processes; unit results are merged in index order, so reports are
-byte-identical no matter how many jobs run.  Seeded sampling regenerates
-the same case list in every partition layout.
+One runner counts every campaign's cases, compares the verdicts by the
+campaign's agreement kind (exact match, or for a sufficient criterion: it
+never claims a non-permutation) and formats mismatch rows with replay
+strings.  `charperm eval --op check-<id>` re-runs the same verdicts on a
+batch of one (replay_case).  Units are split across processes in grid order
+and merged in that order, so reports are byte-identical for any --jobs.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .field import (
 
 FieldTriple = Tuple[int, int, Optional[int]]
 BlockResult = Tuple[int, int, List[dict]]
+Params = Dict[str, object]
 
 
 @dataclass(frozen=True)
@@ -73,47 +77,38 @@ class CampaignReport:
 
 @dataclass(frozen=True)
 class SweepDef:
+    """One campaign.
+
+    exact: the criterion is an equivalence, not only sufficient (see
+    family_agreement).  keys: the parameters a mismatch row shows and a
+    replay needs, in row order.  grid(ctx, seed, budget): the units.
+    verdicts(ctx, params): (structured, brute, s) for one unit, broadcast
+    over its batch; s is None where rows show no sum.
+    """
+
     campaign_id: str
+    summary: str
     default_fields: Tuple[Tuple[int, int], ...]
     default_budget: int
-    units: Callable[[FieldContext, int], int]
-    run_units: Callable[[FieldContext, int, int, int, int], BlockResult]
-    summary: str
+    exact: bool
+    keys: Tuple[str, ...]
+    grid: Callable[[FieldContext, int, int], List[Params]]
+    verdicts: Callable[[FieldContext, Params], tuple]
 
 
 def field_label(ctx: FieldContext) -> str:
     return f"{ctx.m}:{ctx.n}:0x{ctx.modulus:x}"
 
 
-def _mismatch(campaign_id: str, ctx: FieldContext, params: Mapping[str, str],
-              structured, brute, s: Optional[int] = None) -> dict:
-    args = ";".join(f"{k}={v}" for k, v in params.items())
-    row = {
-        "campaign": campaign_id,
-        "field": field_label(ctx),
-        "params": dict(params),
-        "structured": structured,
-        "brute": brute,
-    }
-    if s is not None:
-        row["s"] = int(s)
-    row["replay"] = (f"charperm eval --field {field_label(ctx)} "
-                     f"--op check-{campaign_id} --args {args}")
-    return row
+def family_agreement(exact: bool, structured, brute):
+    """Did a case agree with the oracle?  Elementwise on arrays.
 
-
-def _bij_rows(values: np.ndarray) -> np.ndarray:
-    """Per-row bijectivity of (..., order) value tables via sorting."""
-    order = values.shape[-1]
-    s = np.sort(values, axis=-1)
-    return np.all(s == np.arange(order, dtype=s.dtype), axis=-1)
-
-
-def _rng(seed: int, campaign_id: str, ctx: FieldContext, extra: str = "") -> random.Random:
-    tag = f"{seed}:{campaign_id}:{field_label(ctx)}"
-    if extra:
-        tag += f":{extra}"
-    return random.Random(tag)
+    Exact criteria must match the brute verdict; sufficient-only ones fail
+    only by claiming a non-permutation.
+    """
+    if exact:
+        return np.equal(structured, brute)
+    return np.logical_or(brute, np.logical_not(structured))
 
 
 def gold_ks(n: int) -> Tuple[int, ...]:
@@ -127,257 +122,146 @@ def coprime_ks(n: int) -> Tuple[int, ...]:
     return tuple(k for k in range(1, n) if math.gcd(k, n) == 1)
 
 
-_tables: Dict[Tuple, dict] = {}
+# ---- grid and verdict helpers ----------------------------------------------
+
+# Built grids by (campaign, m, n, modulus, seed, budget); see _grid.
+_tables: Dict[Tuple, List[Params]] = {}
 
 
-def _cache(ctx: FieldContext) -> dict:
-    return _tables.setdefault((ctx.m, ctx.n, ctx.modulus), {})
+# Value-table entries per unit where a grid cuts a batch into blocks (of at
+# least one row): about 1 MB per int64 tensor, which bounds sweep memory.
+_CELLS = 1 << 17
 
 
-def _bx2_table(ctx: FieldContext) -> np.ndarray:
-    """Tensor T[b, v] = b * v^2."""
-    c = _cache(ctx)
-    if "bx2" not in c:
-        c["bx2"] = ctx.mul_elementwise(ctx.elements[:, None],
-                                        ctx.frob_table(1)[None, :])
-    return c["bx2"]
+def _blocks(count: int, size: int) -> List[slice]:
+    return [slice(lo, lo + size) for lo in range(0, count, max(size, 1))]
 
 
-def _x_trace_table(ctx: FieldContext) -> np.ndarray:
-    """Vector t[v] = v * Tr(v)."""
-    c = _cache(ctx)
-    if "xtr" not in c:
-        c["xtr"] = ctx.mul_elementwise(ctx.elements, ctx.trace_table(ctx.m))
-    return c["xtr"]
+def _rng(seed: int, campaign_id: str, ctx: FieldContext, *extra) -> random.Random:
+    return random.Random(":".join(map(str, (seed, campaign_id, field_label(ctx)) + extra)))
+
+
+def _draws(rng: random.Random, ctx: FieldContext, count: int, width: int) -> np.ndarray:
+    """count rows of width seeded elements, drawn row by row."""
+    return np.array([rng.randrange(ctx.order) for _ in range(count * width)],
+                    dtype=np.int64).reshape(count, width)
+
+
+def _q_draws(rng: random.Random, ctx: FieldContext, count: int) -> np.ndarray:
+    """count seeded q-linear polynomials (n draws each) as coefficient rows."""
+    rows = np.zeros((count, ctx.bits), dtype=np.int64)
+    rows[:, ::ctx.m] = _draws(rng, ctx, count, ctx.n)
+    return rows
+
+
+def _each(ctx: FieldContext, fn, *args) -> np.ndarray:
+    """fn(ctx, *case) for every case of the broadcast args, as an array."""
+    shape = np.broadcast_shapes(*(np.shape(x) for x in args))
+    size = math.prod(shape)
+    cols = [np.broadcast_to(x, shape).ravel().tolist() if np.ndim(x) else [x] * size
+            for x in args]
+    return np.array(list(map(fn, itertools.repeat(ctx, size), *cols))).reshape(shape)
+
+
+def _scaled(ctx: FieldContext, a, values: np.ndarray) -> np.ndarray:
+    """a * values, one row for each a of a batch (or the one row of a scalar)."""
+    return ctx.mul_elementwise(np.asarray(a)[..., None], values)
+
+
+def _a_grid(ctx: FieldContext, first: int = 0, **fixed) -> List[Params]:
+    """Every coefficient a from first on, in blocks, with fixed parameters."""
+    a = ctx.elements[first:]
+    return [{"a": a[sl], **fixed} for sl in _blocks(a.size, _CELLS // ctx.order)]
+
+
+def _ab_grid(ctx: FieldContext, **fixed) -> List[Params]:
+    """Every pair (a, b) of elements, blocks of a against every b."""
+    return [{"a": ctx.elements[sl, None], "b": ctx.elements, **fixed}
+            for sl in _blocks(ctx.order, _CELLS // ctx.order ** 2)]
 
 
 # ---- S = 0 criteria for binomial quadratic forms ---------------------------
 
-def _sums_against_bx2(ctx: FieldContext, fixed: np.ndarray) -> np.ndarray:
-    """Character sums over v of chi(fixed[v] + b*v^2), one entry per b."""
-    tensor = fixed[None, :] ^ _bx2_table(ctx)
-    return ctx.chi_table[tensor].sum(axis=1, dtype=np.int64)
+def _binomial_sums(ctx: FieldContext, a, k: int, b) -> np.ndarray:
+    """S(a*x^(q^k) + b*x) summed directly: chi(a*v^(q^k+1) + b*v^2) over v."""
+    av = _scaled(ctx, a, ctx.pow_vec(ctx.elements, (1 << (ctx.m * k)) + 1))
+    return ctx.chi_table[av ^ _scaled(ctx, b, ctx.frob_table(1))].sum(
+        axis=-1, dtype=np.int64)
 
 
-def _units_thm4(ctx: FieldContext, budget: int) -> int:
-    return ctx.order
+def _thm4_grid(ctx, seed, budget):
+    pt._need_quad_ext(ctx)
+    return _ab_grid(ctx)
 
 
-def _run_thm4(ctx: FieldContext, seed: int, budget: int, lo: int, hi: int) -> BlockResult:
-    total = agree = 0
-    mismatches = []
-    for a in range(lo, hi):
-        fixed = ctx.mul_vec(a, ctx.pow_vec(ctx.elements, ctx.q + 1))
-        sums = _sums_against_bx2(ctx, fixed)
-        brute_zero = sums == 0
-        pred_a = ctx.frobenius(a, ctx.m) ^ a == 0
-        for b in range(ctx.order):
-            structured = pred_a and b != 0
-            brute = bool(brute_zero[b])
-            total += 1
-            if structured == brute:
-                agree += 1
-            else:
-                mismatches.append(_mismatch(
-                    "thm4", ctx, {"a": f"{a:x}", "b": f"{b:x}"},
-                    structured, brute, s=int(sums[b])))
-    return total, agree, mismatches
+def _thm4(ctx, p):
+    structured = _each(ctx, s_zero_quadratic_ext, p["a"], p["b"])
+    s = _binomial_sums(ctx, p["a"], 1, p["b"])
+    return structured, s == 0, s
 
 
-def _units_thm5(ctx: FieldContext, budget: int) -> int:
-    return len(gold_ks(ctx.n)) * ctx.order
-
-
-def _run_thm5(ctx: FieldContext, seed: int, budget: int, lo: int, hi: int) -> BlockResult:
-    ks = gold_ks(ctx.n)
-    total = agree = 0
-    mismatches = []
-    for u in range(lo, hi):
-        k = ks[u // ctx.order]
-        a = u % ctx.order
-        fixed = ctx.mul_vec(a, ctx.pow_vec(ctx.elements, (1 << (ctx.m * k)) + 1))
-        sums = _sums_against_bx2(ctx, fixed)
-        for b in range(ctx.order):
-            structured = s_zero_binomial(ctx, a, b, k)
-            brute = bool(sums[b] == 0)
-            total += 1
-            if structured == brute:
-                agree += 1
-            else:
-                mismatches.append(_mismatch(
-                    "thm5", ctx, {"a": f"{a:x}", "b": f"{b:x}", "k": str(k)},
-                    structured, brute, s=int(sums[b])))
-    return total, agree, mismatches
+def _thm5(ctx, p):
+    structured = _each(ctx, s_zero_binomial, p["a"], p["b"], p["k"])
+    s = _binomial_sums(ctx, p["a"], p["k"], p["b"])
+    return structured, s == 0, s
 
 
 # ---- quadratic-extension criterion -----------------------------------------
 
-def _support2_polys(ctx: FieldContext) -> Tuple[List[Tuple[Tuple[int, int], ...]], np.ndarray]:
-    """All 2-linear polynomials with at most two nonzero coefficients.
-
-    Returns (pair list, value table); pairs are ((index, coeff), ...) and
-    row p of the table is the value map of poly p.
-    """
-    c = _cache(ctx)
-    if "support2" not in c:
-        polys: List[Tuple[Tuple[int, int], ...]] = [()]
-        for i in range(ctx.bits):
-            for a in range(1, ctx.order):
-                polys.append(((i, a),))
-        for i in range(ctx.bits):
-            for j in range(i + 1, ctx.bits):
-                for a in range(1, ctx.order):
-                    for b in range(1, ctx.order):
-                        polys.append(((i, a), (j, b)))
-        table = np.zeros((len(polys), ctx.order), dtype=np.int64)
-        for p, pairs in enumerate(polys):
-            row = np.zeros(ctx.order, dtype=np.int64)
-            for i, a in pairs:
-                row ^= ctx.mul_vec(a, ctx.frob_table(i))
-            table[p] = row
-        c["support2"] = (polys, table)
-    return c["support2"]
+def _support2(ctx: FieldContext) -> np.ndarray:
+    """Rows of every 2-linear polynomial with at most two nonzero
+    coefficients: zero, then one term by (index, coefficient), then two."""
+    nz = np.arange(1, ctx.order)
+    rows = [np.zeros((1, ctx.bits), dtype=np.int64)]
+    rows += [lin.linearized_rows(ctx, [(i, nz)]) for i in range(ctx.bits)]
+    rows += [lin.linearized_rows(ctx, [(i, nz[:, None]), (j, nz)])
+             .reshape(-1, ctx.bits)
+             for i in range(ctx.bits) for j in range(i + 1, ctx.bits)]
+    return np.concatenate(rows)
 
 
-def _thm6_tables(ctx: FieldContext):
-    c = _cache(ctx)
-    if "thm6" not in c:
-        polys, table = _support2_polys(ctx)
-        tq1 = ctx.mul_elementwise(ctx.frob_table(ctx.m), ctx.elements)
-        img = np.unique(ctx.frob_table(ctx.m) ^ ctx.elements)
-        l1_ok = np.all(table[:, img] == 0, axis=1)
-        l0_ok = np.count_nonzero(table, axis=1) == ctx.order - 1
-        table_sq = table[:, ctx.frob_table(1)]
-        c["thm6"] = (polys, table, tq1, l1_ok, l0_ok, table_sq)
-    return c["thm6"]
+def _thm6_grid(ctx, seed, budget):
+    # every L1 of support <= 2 against every such L0, blocks of L1 rows;
+    # then seeded dense pairs, which hold about four value tables per case
+    pt._need_quad_ext(ctx)
+    polys = _support2(ctx)
+    draws = _draws(_rng(seed, "thm6", ctx), ctx, budget, 2 * ctx.bits)
+    return ([{"l0": polys, "l1": polys[sl, None]}
+             for sl in _blocks(len(polys), _CELLS // (len(polys) * ctx.order))]
+            + [{"l0": draws[sl, :ctx.bits], "l1": draws[sl, ctx.bits:]}
+               for sl in _blocks(budget, _CELLS // (4 * ctx.order))])
 
 
-def _pair_text(pairs: Sequence[Tuple[int, int]]) -> str:
-    return ",".join(f"{i}:{a:x}" for i, a in pairs)
-
-
-def _units_thm6(ctx: FieldContext, budget: int) -> int:
-    if ctx.n != 2:
-        raise WrongDegree(f"thm6 sweep needs n = 2, got n={ctx.n}")
-    polys, _ = _support2_polys(ctx)
-    return len(polys) + budget
-
-
-def _thm6_samples(ctx: FieldContext, seed: int, budget: int) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    rng = _rng(seed, "thm6", ctx)
-    return [(tuple(rng.randrange(ctx.order) for _ in range(ctx.bits)),
-             tuple(rng.randrange(ctx.order) for _ in range(ctx.bits)))
-            for _ in range(budget)]
-
-
-def _run_thm6(ctx: FieldContext, seed: int, budget: int, lo: int, hi: int) -> BlockResult:
-    polys, table, tq1, l1_ok, l0_ok, table_sq = _thm6_tables(ctx)
-    exhaustive = len(polys)
-    total = agree = 0
-    mismatches = []
-    samples = None
-    for u in range(lo, hi):
-        if u < exhaustive:
-            # one row of the (L1, L0) grid: this L1 against every L0
-            vals = table[u][tq1][None, :] ^ table_sq
-            brute = _bij_rows(vals)
-            structured = l1_ok[u] & l0_ok
-            total += structured.size
-            bad = np.nonzero(structured != brute)[0]
-            agree += structured.size - bad.size
-            for j in bad:
-                mismatches.append(_mismatch(
-                    "thm6", ctx,
-                    {"l0": _pair_text(polys[j]), "l1": _pair_text(polys[u])},
-                    bool(structured[j]), bool(brute[j])))
-        else:
-            if samples is None:
-                samples = _thm6_samples(ctx, seed, budget)
-            c0, c1 = samples[u - exhaustive]
-            l0 = lin.linearized(ctx, list(enumerate(c0)))
-            l1 = lin.linearized(ctx, list(enumerate(c1)))
-            structured_s = pt.perm_quad_ext(ctx, l0, l1)
-            v0 = lin.evaluate_all(ctx, l0)
-            v1 = lin.evaluate_all(ctx, l1)
-            brute_s = bool(_bij_rows(v1[tq1] ^ v0[ctx.frob_table(1)]))
-            total += 1
-            if structured_s == brute_s:
-                agree += 1
-            else:
-                mismatches.append(_mismatch(
-                    "thm6", ctx,
-                    {"l0": lin.format_linearized(l0),
-                     "l1": lin.format_linearized(l1)},
-                    structured_s, brute_s))
-    return total, agree, mismatches
+def _thm6(ctx, p):
+    v0 = lin.evaluate_all(ctx, p["l0"])
+    v1 = lin.evaluate_all(ctx, p["l1"])
+    structured = pt._quad_ext_ok(ctx, v0, v1)
+    x_q1 = ctx.pow_vec(ctx.elements, ctx.q + 1)
+    brute = pt._bijective_rows(v1[..., x_q1] ^ v0[..., ctx.frob_table(1)])
+    return structured, brute, None
 
 
 # ---- odd-degree x^(q^k+1) + L0(x^2) criterion ------------------------------
 
-def _units_thm7(ctx: FieldContext, budget: int) -> int:
+def _thm7_grid(ctx, seed, budget):
+    # per k: every monomial a * x^(q^j), then seeded dense q-linear L0
     if ctx.n % 2 == 0:
         raise BadParameters(f"thm7 sweep needs odd n, got n={ctx.n}")
-    return len(gold_ks(ctx.n)) * (ctx.n + budget)
+    units = []
+    for k in gold_ks(ctx.n):
+        units += [{"k": k, "l0": lin.linearized_rows(ctx, [(ctx.m * j, ctx.elements)])}
+                  for j in range(ctx.n)]
+        rows = _q_draws(_rng(seed, "thm7", ctx, k), ctx, budget)
+        units += [{"k": k, "l0": rows[sl]} for sl in _blocks(budget, _CELLS // ctx.order)]
+    return units
 
 
-def _thm7_samples(ctx: FieldContext, seed: int, budget: int, k: int) -> List[Tuple[int, ...]]:
-    rng = _rng(seed, "thm7", ctx, extra=str(k))
-    return [tuple(rng.randrange(ctx.order) for _ in range(ctx.n))
-            for _ in range(budget)]
-
-
-def _run_thm7(ctx: FieldContext, seed: int, budget: int, lo: int, hi: int) -> BlockResult:
-    ks = gold_ks(ctx.n)
-    per_k = ctx.n + budget
-    trm = ctx.trace_table(ctx.m)
-    total = agree = 0
-    mismatches = []
-    sample_lists: Dict[int, List[Tuple[int, ...]]] = {}
-    for u in range(lo, hi):
-        k = ks[u // per_k]
-        slot = u % per_k
-        e_gold = (1 << (ctx.m * k)) + 1
-        base = ctx.pow_vec(ctx.elements, e_gold)
-        if slot < ctx.n:
-            # all monomial parts a * x^(q^slot) at once
-            j = slot
-            s = (-ctx.m * j) % ctx.bits
-            # row a is the adjoint of a*x^(q^j): conj(a) * u^(2^s)
-            adj_all = ctx.mul_elementwise(ctx.frob_table(s)[:, None],
-                                          ctx.frob_table(s)[None, :])
-            nz = ctx.elements[1:]
-            t = adj_all[:, base[1:]]
-            prod = ctx.mul_elementwise(t, ctx.pow_vec(nz, -2)[None, :])
-            structured = np.all(trm[prod] != 1, axis=1)
-            vals = (base[None, :]
-                    ^ ctx.mul_elementwise(ctx.elements[:, None],
-                                          ctx.frob_table((ctx.m * j + 1) % ctx.bits)[None, :]))
-            brute = _bij_rows(vals)
-            total += ctx.order
-            bad = np.nonzero(structured != brute)[0]
-            agree += ctx.order - bad.size
-            for a in bad:
-                mismatches.append(_mismatch(
-                    "thm7", ctx,
-                    {"k": str(k), "l0": _pair_text(((ctx.m * j, int(a)),))},
-                    bool(structured[a]), bool(brute[a])))
-        else:
-            if k not in sample_lists:
-                sample_lists[k] = _thm7_samples(ctx, seed, budget, k)
-            coeffs = sample_lists[k][slot - ctx.n]
-            l0 = lin.q_linearized(ctx, list(enumerate(coeffs)))
-            structured_s = pt.perm_gold_linearized(ctx, k, l0)
-            vals_s = base ^ lin.evaluate_all(ctx, l0)[ctx.frob_table(1)]
-            brute_s = bool(_bij_rows(vals_s))
-            total += 1
-            if structured_s == brute_s:
-                agree += 1
-            else:
-                mismatches.append(_mismatch(
-                    "thm7", ctx,
-                    {"k": str(k), "l0": lin.format_linearized(l0)},
-                    structured_s, brute_s))
-    return total, agree, mismatches
+def _thm7(ctx, p):
+    k, l0 = p["k"], p["l0"]
+    structured = pt._gold_ok(ctx, k, lin.evaluate_all(ctx, lin.adjoint(ctx, l0)))
+    gold = ctx.pow_vec(ctx.elements, (1 << (ctx.m * k)) + 1)
+    brute = pt._bijective_rows(gold ^ lin.evaluate_all(ctx, l0)[..., ctx.frob_table(1)])
+    return structured, brute, None
 
 
 # ---- trace-form criterion --------------------------------------------------
@@ -385,54 +269,26 @@ def _run_thm7(ctx: FieldContext, seed: int, budget: int, lo: int, hi: int) -> Bl
 _TRACEFORM_SHIFTS = (0, 1, 2)
 
 
-def _units_thm_tr(ctx: FieldContext, budget: int) -> int:
-    return len(_TRACEFORM_SHIFTS) * ctx.n * ctx.n
+def _thm_tr_grid(ctx, seed, budget):
+    # monomial parts a0 * x^(q^j0) and a1 * x^(q^j1), every (a0, a1) at once
+    e = ctx.elements
+    return [{"l0": lin.linearized_rows(ctx, [(ctx.m * j0, e[:, None])]),
+             "l1": lin.linearized_rows(ctx, [(ctx.m * j1, e)]),
+             "shift": shift}
+            for shift in _TRACEFORM_SHIFTS
+            for j0 in range(ctx.n) for j1 in range(ctx.n)]
 
 
-def _run_thm_tr(ctx: FieldContext, seed: int, budget: int, lo: int, hi: int) -> BlockResult:
-    in_fq = ctx.subfield_mask(ctx.m)
-    trm = ctx.trace_table(ctx.m)
-    total = agree = 0
-    mismatches = []
-    for u in range(lo, hi):
-        l = _TRACEFORM_SHIFTS[u // (ctx.n * ctx.n)]
-        j0 = (u // ctx.n) % ctx.n
-        j1 = u % ctx.n
-        s0 = (-ctx.m * j0) % ctx.bits
-        s1 = (-ctx.m * j1) % ctx.bits
-        # adjoint value tables for every coefficient at once: row a is
-        # the map u -> conj(a) * u^(2^s)
-        y_tab = ctx.mul_elementwise(ctx.frob_table(s0)[:, None],
-                                    ctx.frob_table(s0)[None, :])
-        x_tab = ctx.mul_elementwise(ctx.frob_table(s1)[:, None],
-                                    ctx.frob_table(s1)[None, :])
-        xl = ctx.frob_table(l)[x_tab]
-        sq_y = ctx.frob_table(1)[y_tab]
-        branch1 = in_fq[x_tab][None, :, :] & ((sq_y[:, None, :] ^ xl[None, :, :]) != 0)
-        dep = np.zeros((ctx.order, ctx.order, ctx.order), dtype=bool)
-        for cc in ctx.subfield_elements(ctx.m):
-            dep |= in_fq[y_tab[:, None, :] ^ ctx.mul_vec(cc, xl)[None, :, :]]
-        dep |= in_fq[xl][None, :, :]
-        structured = np.all((branch1 | ~dep)[:, :, 1:], axis=2)
-
-        part0 = ctx.mul_elementwise(
-            ctx.elements[:, None],
-            ctx.frob_table((ctx.m * j0 + l) % ctx.bits)[None, :])
-        t1 = ctx.mul_elementwise(ctx.frob_table(ctx.m * j1), trm)
-        part1 = ctx.mul_elementwise(ctx.elements[:, None], t1[None, :])
-        brute = _bij_rows(part0[:, None, :] ^ part1[None, :, :])
-
-        total += structured.size
-        bad = np.argwhere(structured != brute)
-        agree += structured.size - len(bad)
-        for a0, a1 in bad:
-            mismatches.append(_mismatch(
-                "thm_tr", ctx,
-                {"l0": _pair_text(((ctx.m * j0, int(a0)),)),
-                 "l1": _pair_text(((ctx.m * j1, int(a1)),)),
-                 "shift": str(l)},
-                bool(structured[a0, a1]), bool(brute[a0, a1])))
-    return total, agree, mismatches
+def _thm_tr(ctx, p):
+    l0, l1, shift = p["l0"], p["l1"], p["shift"]
+    off_q = np.arange(ctx.bits) % ctx.m != 0
+    if shift < 0 or l0[..., off_q].any() or l1[..., off_q].any():
+        raise BadParameters("thm_tr needs q-linear L0 and L1 and shift >= 0")
+    structured = pt._trace_form_ok(ctx, lin.evaluate_all(ctx, lin.adjoint(ctx, l1)),
+                                   lin.evaluate_all(ctx, lin.adjoint(ctx, l0)), shift)
+    vals = (lin.evaluate_all(ctx, l0)[..., ctx.frob_table(shift)]
+            ^ ctx.mul_elementwise(lin.evaluate_all(ctx, l1), ctx.trace_table(ctx.m)))
+    return structured, pt._bijective_rows(vals), None
 
 
 # ---- monomial-plus-trace corollary -----------------------------------------
@@ -440,359 +296,219 @@ def _run_thm_tr(ctx: FieldContext, seed: int, budget: int, lo: int, hi: int) -> 
 _COROLLARY_SHIFTS = (0, 1, 2, 3)
 
 
-def _units_corollary(ctx: FieldContext, budget: int) -> int:
-    return ctx.n * len(_COROLLARY_SHIFTS)
-
-
-def _run_corollary(ctx: FieldContext, seed: int, budget: int, lo: int, hi: int) -> BlockResult:
-    xtr = _x_trace_table(ctx)
-    total = agree = 0
-    mismatches = []
-    for u in range(lo, hi):
-        k = u // len(_COROLLARY_SHIFTS)
-        l = _COROLLARY_SHIFTS[u % len(_COROLLARY_SHIFTS)]
-        vals = (ctx.mul_elementwise(
-            ctx.elements[:, None],
-            ctx.frob_table((l + ctx.m * k) % ctx.bits)[None, :])
-            ^ xtr[None, :])
-        brute = _bij_rows(vals)
-        for a in range(ctx.order):
-            structured = pt.perm_monomial_trace(ctx, a, k, l)
-            total += 1
-            if structured == bool(brute[a]):
-                agree += 1
-            else:
-                mismatches.append(_mismatch(
-                    "corollary", ctx,
-                    {"a": f"{a:x}", "k": str(k), "l": str(l)},
-                    structured, bool(brute[a])))
-    return total, agree, mismatches
+def _corollary(ctx, p):
+    a, k, l = p["a"], p["k"], p["l"]
+    structured = _each(ctx, pt.perm_monomial_trace, a, k, l)
+    x_tr = ctx.mul_elementwise(ctx.elements, ctx.trace_table(ctx.m))
+    vals = _scaled(ctx, a, ctx.frob_table(l + ctx.m * k)) ^ x_tr
+    return structured, pt._bijective_rows(vals), None
 
 
 # ---- bilinear character sum ------------------------------------------------
 
-def _units_prop2(ctx: FieldContext, budget: int) -> int:
-    return len(ctx.subfield_elements(ctx.m))
-
-
-def _run_prop2(ctx: FieldContext, seed: int, budget: int, lo: int, hi: int) -> BlockResult:
-    sub = ctx.subfield_elements(ctx.m)
-    total = agree = 0
-    mismatches = []
-    for u in range(lo, hi):
-        a = sub[u]
-        for b in sub:
-            brute = bilinear_psi_sum(ctx, a, b)
-            structured = ctx.psi(ctx.mul(a, b)) * ctx.q
-            total += 1
-            if brute == structured:
-                agree += 1
-            else:
-                mismatches.append(_mismatch(
-                    "prop2", ctx, {"a": f"{a:x}", "b": f"{b:x}"},
-                    structured, brute, s=brute))
-    return total, agree, mismatches
+def _prop2(ctx, p):
+    structured = _each(ctx, lambda ctx, a, b: ctx.psi(ctx.mul(a, b)) * ctx.q,
+                       p["a"], p["b"])
+    brute = _each(ctx, bilinear_psi_sum, p["a"], p["b"])
+    return structured, brute, brute
 
 
 # ---- fast vs brute character sums ------------------------------------------
 
-def _units_prop3(ctx: FieldContext, budget: int) -> int:
-    return max(ctx.n - 1, 1) * ctx.order + budget
+def _prop3_grid(ctx, seed, budget):
+    # a * x^(q^k) + b * x for every k, a and b; then seeded dense polynomials
+    units = [{"poly": lin.linearized_rows(ctx, [(ctx.m * k, a), (0, ctx.elements)])}
+             for k in (range(1, ctx.n) or [0]) for a in range(ctx.order)]
+    rows = _q_draws(_rng(seed, "prop3", ctx), ctx, budget)
+    return units + [{"poly": rows[sl]} for sl in _blocks(budget, ctx.order)]
 
 
-def _prop3_samples(ctx: FieldContext, seed: int, budget: int) -> List[Tuple[int, ...]]:
-    rng = _rng(seed, "prop3", ctx)
-    return [tuple(rng.randrange(ctx.order) for _ in range(ctx.n))
-            for _ in range(budget)]
-
-
-def _prop3_case(ctx: FieldContext, poly: lin.LinearizedPoly) -> Tuple[int, int]:
-    rep = s_fast(ctx, poly)
-    brute = s_bruteforce(ctx, poly)
-    return rep.s_value, brute
-
-
-def _run_prop3(ctx: FieldContext, seed: int, budget: int, lo: int, hi: int) -> BlockResult:
-    ks = list(range(1, ctx.n)) or [0]
-    exhaustive = len(ks) * ctx.order
-    total = agree = 0
-    mismatches = []
-    samples = None
-    for u in range(lo, hi):
-        if u < exhaustive:
-            k = ks[u // ctx.order]
-            a = u % ctx.order
-            for b in range(ctx.order):
-                poly = lin.q_linearized(ctx, [(k, a), (0, b)])
-                fast, brute = _prop3_case(ctx, poly)
-                total += 1
-                if fast == brute:
-                    agree += 1
-                else:
-                    mismatches.append(_mismatch(
-                        "prop3", ctx,
-                        {"poly": lin.format_linearized(poly)},
-                        fast, brute, s=brute))
-        else:
-            if samples is None:
-                samples = _prop3_samples(ctx, seed, budget)
-            coeffs = samples[u - exhaustive]
-            poly = lin.q_linearized(ctx, list(enumerate(coeffs)))
-            fast, brute = _prop3_case(ctx, poly)
-            total += 1
-            if fast == brute:
-                agree += 1
-            else:
-                mismatches.append(_mismatch(
-                    "prop3", ctx,
-                    {"poly": lin.format_linearized(poly)},
-                    fast, brute, s=brute))
-    return total, agree, mismatches
+def _prop3(ctx, p):
+    rows = p["poly"]
+    polys = [lin.linearized(ctx, enumerate(row))
+             for row in rows.reshape(-1, ctx.bits).tolist()]
+    fast = np.array([s_fast(ctx, f).s_value for f in polys]).reshape(rows.shape[:-1])
+    brute = np.array([s_bruteforce(ctx, f) for f in polys]).reshape(rows.shape[:-1])
+    return fast, brute, brute
 
 
 # ---- character-sum permutation test vs occupancy ---------------------------
 
-def _units_thm1(ctx: FieldContext, budget: int) -> int:
-    return ctx.group_order + budget
+def _thm1_grid(ctx, seed, budget):
+    # every monomial x^e, then seeded trinomials
+    rng, go = _rng(seed, "thm1", ctx), ctx.group_order
+    samples = [[(rng.randrange(1, ctx.order), rng.randrange(1, ctx.order + go))
+                for _ in range(3)] for _ in range(budget)]
+    return [{"monomials": pt.monomial(ctx, terms)}
+            for terms in [[(1, e)] for e in range(1, ctx.order)] + samples]
 
 
-def _thm1_samples(ctx: FieldContext, seed: int, budget: int) -> List[Tuple[Tuple[int, int], ...]]:
-    rng = _rng(seed, "thm1", ctx)
-    out = []
-    for _ in range(budget):
-        out.append(tuple((rng.randrange(1, ctx.order),
-                          rng.randrange(1, ctx.order + ctx.group_order))
-                         for _ in range(3)))
-    return out
-
-
-def _run_thm1(ctx: FieldContext, seed: int, budget: int, lo: int, hi: int) -> BlockResult:
-    total = agree = 0
-    mismatches = []
-    samples = None
-    for u in range(lo, hi):
-        if u < ctx.group_order:
-            f = pt.monomial(ctx, [(1, u + 1)])
-        else:
-            if samples is None:
-                samples = _thm1_samples(ctx, seed, budget)
-            f = pt.monomial(ctx, samples[u - ctx.group_order])
-        by_charsum = pt.is_perm_charsum(ctx, f).is_permutation
-        by_brute = pt.is_perm_bruteforce(ctx, f).is_permutation
-        total += 1
-        if by_charsum == by_brute:
-            agree += 1
-        else:
-            mismatches.append(_mismatch(
-                "thm1", ctx, {"monomials": pt.format_monomial(f)},
-                by_charsum, by_brute))
-    return total, agree, mismatches
+def _thm1(ctx, p):
+    f = p["monomials"]
+    return (pt.is_perm_charsum(ctx, f).is_permutation,
+            pt.is_perm_bruteforce(ctx, f).is_permutation, None)
 
 
 # ---- named families --------------------------------------------------------
 
-def family_agreement(exact: bool, structured: bool, brute: bool) -> bool:
-    """Did a family case agree with the oracle?
-
-    Exact families must match the brute verdict; sufficient-only families
-    fail only by claiming a non-permutation.
-    """
-    if exact:
-        return structured == brute
-    return brute or not structured
+def _family_cases(ctx: FieldContext, name: str, p: Params, fn) -> np.ndarray:
+    """fn(ctx, name, case params) for every case of a family batch."""
+    keys = pt.FAMILIES[name].params
+    return _each(ctx, lambda ctx, *case: fn(ctx, name, dict(zip(keys, case))),
+                 *(p[key] for key in keys))
 
 
-def _run_family_cases(ctx: FieldContext, name: str,
-                      cases: Sequence[Mapping[str, int]],
-                      brute_flags: Sequence[bool]) -> BlockResult:
+def _poly_occupancy(ctx, name, params) -> bool:
+    """Occupancy of the family's own polynomial, one case at a time."""
+    f = pt.family_polynomial(ctx, name, params)
+    return bool(pt._bijective_rows(pt.evaluate_poly_all(ctx, f)))
+
+
+def _tu_brute(ctx, p):
+    q = ctx.q
+    base = ctx.pow_vec(ctx.elements, q * q + 1) ^ ctx.pow_vec(ctx.elements, q + 1)
+    return pt._bijective_rows(base ^ _scaled(ctx, p["a"], ctx.elements))
+
+
+def _abnorm_brute(ctx, p):
+    base = (ctx.pow_vec(ctx.elements, ctx.q + 1)
+            ^ _scaled(ctx, p["a"], ctx.frob_table(ctx.m + 1)))
+    return pt._bijective_rows(base ^ _scaled(ctx, p["b"], ctx.frob_table(1)))
+
+
+def _aqk_brute(ctx, p):
+    tk = ctx.frob_table(ctx.m * p["k"]) ^ ctx.elements
+    x_tr = ctx.mul_elementwise(ctx.elements, ctx.trace_table(ctx.m))
+    return pt._bijective_rows(_scaled(ctx, p["a"], tk) ^ x_tr)
+
+
+def _family_sweep(name: str, fields, grid, brute) -> SweepDef:
+    """A named family's campaign: family_predicate against brute(ctx, p)."""
+    def verdicts(ctx, p):
+        return _family_cases(ctx, name, p, pt.family_predicate), brute(ctx, p), None
+
     fam = pt.FAMILIES[name]
-    total = agree = 0
-    mismatches = []
-    for params, brute in zip(cases, brute_flags):
-        structured = fam.predicate(ctx, params)
-        total += 1
-        if family_agreement(fam.exact, structured, bool(brute)):
-            agree += 1
-        else:
-            shown = {k: (f"{v:x}" if k in ("a", "b") else str(v))
-                     for k, v in params.items()}
-            mismatches.append(_mismatch(
-                f"family:{name}", ctx, shown, structured, bool(brute)))
-    return total, agree, mismatches
+    return SweepDef(f"family:{name}", fam.summary, fields, 0, fam.exact,
+                    fam.params, grid, verdicts)
 
 
-def _units_tu(ctx: FieldContext, budget: int) -> int:
-    return ctx.order
+SWEEPS: Dict[str, SweepDef] = {sweep.campaign_id: sweep for sweep in (
+    SweepDef(
+        "thm4", "zero test for S of a*x^q + b*x on quadratic extensions vs direct sums",
+        ((1, 2), (2, 2), (3, 2)), 0, True, ("a", "b"),
+        _thm4_grid, _thm4),
+    SweepDef(
+        "thm5", "zero test for S of a*x^(q^k) + b*x vs direct sums",
+        ((1, 3), (1, 4), (1, 5), (2, 3)), 0, True, ("a", "b", "k"),
+        lambda ctx, seed, budget: [unit for k in gold_ks(ctx.n)
+                                   for unit in _ab_grid(ctx, k=k)],
+        _thm5),
+    SweepDef(
+        "thm6", "n=2 permutation criterion for L1(x^(q+1)) + L0(x^2) vs occupancy",
+        ((1, 2), (2, 2)), 10000, True, ("l0", "l1"), _thm6_grid, _thm6),
+    SweepDef(
+        "thm7", "odd-n permutation criterion for x^(q^k+1) + L0(x^2) vs occupancy",
+        ((1, 3), (1, 5), (2, 3)), 1000, True, ("k", "l0"), _thm7_grid, _thm7),
+    SweepDef(
+        "thm_tr", "trace-form permutation criterion vs occupancy, monomial parts",
+        ((1, 2), (1, 3), (2, 2), (2, 3)), 0, True, ("l0", "l1", "shift"),
+        _thm_tr_grid, _thm_tr),
+    SweepDef(
+        "corollary", "closed form for a*x^(2^l*q^k) + x*Tr(x) vs occupancy",
+        ((1, 3), (1, 5), (2, 3)), 0, True, ("a", "k", "l"),
+        lambda ctx, seed, budget: [unit for k in range(ctx.n) for l in _COROLLARY_SHIFTS
+                                   for unit in _a_grid(ctx, k=k, l=l)],
+        _corollary),
+    SweepDef(
+        "prop2", "bilinear character sum vs its closed form psi(ab)*q",
+        ((1, 1), (2, 1), (3, 1)), 0, True, ("a", "b"),
+        lambda ctx, seed, budget: [{"a": a, "b": np.array(ctx.subfield_elements(ctx.m))}
+                                   for a in ctx.subfield_elements(ctx.m)],
+        _prop2),
+    SweepDef(
+        "prop3", "kernel-criterion S values vs direct sums on q-linear polynomials",
+        ((1, 2), (1, 3), (1, 4), (2, 2), (2, 3)), 1000, True, ("poly",),
+        _prop3_grid, _prop3),
+    SweepDef(
+        "thm1", "character-sum permutation test vs occupancy on sparse polynomials",
+        ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (1, 8)), 0, True,
+        ("monomials",), _thm1_grid, _thm1),
+    _family_sweep(
+        "tu", ((1, 3), (2, 3), (3, 3)),
+        lambda ctx, seed, budget: _a_grid(ctx), _tu_brute),
+    _family_sweep(
+        "abnorm", ((1, 3), (2, 3)),
+        lambda ctx, seed, budget: _ab_grid(ctx), _abnorm_brute),
+    _family_sweep(
+        "q4", ((2, 3),),
+        lambda ctx, seed, budget: [unit for v in ("binomial", "qk")
+                                   for unit in _a_grid(ctx, variant=v)],
+        lambda ctx, p: _family_cases(ctx, "q4", p, _poly_occupancy)),
+    _family_sweep(
+        "trform", ((1, 3), (2, 3)),
+        lambda ctx, seed, budget: [unit for k in coprime_ks(ctx.n)
+                                   for unit in _a_grid(ctx, 1, k=k)],
+        lambda ctx, p: _family_cases(ctx, "trform", p, _poly_occupancy)),
+    _family_sweep(
+        "aqk", ((1, 3), (2, 3), (2, 5)),
+        lambda ctx, seed, budget: [unit for k in coprime_ks(ctx.n)
+                                   for unit in _a_grid(ctx, 1, k=k)],
+        _aqk_brute),
+)}
 
 
-def _run_tu(ctx: FieldContext, seed: int, budget: int, lo: int, hi: int) -> BlockResult:
-    c = _cache(ctx)
-    if "tu_base" not in c:
-        q = ctx.q
-        c["tu_base"] = (ctx.pow_vec(ctx.elements, q * q + 1)
-                        ^ ctx.pow_vec(ctx.elements, q + 1))
-    base = c["tu_base"]
-    cases = [{"a": a} for a in range(lo, hi)]
-    brute = [bool(_bij_rows(base ^ ctx.mul_vec(a, ctx.elements)))
-             for a in range(lo, hi)]
-    return _run_family_cases(ctx, "tu", cases, brute)
+# ---- the runner ------------------------------------------------------------
+
+def _shown(ctx: FieldContext, key: str, value, shape, idx) -> str:
+    """One case's parameter as a mismatch row and its replay string show it."""
+    if key == "monomials":
+        return pt.format_monomial(value)
+    if key in ("l0", "l1", "poly"):
+        row = np.broadcast_to(value, tuple(shape) + (ctx.bits,))[idx]
+        return lin.format_linearized(lin.linearized(ctx, enumerate(row.tolist())))
+    value = np.broadcast_to(value, shape)[idx].item()
+    return f"{value:x}" if key in ("a", "b") else str(value)
 
 
-def _units_abnorm(ctx: FieldContext, budget: int) -> int:
-    return ctx.order
+def _verdict_fields(shape, idx, structured, brute, s) -> dict:
+    """One case's structured, brute and (unless s is None) s."""
+    named = {"structured": structured, "brute": brute, "s": s}
+    return {k: np.broadcast_to(v, shape)[idx].item()
+            for k, v in named.items() if v is not None}
 
 
-def _run_abnorm(ctx: FieldContext, seed: int, budget: int, lo: int, hi: int) -> BlockResult:
-    c = _cache(ctx)
-    if "abnorm" not in c:
-        q = ctx.q
-        base = ctx.pow_vec(ctx.elements, q + 1)
-        x2q = ctx.frob_table((ctx.m + 1) % ctx.bits)
-        c["abnorm"] = (base, x2q)
-    base, x2q = c["abnorm"]
-    bx2 = _bx2_table(ctx)
-    total = agree = 0
-    mismatches = []
-    for a in range(lo, hi):
-        vals = (base ^ ctx.mul_vec(a, x2q))[None, :] ^ bx2
-        brute = _bij_rows(vals)
-        cases = [{"a": a, "b": b} for b in range(ctx.order)]
-        t, g, mm = _run_family_cases(ctx, "abnorm", cases, brute)
-        total += t
-        agree += g
-        mismatches.extend(mm)
-    return total, agree, mismatches
+def _grid(sweep: SweepDef, ctx: FieldContext, seed: int, budget: int) -> List[Params]:
+    """The campaign's units on ctx, built once per process."""
+    key = (sweep.campaign_id, ctx.m, ctx.n, ctx.modulus, seed, budget)
+    if key not in _tables:
+        _tables[key] = sweep.grid(ctx, seed, budget)
+    return _tables[key]
 
 
-_Q4_VARIANTS = ("binomial", "qk")
+def replay_case(ctx: FieldContext, campaign_id: str,
+                params: Mapping[str, object]) -> dict:
+    """One case through its campaign's own verdicts, as a batch of one.
 
-
-def _units_q4(ctx: FieldContext, budget: int) -> int:
-    return len(_Q4_VARIANTS) * ctx.order
-
-
-def _run_q4(ctx: FieldContext, seed: int, budget: int, lo: int, hi: int) -> BlockResult:
-    total = agree = 0
-    mismatches = []
-    for u in range(lo, hi):
-        variant = _Q4_VARIANTS[u // ctx.order]
-        a = u % ctx.order
-        params = {"a": a, "variant": variant}
-        f = pt.family_polynomial(ctx, "q4", params)
-        brute = bool(_bij_rows(pt.evaluate_poly_all(ctx, f)))
-        t, g, mm = _run_family_cases(ctx, "q4", [params], [brute])
-        total += t
-        agree += g
-        mismatches.extend(mm)
-    return total, agree, mismatches
-
-
-def _units_trform(ctx: FieldContext, budget: int) -> int:
-    return len(coprime_ks(ctx.n)) * (ctx.order - 1)
-
-
-def _run_trform(ctx: FieldContext, seed: int, budget: int, lo: int, hi: int) -> BlockResult:
-    ks = coprime_ks(ctx.n)
-    span = ctx.order - 1
-    total = agree = 0
-    mismatches = []
-    for u in range(lo, hi):
-        k = ks[u // span]
-        a = 1 + u % span
-        params = {"a": a, "k": k}
-        f = pt.family_polynomial(ctx, "trform", params)
-        brute = bool(_bij_rows(pt.evaluate_poly_all(ctx, f)))
-        t, g, mm = _run_family_cases(ctx, "trform", [params], [brute])
-        total += t
-        agree += g
-        mismatches.extend(mm)
-    return total, agree, mismatches
-
-
-def _units_aqk(ctx: FieldContext, budget: int) -> int:
-    return len(coprime_ks(ctx.n)) * (ctx.order - 1)
-
-
-def _run_aqk(ctx: FieldContext, seed: int, budget: int, lo: int, hi: int) -> BlockResult:
-    ks = coprime_ks(ctx.n)
-    span = ctx.order - 1
-    xtr = _x_trace_table(ctx)
-    total = agree = 0
-    mismatches = []
-    for u in range(lo, hi):
-        k = ks[u // span]
-        a = 1 + u % span
-        tk = ctx.frob_table(ctx.m * k) ^ ctx.elements
-        brute = bool(_bij_rows(ctx.mul_vec(a, tk) ^ xtr))
-        t, g, mm = _run_family_cases(ctx, "aqk", [{"a": a, "k": k}], [brute])
-        total += t
-        agree += g
-        mismatches.extend(mm)
-    return total, agree, mismatches
-
-
-SWEEPS: Dict[str, SweepDef] = {
-    "thm4": SweepDef(
-        "thm4", ((1, 2), (2, 2), (3, 2)), 0, _units_thm4, _run_thm4,
-        "zero test for S of a*x^q + b*x on quadratic extensions vs direct sums"),
-    "thm5": SweepDef(
-        "thm5", ((1, 3), (1, 4), (1, 5), (2, 3)), 0, _units_thm5, _run_thm5,
-        "zero test for S of a*x^(q^k) + b*x vs direct sums"),
-    "thm6": SweepDef(
-        "thm6", ((1, 2), (2, 2)), 10000, _units_thm6, _run_thm6,
-        "n=2 permutation criterion for L1(x^(q+1)) + L0(x^2) vs occupancy"),
-    "thm7": SweepDef(
-        "thm7", ((1, 3), (1, 5), (2, 3)), 1000, _units_thm7, _run_thm7,
-        "odd-n permutation criterion for x^(q^k+1) + L0(x^2) vs occupancy"),
-    "thm_tr": SweepDef(
-        "thm_tr", ((1, 2), (1, 3), (2, 2), (2, 3)), 0, _units_thm_tr, _run_thm_tr,
-        "trace-form permutation criterion vs occupancy, monomial parts"),
-    "corollary": SweepDef(
-        "corollary", ((1, 3), (1, 5), (2, 3)), 0, _units_corollary, _run_corollary,
-        "closed form for a*x^(2^l*q^k) + x*Tr(x) vs occupancy"),
-    "prop2": SweepDef(
-        "prop2", ((1, 1), (2, 1), (3, 1)), 0, _units_prop2, _run_prop2,
-        "bilinear character sum vs its closed form psi(ab)*q"),
-    "prop3": SweepDef(
-        "prop3", ((1, 2), (1, 3), (1, 4), (2, 2), (2, 3)), 1000,
-        _units_prop3, _run_prop3,
-        "kernel-criterion S values vs direct sums on q-linear polynomials"),
-    "thm1": SweepDef(
-        "thm1", ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (1, 8)), 0,
-        _units_thm1, _run_thm1,
-        "character-sum permutation test vs occupancy on sparse polynomials"),
-    "family:tu": SweepDef(
-        "family:tu", ((1, 3), (2, 3), (3, 3)), 0, _units_tu, _run_tu,
-        "x^(q^2+1) + x^(q+1) + a*x sufficiency sweep"),
-    "family:abnorm": SweepDef(
-        "family:abnorm", ((1, 3), (2, 3)), 0, _units_abnorm, _run_abnorm,
-        "x^(q+1) + a*x^(2q) + b*x^2 norm-condition equivalence sweep"),
-    "family:q4": SweepDef(
-        "family:q4", ((2, 3),), 0, _units_q4, _run_q4,
-        "F_4-tower binomial sufficiency sweep"),
-    "family:trform": SweepDef(
-        "family:trform", ((1, 3), (2, 3)), 0, _units_trform, _run_trform,
-        "(a*x)^(q^(n-k)) + a*x + x*Tr(x) equivalence sweep"),
-    "family:aqk": SweepDef(
-        "family:aqk", ((1, 3), (2, 3), (2, 5)), 0, _units_aqk, _run_aqk,
-        "a*x^(q^k) + a*x + x*Tr(x) equivalence sweep"),
-}
+    params are parsed `--args` values (linearized polynomials as
+    LinearizedPoly).  Returns the row's structured, brute, s and agree.
+    """
+    sweep = SWEEPS[campaign_id]
+    batch = {k: np.array(v.coeffs, dtype=np.int64)
+             if isinstance(v, lin.LinearizedPoly) else v
+             for k, v in params.items()}
+    structured, brute, s = sweep.verdicts(ctx, batch)
+    out = _verdict_fields((), (), structured, brute, s)
+    out["agree"] = bool(family_agreement(sweep.exact, structured, brute))
+    return out
 
 
 def normalize_field(entry) -> FieldTriple:
-    if isinstance(entry, str):
-        parts = entry.split(":")
-        if len(parts) == 2:
-            return int(parts[0]), int(parts[1]), None
-        if len(parts) == 3:
-            return int(parts[0]), int(parts[1]), int(parts[2], 0)
+    parts = entry.split(":") if isinstance(entry, str) else list(entry)
+    if len(parts) not in (2, 3):
         raise BadParameters(f"bad field spec {entry!r}")
-    entry = tuple(entry)
-    if len(entry) == 2:
-        return entry[0], entry[1], None
-    if len(entry) == 3:
-        return entry
-    raise BadParameters(f"bad field spec {entry!r}")
+    if isinstance(entry, str):
+        parts = [int(parts[0]), int(parts[1])] + [int(p, 0) for p in parts[2:]]
+    return parts[0], parts[1], parts[2] if len(parts) == 3 else None
 
 
 @lru_cache(maxsize=None)
@@ -804,8 +520,28 @@ def _worker_context(m: int, n: int, modulus: Optional[int],
 def _run_block(campaign_id: str, m: int, n: int, modulus: Optional[int],
                size_cap: int, charsum_cap: int, seed: int, budget: int,
                lo: int, hi: int) -> BlockResult:
+    """Count, compare and format units lo .. hi - 1 of one campaign field."""
     ctx = _worker_context(m, n, modulus, size_cap, charsum_cap)
-    return SWEEPS[campaign_id].run_units(ctx, seed, budget, lo, hi)
+    sweep = SWEEPS[campaign_id]
+    total = agree = 0
+    rows: List[dict] = []
+    for params in _grid(sweep, ctx, seed, budget)[lo:hi]:
+        structured, brute, s = sweep.verdicts(ctx, params)
+        ok = family_agreement(sweep.exact, structured, brute)
+        bad = np.flatnonzero(~ok)
+        total += ok.size
+        agree += ok.size - bad.size
+        for i in bad.tolist():
+            idx = np.unravel_index(i, ok.shape)
+            shown = {key: _shown(ctx, key, params[key], ok.shape, idx)
+                     for key in sweep.keys}
+            args = ";".join(f"{k}={v}" for k, v in shown.items())
+            rows.append({"campaign": campaign_id, "field": field_label(ctx),
+                         "params": shown,
+                         **_verdict_fields(ok.shape, idx, structured, brute, s),
+                         "replay": f"charperm eval --field {field_label(ctx)} "
+                                   f"--op check-{campaign_id} --args {args}"})
+    return total, agree, rows
 
 
 def _pool_workers(jobs: int, tasks: int) -> int:
@@ -829,15 +565,13 @@ def run_verify(campaign: VerifyCampaign, *, jobs: int = 1,
     budget = (campaign.sample_budget if campaign.sample_budget is not None
               else sweep.default_budget)
     started = time.perf_counter()
-    total = agree = 0
-    mismatches: List[dict] = []
     tasks = []
     for entry in fields:
         m, n, modulus = normalize_field(entry)
         ctx = _worker_context(m, n, modulus,
                               size_cap if size_cap is not None else DEFAULT_SIZE_CAP,
                               charsum_cap if charsum_cap is not None else DEFAULT_CHARSUM_CAP)
-        units = sweep.units(ctx, budget)
+        units = len(_grid(sweep, ctx, campaign.seed, budget))
         if units == 0:
             continue
         chunks = min(max(jobs, 1), units)
@@ -854,11 +588,8 @@ def run_verify(campaign: VerifyCampaign, *, jobs: int = 1,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_block, *t) for t in tasks]
             results = [f.result() for f in futures]
-    for t, g, mm in results:
-        total += t
-        agree += g
-        mismatches.extend(mm)
-    return CampaignReport(total, agree, mismatches,
+    return CampaignReport(sum(r[0] for r in results), sum(r[1] for r in results),
+                          [row for r in results for row in r[2]],
                           time.perf_counter() - started)
 
 
@@ -888,10 +619,9 @@ def _binomial_criteria(ctx, params):
         l1 = lin.linearized(ctx, [(0, a)])
         if pt.perm_quad_ext(ctx, l0, l1):
             out.append("thm6")
-    if a == 1 and gold_ks(ctx.n):
-        if 1 in gold_ks(ctx.n) and pt.perm_gold_linearized(
-                ctx, 1, lin.linearized(ctx, [(0, b)])):
-            out.append("thm7")
+    if a == 1 and 1 in gold_ks(ctx.n) and pt.perm_gold_linearized(
+            ctx, 1, lin.linearized(ctx, [(0, b)])):
+        out.append("thm7")
     return out
 
 
@@ -905,18 +635,18 @@ def _family_template(name: str, axes, nonzero=False, fixed=()):
     return SearchTemplate(name, tuple(axes), nonzero, tuple(fixed), build, criteria)
 
 
-def _traceform_build(ctx, params):
+def _traceform_spec(ctx, params):
     l0 = lin.q_linearized(ctx, [(params["j0"], params["a"])])
     l1 = lin.q_linearized(ctx, [(params["j1"], params["b"])])
-    spec = pt.trace_form_spec(ctx, l0, l1, params["l"])
-    return pt.expand_traceform(ctx, spec)
+    return pt.trace_form_spec(ctx, l0, l1, params["l"])
+
+
+def _traceform_build(ctx, params):
+    return pt.expand_traceform(ctx, _traceform_spec(ctx, params))
 
 
 def _traceform_criteria(ctx, params):
-    l0 = lin.q_linearized(ctx, [(params["j0"], params["a"])])
-    l1 = lin.q_linearized(ctx, [(params["j1"], params["b"])])
-    spec = pt.trace_form_spec(ctx, l0, l1, params["l"])
-    return ["thm_tr"] if pt.perm_trace_form(ctx, spec) else []
+    return ["thm_tr"] if pt.perm_trace_form(ctx, _traceform_spec(ctx, params)) else []
 
 
 TEMPLATES: Dict[str, SearchTemplate] = {
@@ -957,14 +687,12 @@ def run_search(ctx: FieldContext, template: str,
         if tpl.nonzero:
             axis = [v for v in axis if v != 0]
     rows = []
-    grids = [axis] * len(tpl.axes)
-    for combo in itertools.product(*grids):
+    for combo in itertools.product(axis, repeat=len(tpl.axes)):
         params = dict(fixed_params)
         params.update(zip(tpl.axes, combo))
         f = tpl.build(ctx, params)
-        if not bool(_bij_rows(pt.evaluate_poly_all(ctx, f))):
+        if not pt._bijective_rows(pt.evaluate_poly_all(ctx, f)):
             continue
-        certified = []
         try:
             certified = tpl.criteria(ctx, params)
         except (BadParameters, WrongDegree):

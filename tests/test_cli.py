@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 
@@ -9,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import charperm as cp
 from charperm import build_context, gf2
+from charperm import linearized as lin
 from charperm.cli import main
 
 
@@ -284,3 +287,157 @@ def test_eval_check_family(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep == {"structured": True, "brute": True, "agree": True}
+
+
+# ---- replaying campaign cases ----------------------------------------------
+
+def _perm(ctx, f):
+    return cp.is_perm_bruteforce(ctx, f).is_permutation
+
+
+def _binomial_sum(ctx, a, b, k):
+    return cp.s_bruteforce(ctx, cp.q_linearized(ctx, [(k, a), (0, b)]))
+
+
+def _traceform(ctx, p):
+    return cp.trace_form_spec(ctx, p["l0"], p["l1"], p["shift"])
+
+
+def _family(name):
+    def expect(ctx, p):
+        return (cp.family_predicate(ctx, name, p),
+                _perm(ctx, cp.family_polynomial(ctx, name, p)), None)
+    return expect
+
+
+# Each campaign's own closed form and oracle, through the public polynomial
+# builders: (structured, brute, s or None) for parsed --args values.
+REPLAY_EXPECT = {
+    "thm4": lambda ctx, p: (cp.s_zero_quadratic_ext(ctx, p["a"], p["b"]),
+                            _binomial_sum(ctx, p["a"], p["b"], 1) == 0,
+                            _binomial_sum(ctx, p["a"], p["b"], 1)),
+    "thm5": lambda ctx, p: (cp.s_zero_binomial(ctx, p["a"], p["b"], p["k"]),
+                            _binomial_sum(ctx, p["a"], p["b"], p["k"]) == 0,
+                            _binomial_sum(ctx, p["a"], p["b"], p["k"])),
+    "thm6": lambda ctx, p: (cp.perm_quad_ext(ctx, p["l0"], p["l1"]),
+                            _perm(ctx, cp.expand_quadspec(
+                                ctx, cp.quad_family(ctx, {0: p["l0"], 1: p["l1"]}))),
+                            None),
+    "thm7": lambda ctx, p: (cp.perm_gold_linearized(ctx, p["k"], p["l0"]),
+                            _perm(ctx, cp.gold_poly(ctx, p["k"], p["l0"])), None),
+    "thm_tr": lambda ctx, p: (cp.perm_trace_form(ctx, _traceform(ctx, p)),
+                              _perm(ctx, cp.expand_traceform(ctx, _traceform(ctx, p))),
+                              None),
+    "corollary": lambda ctx, p: (
+        cp.perm_monomial_trace(ctx, p["a"], p["k"], p["l"]),
+        _perm(ctx, cp.monomial_trace_poly(ctx, p["a"], p["k"], p["l"])), None),
+    "prop2": lambda ctx, p: (ctx.psi(ctx.mul(p["a"], p["b"])) * ctx.q,
+                             cp.bilinear_psi_sum(ctx, p["a"], p["b"]),
+                             cp.bilinear_psi_sum(ctx, p["a"], p["b"])),
+    "prop3": lambda ctx, p: (cp.s_fast(ctx, p["poly"]).s_value,
+                             cp.s_bruteforce(ctx, p["poly"]),
+                             cp.s_bruteforce(ctx, p["poly"])),
+    "thm1": lambda ctx, p: (cp.is_perm_charsum(ctx, p["monomials"]).is_permutation,
+                            _perm(ctx, p["monomials"]), None),
+    "family:tu": _family("tu"),
+    "family:abnorm": _family("abnorm"),
+    "family:q4": _family("q4"),
+    "family:trform": _family("trform"),
+    "family:aqk": _family("aqk"),
+}
+
+# Cases on each campaign's smallest default field; with both verdicts of
+# each kind where the field has them.
+REPLAY_CASES = {
+    "thm4": ["a=1;b=1", "a=0;b=2", "a=2;b=3", "a=3;b=0"],
+    "thm5": ["a=1;b=1;k=1", "a=0;b=5;k=1", "a=3;b=0;k=1", "a=6;b=7;k=1"],
+    "thm6": ["l0=0:1;l1=", "l0=0:1;l1=0:1", "l0=0:1,1:1;l1=0:2", "l0=1:3;l1=0:1,1:1"],
+    "thm7": ["k=1;l0=", "k=1;l0=0:1", "k=1;l0=1:1,2:1", "k=1;l0=0:3,2:5"],
+    "thm_tr": ["l0=0:1;l1=;shift=0", "l0=0:1;l1=0:1;shift=1", "l0=;l1=1:1;shift=2",
+               "l0=0:2,1:3;l1=1:2;shift=1"],
+    "corollary": ["a=1;k=0;l=0", "a=1;k=1;l=2", "a=0;k=0;l=1", "a=5;k=2;l=3"],
+    "prop2": ["a=0;b=1", "a=1;b=1"],
+    "prop3": ["poly=0:1,1:1", "poly=1:3", "poly=0:2", "poly="],
+    "thm1": ["monomials=1:1", "monomials=3:1", "monomials=2:1,1:1", "monomials=4:2"],
+    "family:tu": ["a=1", "a=0", "a=3"],
+    "family:abnorm": ["a=0;b=0", "a=1;b=1", "a=2;b=5"],
+    "family:q4": ["a=1;variant=binomial", "a=5;variant=qk", "a=6;variant=binomial"],
+    "family:trform": ["a=1;k=1", "a=3;k=2", "a=6;k=1"],
+    "family:aqk": ["a=1;k=1", "a=5;k=2"],
+}
+
+SUFFICIENT_ONLY = {"family:tu", "family:q4"}
+
+
+def _parse_args(ctx, blob):
+    out = {}
+    for part in blob.split(";"):
+        key, value = part.split("=", 1)
+        if key in ("a", "b"):
+            out[key] = int(value, 16)
+        elif key in ("l0", "l1", "poly"):
+            out[key] = lin.parse_linearized(ctx, value)
+        elif key == "monomials":
+            out[key] = cp.parse_monomial(ctx, value)
+        elif key == "variant":
+            out[key] = value
+        else:
+            out[key] = int(value)
+    return out
+
+
+def _replay(capsys, field, cid, blob):
+    code, out, err = run_cli(capsys, "eval", "--field", field, "--op",
+                             f"check-{cid}", "--args", blob)
+    assert code == 0, err
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("cid", list(cp.SWEEPS))
+def test_replay_matches_public_closed_form_and_oracle(capsys, cid):
+    m, n = cp.SWEEPS[cid].default_fields[0]
+    ctx = build_context(m, n)
+    agreed = 0
+    for blob in REPLAY_CASES[cid]:
+        got = _replay(capsys, f"{m}:{n}", cid, blob)
+        structured, brute, s = REPLAY_EXPECT[cid](ctx, _parse_args(ctx, blob))
+        assert (got["structured"], got["brute"]) == (structured, brute), blob
+        assert set(got) <= {"structured", "brute", "s", "agree"}
+        if s is not None:
+            assert got.get("s", s) == s
+        want = brute or not structured if cid in SUFFICIENT_ONLY else structured == brute
+        assert got["agree"] is want
+        agreed += want
+    assert agreed >= 1
+
+
+def test_replay_reproduces_a_thm5_mismatch(capsys):
+    ctx = build_context(1, 4)
+    got = _replay(capsys, "1:4:0x13", "thm5", "a=2;b=1;k=1")
+    want = REPLAY_EXPECT["thm5"](ctx, {"a": 2, "b": 1, "k": 1})
+    assert (got["structured"], got["brute"], got["s"]) == want == (True, False, 4)
+    assert got["agree"] is False
+
+
+def test_replay_shows_the_sum_its_rows_show(capsys):
+    assert _replay(capsys, "1:2", "prop3", "poly=1:3") == {
+        "structured": -2, "brute": -2, "s": -2, "agree": True}
+    assert set(_replay(capsys, "2:1", "prop2", "a=1;b=1")) == {
+        "structured", "brute", "s", "agree"}
+
+
+def test_replay_rejects_unknown_campaigns_and_missing_keys(capsys):
+    for op, blob in (("check-thm99", "a=1"), ("check-thm5", "a=1;b=1"),
+                     ("check-family:q4", "a=1")):
+        code, out, err = run_cli(capsys, "eval", "--field", "2:3", "--op", op,
+                                 "--args", blob)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+def test_verify_all_stdout_is_byte_identical(capsys):
+    # changes only when a campaign verdict or the report format changes
+    code, out, _ = run_cli(capsys, "verify", "--campaign", "all", "--seed", "0")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a75844b0cea89f6f3c43449914bfd6e34c6a8a81a30b8f5eeea145eb2df2ef4b")

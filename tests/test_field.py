@@ -476,3 +476,30 @@ def test_scalar_ops_build_exp_log_only_up_to_16_bits():
     small = build_context(4, 4)
     small.mul(0x1234, 0xabcd)
     assert "exp" in small._caches and "log" in small._caches
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (4, 5)], ids=["table", "bit-serial"])
+def test_scalar_ops_reject_non_elements(m, n):
+    ctx = build_context(m, n)
+    for bad in (-1, -ctx.order, ctx.order, ctx.order + 3, 1 << 25):
+        for call in (lambda: ctx.mul(bad, 3), lambda: ctx.mul(3, bad),
+                     lambda: ctx.mul(bad, 0), lambda: ctx.pow(bad, 2),
+                     lambda: ctx.pow(bad, 0), lambda: ctx.inv(bad),
+                     lambda: ctx.frobenius(bad, 1), lambda: ctx.frobenius(bad, 0)):
+            with pytest.raises(BadParameters):
+                call()
+    top = ctx.order - 1
+    assert ctx.mul(top, 1) == top and ctx.frobenius(top, 0) == top
+    assert ctx.mul(ctx.inv(top), top) == 1
+
+
+def test_mul_elementwise_equal_and_broadcast_shapes(gf64_tower):
+    ctx = gf64_tower
+    col = ctx.elements[:, None]
+    table = ctx.mul_elementwise(col, ctx.elements)
+    assert table.shape == (ctx.order, ctx.order)
+    assert table.tolist() == [[ctx.mul(a, b) for b in range(ctx.order)]
+                              for a in range(ctx.order)]
+    same = ctx.mul_elementwise(ctx.elements, ctx.elements[::-1].copy())
+    assert same.tolist() == [ctx.mul(a, ctx.order - 1 - a) for a in range(ctx.order)]
+    assert ctx.mul_elementwise(np.array(5), ctx.elements).tolist() == table[5].tolist()

@@ -142,7 +142,7 @@ def test_kernel_members_and_dimension(gf16):
 def test_trace_poly_kernel(gf64_tower):
     # the relative trace maps onto F_q, so its kernel has F_2-dimension m(n-1)
     ctx = gf64_tower
-    t = lin.trace_poly(ctx)
+    t = lin.q_linearized(ctx, [(i, 1) for i in range(ctx.n)])
     assert t.q_linear
     k = lin.kernel(ctx, t)
     assert k.dim2 == 2 * (3 - 1)
@@ -197,3 +197,22 @@ def test_evaluate_all_only_zero_map_vanishes(gf16):
         table = lin.evaluate_all(gf16, p)
         if not np.any(table):
             assert p.is_zero()
+
+
+def test_row_stacks_match_single_polynomials(gf64_tower):
+    ctx = gf64_tower
+    rng = random.Random(3)
+    polys = [_random_poly(ctx, rng) for _ in range(6)] + [lin.zero(ctx)]
+    rows = np.array([p.coeffs for p in polys]).reshape(7, 1, ctx.bits)
+    values = lin.evaluate_all(ctx, rows)
+    adjoints = lin.adjoint(ctx, rows)
+    assert values.shape == (7, 1, ctx.order) and adjoints.shape == rows.shape
+    for p, v, a in zip(polys, values[:, 0], adjoints[:, 0]):
+        assert v.tolist() == lin.evaluate_all(ctx, p).tolist()
+        assert tuple(a.tolist()) == lin.adjoint(ctx, p).coeffs
+    built = lin.linearized_rows(ctx, [(1, ctx.elements[:, None]), (7, 5), (1, 2)])
+    assert built.shape == (ctx.order, 1, ctx.bits)
+    assert built[9, 0].tolist() == list(lin.linearized(ctx, [(1, 9), (7, 5), (1, 2)]).coeffs)
+    one_row = np.array(polys[0].coeffs)
+    assert lin.evaluate_all(ctx, one_row).tolist() == values[0, 0].tolist()
+    assert lin.adjoint(ctx, one_row).tolist() == adjoints[0, 0].tolist()

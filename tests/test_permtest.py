@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from charperm import (
@@ -17,7 +18,6 @@ from charperm import (
     family_polynomial,
     family_predicate,
     format_monomial,
-    from_linearized,
     gold_poly,
     is_perm_bruteforce,
     is_perm_charsum,
@@ -35,6 +35,7 @@ from charperm import (
     trace_form_spec,
 )
 from charperm import linearized as lin
+from charperm.permtest import _bijective_rows, report_from_values
 from charperm.errors import (
     BadParameters,
     NotQLinear,
@@ -76,13 +77,6 @@ def test_evaluate_poly_matches_table(gf64_tower):
             assert int(table[x]) == evaluate_poly(ctx, p, x)
 
 
-def test_from_linearized(gf16):
-    L = lin.linearized(gf16, [(0, 3), (2, 7)])
-    p = from_linearized(gf16, L)
-    for x in range(16):
-        assert evaluate_poly(gf16, p, x) == lin.evaluate(gf16, L, x)
-
-
 def test_parse_format_roundtrip(gf64_tower):
     for text in ("3:1", "1:2,5:3f", "21:1"):
         p = parse_monomial(gf64_tower, text)
@@ -92,6 +86,31 @@ def test_parse_format_roundtrip(gf64_tower):
 
 
 # ---- generic permutation checks --------------------------------------------
+
+def test_bijective_rows_match_report_from_values():
+    # permutations mixed with near-permutations that repeat one value
+    rng = np.random.default_rng(7)
+    for m, n in ((1, 2), (1, 3), (2, 2), (2, 3)):
+        ctx = build_context(m, n)
+        stack = np.array([rng.permutation(ctx.order) for _ in range(24)])
+        for row in stack[::2]:
+            i, j = rng.choice(ctx.order, size=2, replace=False)
+            row[i] = row[j]
+        stack = stack.reshape(2, 3, 4, ctx.order)
+        got = _bijective_rows(stack)
+        assert got.shape == (2, 3, 4) and 0 < got.sum() < got.size
+        want = [report_from_values(ctx, row).is_permutation
+                for row in stack.reshape(-1, ctx.order)]
+        assert got.ravel().tolist() == want
+        assert bool(_bijective_rows(stack[0, 0, 0])) == want[0]
+
+
+def test_report_from_values_rejects_other_shapes(gf4):
+    with pytest.raises(BadParameters):
+        report_from_values(gf4, np.arange(3))
+    with pytest.raises(BadParameters):
+        report_from_values(gf4, np.arange(4).reshape(2, 2))
+
 
 def test_identity_is_permutation(gf4):
     p = monomial(gf4, [(1, 1)])
@@ -235,7 +254,9 @@ def test_perm_quad_ext_frozen(gf4):
     assert perm_quad_ext(gf4, lin.identity(gf4), l1)
 
 
-def test_perm_quad_ext_wrong_degree(gf8):
+def test_perm_quad_ext_wrong_degree(gf8, monkeypatch):
+    # refused before any value table is built
+    monkeypatch.setattr(lin, "evaluate_all", None)
     with pytest.raises(WrongDegree):
         perm_quad_ext(gf8, lin.identity(gf8), lin.zero(gf8))
 

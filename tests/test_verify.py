@@ -12,6 +12,7 @@ from charperm import (
     run_search,
     run_verify,
 )
+from charperm import verify
 from charperm.errors import BadParameters, UnknownTheorem, WrongDegree
 from charperm.verify import _pool_workers, normalize_field
 
@@ -93,6 +94,20 @@ def test_thm1_with_samples():
 def test_thm6_wrong_degree():
     with pytest.raises(WrongDegree):
         _run("thm6", field_ranges=("1:3",))
+
+
+@pytest.mark.parametrize("cid,builder", [("thm4", "_ab_grid"), ("thm6", "_support2")])
+def test_quadratic_extension_sweeps_refuse_other_degrees_up_front(
+        monkeypatch, cid, builder):
+    # a 12-bit cubic extension would otherwise build its whole grid first
+    # (thm6: every support-2 pair, about 1e9 rows) before the first verdict
+    def never(*args, **kwargs):
+        raise AssertionError(f"{builder} built a grid for n != 2")
+
+    monkeypatch.setattr(verify, builder, never)
+    for field in ("1:3", "4:3"):
+        with pytest.raises(WrongDegree):
+            _run(cid, field_ranges=(field,))
 
 
 def test_thm7_needs_odd_degree():
