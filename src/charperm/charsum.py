@@ -5,6 +5,14 @@ form Q takes values in F_q and S(L) is controlled by the kernel of
 adjoint(L) + L: either Q vanishes on that kernel and S(L)^2 = q^n * |kernel|,
 or S(L) = 0.  classify_form resolves the sign constructively by reducing the
 form to its canonical shape over F_q.
+
+s_fast, classify_form and s_bruteforce (with linearized.kernel) take a
+single LinearizedPoly or a stack of coefficient rows (..., bits), as
+linearized.evaluate_all does.  A stack is decided at once with numpy: the
+kernel by one GF(2) elimination over every row, the sign by a symplectic
+reduction of the GF(2) form Tr(v * L(v)), and the reports hold arrays over
+the stack.  A single polynomial keeps the scalar route, which is cheaper for
+one form than a stack of one.
 """
 
 from __future__ import annotations
@@ -48,21 +56,38 @@ def quad_value(ctx: FieldContext, poly: LinearizedPoly, v: int) -> int:
     return ctx.trace_to(ctx.mul(v, lin.evaluate(ctx, poly, v)), ctx.m)
 
 
-def polar_poly(ctx: FieldContext, poly: LinearizedPoly) -> LinearizedPoly:
-    """adjoint(L) + L, whose kernel is the radical of the polar form of Q."""
-    return lin.add(ctx, lin.adjoint(ctx, poly), poly)
+def polar_poly(ctx: FieldContext, poly):
+    """adjoint(L) + L, whose kernel is the radical of the polar form of Q.
+    For a stack of coefficient rows, the stack of polar rows."""
+    if isinstance(poly, LinearizedPoly):
+        return lin.add(ctx, lin.adjoint(ctx, poly), poly)
+    return lin.adjoint(ctx, poly) ^ poly
 
 
-def s_bruteforce(ctx: FieldContext, poly: LinearizedPoly) -> int:
-    """S(L) summed literally over every field element."""
+def _stack(ctx: FieldContext, poly, name: str) -> np.ndarray:
+    """poly as coefficient rows (..., bits), every row q-linear."""
+    rows = np.asarray(poly, dtype=np.int64)
+    if not lin._q_linear_rows(ctx, rows).all():
+        raise NotQLinear(f"{name} needs q-linear polynomials")
+    return rows
+
+
+def s_bruteforce(ctx: FieldContext, poly):
+    """S(L) summed literally over every field element.
+
+    For a stack of coefficient rows (..., bits) it is the array of the
+    rows' sums, one value table per row.
+    """
     if ctx.bits > ctx.size_cap:
         raise SizeGuard(f"full-field sum needs 2^{ctx.bits} > 2^{ctx.size_cap} terms")
     values = lin.evaluate_all(ctx, poly)
     prods = ctx.mul_elementwise(ctx.elements, values)
-    return int(ctx.chi_table[prods].sum(dtype=np.int64))
+    if isinstance(poly, LinearizedPoly):
+        return int(ctx.chi_table[prods].sum(dtype=np.int64))
+    return ctx.chi_table[prods].sum(axis=-1, dtype=np.int64)
 
 
-def s_fast(ctx: FieldContext, poly: LinearizedPoly, *,
+def s_fast(ctx: FieldContext, poly, *,
            resolve_sign: bool = True) -> QuadraticFormReport:
     """S(L) via the kernel of adjoint(L) + L, for q-linear L.
 
@@ -70,7 +95,14 @@ def s_fast(ctx: FieldContext, poly: LinearizedPoly, *,
     vanishing on the basis gives vanishing on the kernel.  A nonzero basis
     value forces S(L) = 0, otherwise |S(L)| = sqrt(q^n * |kernel|) and the
     sign comes from classify_form.
+
+    poly may also be a stack of coefficient rows (..., bits); every field
+    of the report is then an array over the stack, row r equal to the
+    report of row r alone (see _s_fast_rows).  A single polynomial stays on
+    the scalar route, which is faster for one form.
     """
+    if not isinstance(poly, LinearizedPoly):
+        return _s_fast_rows(ctx, _stack(ctx, poly, "s_fast"), resolve_sign)
     if not poly.q_linear:
         raise NotQLinear("s_fast needs a q-linear polynomial")
     ker = lin.kernel(ctx, polar_poly(ctx, poly))
@@ -94,7 +126,43 @@ def s_fast(ctx: FieldContext, poly: LinearizedPoly, *,
     return QuadraticFormReport(dim_fq, True, full.s_value, full.form_type, rank)
 
 
-def classify_form(ctx: FieldContext, poly: LinearizedPoly, *,
+def _s_fast_rows(ctx: FieldContext, rows: np.ndarray,
+                 resolve_sign: bool) -> QuadraticFormReport:
+    """s_fast on a stack of q-linear rows.
+
+    One kernel call gives every row's kernel.  Vanishing is tested with the
+    absolute trace of b * L(b) on the GF(2) basis: the kernel is an
+    F_q-space and Q(c*v) = c^2 * Q(v), so Tr(c^2 * Q(v)) = 0 for every c in
+    F_q exactly when Q(v) = 0.  Only the vanishing rows go to classify_form.
+    """
+    shape = rows.shape[:-1]
+    rows = rows.reshape(-1, ctx.bits)
+    ker = lin.kernel(ctx, polar_poly(ctx, rows))
+    values = lin._evaluate_at(ctx, rows, ker.basis)
+    vanishes = (ctx.chi_table[ctx.mul_elementwise(ker.basis, values)] > 0).all(axis=1)
+    two_exp = ctx.bits + ker.dim2
+    if (two_exp % 2).any():
+        raise InvariantViolation("S^2 = q^n * |kernel| must be an even power of 2")
+    magnitude = np.left_shift(1, two_exp // 2, dtype=np.int64)
+    dim_fq = ker.dim2 // ctx.m
+    s_value = np.where(vanishes, magnitude, 0)
+    form_type = np.where(vanishes, None, "zero-sum").astype(object)
+    sign_known = ~vanishes
+    if resolve_sign and vanishes.any():
+        full = classify_form(ctx, rows[vanishes])
+        if (np.abs(full.s_value) != magnitude[vanishes]).any():
+            raise InvariantViolation(
+                "classify_form and the kernel give different |S| on a stack")
+        s_value[vanishes] = full.s_value
+        form_type[vanishes] = full.form_type
+        sign_known[vanishes] = True
+    return QuadraticFormReport(
+        dim_fq.reshape(shape), vanishes.reshape(shape), s_value.reshape(shape),
+        form_type.reshape(shape), (ctx.n - dim_fq + ~vanishes).reshape(shape),
+        sign_known.reshape(shape))
+
+
+def classify_form(ctx: FieldContext, poly, *,
                   cross_check: bool = False) -> QuadraticFormReport:
     """Canonical type and exact signed S(L) via symplectic reduction.
 
@@ -103,7 +171,12 @@ def classify_form(ctx: FieldContext, poly: LinearizedPoly, *,
     residual radical either kills S (form not identically zero there) or
     contributes a factor q per dimension.  With cross_check=True the result
     is also compared against s_bruteforce.
+
+    poly may also be a stack of coefficient rows (..., bits); the report's
+    fields are then arrays over the stack (see _classify_rows).
     """
+    if not isinstance(poly, LinearizedPoly):
+        return _classify_rows(ctx, _stack(ctx, poly, "classify_form"), cross_check)
     if not poly.q_linear:
         raise NotQLinear("classify_form needs a q-linear polynomial")
     polar = polar_poly(ctx, poly)
@@ -155,6 +228,67 @@ def classify_form(ctx: FieldContext, poly: LinearizedPoly, *,
         if brute != report.s_value:
             raise InvariantViolation(
                 f"classify_form gives S = {report.s_value}, the full sum gives {brute}")
+    return report
+
+
+def _classify_rows(ctx: FieldContext, rows: np.ndarray,
+                   cross_check: bool) -> QuadraticFormReport:
+    """classify_form on a stack of q-linear rows, over GF(2).
+
+    The form q2(v) = Tr(v * L(v)) has the polar form Tr(u * P(v)), P =
+    adjoint(L) + L, with the same radical as the F_q polar form, and S(L)
+    is the sum of (-1)^q2(v).  Row j of a form's Gram matrix is the packed
+    bits k of Tr(e_k * P(e_j)), which chi_index_table reads off P(e_j).
+    Each step splits off one hyperbolic plane (u, w) = (e_p, e_s) of every
+    row that has one: the other vectors v become v + b(v, w) u + b(v, u) w,
+    q2 follows them, and the Arf bit gains q2(u) q2(w).  After at most
+    bits / 2 steps the vectors left span the radical, where q2 is linear:
+    S = 0 unless it vanishes there, else S = (-1)^Arf * 2^((bits + r) / 2).
+    """
+    bits, m = ctx.bits, ctx.m
+    flat = rows.reshape(-1, bits)
+    units = 1 << np.arange(bits)
+    shifts = np.arange(bits)
+    index = ctx.chi_index_table
+    gram = index[lin._evaluate_at(ctx, polar_poly(ctx, flat), units)]
+    q2 = (index[lin._evaluate_at(ctx, flat, units)] >> shifts) & 1
+    at = np.arange(len(flat))
+    arf = np.zeros(len(flat), dtype=np.int64)
+    planes = np.zeros(len(flat), dtype=np.int64)
+    for _ in range(bits // 2):
+        live = gram.any(axis=1)
+        if not live.any():
+            break
+        p = np.argmax(gram != 0, axis=1)
+        row_u = gram[at, p]
+        s = np.where(live, np.frexp((row_u & -row_u).astype(np.float64))[1] - 1, 0)
+        row_w = gram[at, s]
+        alpha = (gram >> s[:, None]) & 1        # b(v, w)
+        beta = (gram >> p[:, None]) & 1         # b(v, u)
+        q_u, q_w = q2[at, p], q2[at, s]
+        arf ^= q_u & q_w & live
+        planes += live
+        q2 ^= (alpha & q_u[:, None]) ^ (beta & q_w[:, None]) ^ (alpha & beta)
+        gram ^= (-alpha & row_u[:, None]) ^ (-beta & row_w[:, None])
+        gram ^= (-((gram >> p[:, None]) & 1) & row_w[:, None]) ^ (
+            -((gram >> s[:, None]) & 1) & row_u[:, None])
+    if gram.any() or (planes % m).any():
+        raise InvariantViolation(
+            "symplectic reduction left a radical that is not an F_q-space")
+    radical = bits - 2 * planes
+    vanishes = ~q2.any(axis=1)
+    sign = 1 - 2 * arf
+    s_value = np.where(vanishes, sign << ((bits + radical) // 2), 0)
+    form_type = np.where(vanishes, np.where(arf == 1, "minus", "plus"),
+                         "zero-sum").astype(object)
+    dim_fq = radical // m
+    shape = rows.shape[:-1]
+    report = QuadraticFormReport(
+        dim_fq.reshape(shape), vanishes.reshape(shape), s_value.reshape(shape),
+        form_type.reshape(shape), (ctx.n - dim_fq + ~vanishes).reshape(shape),
+        np.ones(shape, dtype=bool))
+    if cross_check and (s_bruteforce(ctx, rows) != report.s_value).any():
+        raise InvariantViolation("classify_form and the full sum differ on a stack")
     return report
 
 

@@ -338,7 +338,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("csv", "json"), default="json")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--max-n", type=int, default=0,
-                        help="override both size guards (bits)")
+                        help="override both size guards (bits, at most "
+                             f"{DEFAULT_SIZE_CAP}; 0 keeps the defaults)")
     common.add_argument("--jobs", type=int, default=1)
 
     parser = argparse.ArgumentParser(
@@ -395,6 +396,9 @@ def main(argv=None) -> int:
     try:
         if args.jobs < 1:
             raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+        if not 0 <= args.max_n <= DEFAULT_SIZE_CAP:
+            raise ValueError(f"--max-n must lie in 0 .. {DEFAULT_SIZE_CAP}, "
+                             f"got {args.max_n}")
         if args.command == "field-info":
             return _cmd_field_info(args)
         if args.command == "eval":

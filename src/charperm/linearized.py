@@ -107,6 +107,25 @@ def _columns(ctx: FieldContext, rows: np.ndarray) -> np.ndarray:
     return np.flatnonzero(rows.reshape(-1, ctx.bits).any(axis=0))
 
 
+def _q_linear_rows(ctx: FieldContext, rows: np.ndarray) -> np.ndarray:
+    """Which rows of a stack are q-linear: support at multiples of m only."""
+    return ~rows[..., np.arange(ctx.bits) % ctx.m != 0].any(axis=-1)
+
+
+def _evaluate_at(ctx: FieldContext, rows: np.ndarray, points=None) -> np.ndarray:
+    """Every row of a stack evaluated at points, one value per point along
+    a new last axis: at every element when points is None, otherwise at an
+    int array that broadcasts against rows[..., :1]."""
+    shape = np.broadcast_shapes(rows.shape[:-1] + (1,),
+                                (ctx.order,) if points is None else np.shape(points))
+    out = np.zeros(shape, dtype=np.int64)
+    for i in _columns(ctx, rows):
+        table = ctx.frob_table(i)
+        out ^= ctx.mul_elementwise(rows[..., i, None],
+                                   table if points is None else table[points])
+    return out
+
+
 def evaluate_all(ctx: FieldContext, poly) -> np.ndarray:
     """L(v) for every field element v, as an array indexed by v.
 
@@ -115,10 +134,7 @@ def evaluate_all(ctx: FieldContext, poly) -> np.ndarray:
     a new last axis.
     """
     rows = np.asarray(getattr(poly, "coeffs", poly), dtype=np.int64)
-    out = np.zeros(rows.shape[:-1] + (ctx.order,), dtype=np.int64)
-    for i in _columns(ctx, rows):
-        out ^= ctx.mul_elementwise(rows[..., i, None], ctx.frob_table(i))
-    return out
+    return _evaluate_at(ctx, rows)
 
 
 def adjoint(ctx: FieldContext, poly):
@@ -164,17 +180,65 @@ class Kernel(NamedTuple):
     dim2: int               # GF(2)-dimension
 
 
-def kernel(ctx: FieldContext, poly: LinearizedPoly) -> Kernel:
+def kernel(ctx: FieldContext, poly) -> Kernel:
     """Kernel of the induced map.  Basis vectors are field elements.
 
     For q-linear input the kernel is an F_q-space, so dim2 must be a
     multiple of m; a violation signals an arithmetic bug.
+
+    poly may also be a stack of coefficient rows (see evaluate_all).  Then
+    dim2 is an array over the stack and basis has one row of bits entries
+    per polynomial: its dim2 basis vectors, ascending, then zeros.  They
+    are the vectors the single-polynomial route gives (see _kernel_rows).
     """
-    basis = gf2.mat_kernel(to_matrix(ctx, poly))
-    if poly.q_linear and len(basis) % ctx.m:
+    if isinstance(poly, LinearizedPoly):
+        basis = gf2.mat_kernel(to_matrix(ctx, poly))
+        if poly.q_linear and len(basis) % ctx.m:
+            raise InvariantViolation(
+                f"q-linear kernel dimension {len(basis)} is not a multiple of m = {ctx.m}")
+        return Kernel(tuple(basis), len(basis))
+    rows = np.asarray(poly, dtype=np.int64)
+    basis = _kernel_rows(ctx, rows.reshape(-1, ctx.bits))
+    dim2 = np.count_nonzero(basis, axis=-1)
+    if (_q_linear_rows(ctx, rows).ravel() & (dim2 % ctx.m != 0)).any():
         raise InvariantViolation(
-            f"q-linear kernel dimension {len(basis)} is not a multiple of m = {ctx.m}")
-    return Kernel(tuple(basis), len(basis))
+            f"a q-linear kernel dimension is not a multiple of m = {ctx.m}")
+    return Kernel(basis.reshape(rows.shape), dim2.reshape(rows.shape[:-1]))
+
+
+def _kernel_rows(ctx: FieldContext, rows: np.ndarray) -> np.ndarray:
+    """gf2.mat_kernel on the matrix of every row of a (B, bits) stack.
+
+    Column L(e_j) is packed with e_j above it (bit bits + j; 2 * bits bits
+    fit an int64 up to 31-bit fields, and contexts stop at 24), so one xor
+    moves a vector and its combination together.  Columns enter in the order j,
+    as in mat_kernel, but against pivots kept fully reduced (no pivot has
+    another's leading bit), so a column reduces in one step.  A column that
+    reduces to zero gives the kernel vector e_j plus earlier pivot columns;
+    that vector is unique, so it is the one mat_kernel finds, and its top
+    bit is j, so the vectors come out ascending.
+    """
+    bits = ctx.bits
+    shifts = np.arange(bits)
+    work = _evaluate_at(ctx, rows, 1 << shifts) | (1 << (bits + shifts))
+    low = (1 << bits) - 1
+    piv = np.zeros((len(rows), bits), dtype=np.int64)   # pivot by leading bit
+    basis = np.zeros((len(rows), bits), dtype=np.int64)
+    for j in range(bits):
+        x = work[:, j]
+        x = x ^ np.bitwise_xor.reduce(piv * ((x[:, None] >> shifts) & 1), axis=1)
+        zero = (x & low) == 0
+        basis[zero, j] = x[zero] >> bits
+        new = np.flatnonzero(~zero)
+        if new.size:
+            x = x[new]
+            lead = np.frexp((x & low).astype(np.float64))[1] - 1
+            sub = piv[new]
+            sub ^= ((sub >> lead[:, None]) & 1) * x[:, None]
+            sub[np.arange(new.size), lead] = x
+            piv[new] = sub
+    order = np.argsort(basis == 0, axis=1, kind="stable")
+    return np.take_along_axis(basis, order, axis=1)
 
 
 def parse_linearized(ctx: FieldContext, text: str) -> LinearizedPoly:

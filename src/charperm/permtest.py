@@ -175,7 +175,8 @@ def is_perm_charsum(ctx: FieldContext, f) -> PermReport:
     f permutes the field iff sum_v chi(u*f(v)) = 0 for every u != 0.  The
     histogram of values is Walsh-Hadamard transformed once, and the sum for
     shift u is the spectrum entry at the functional index of u under the
-    trace pairing.  Quadratic cost in the field size, hence the tighter cap.
+    trace pairing.  The histogram and the transform cost O(N log N) for a
+    field of N elements; the test obeys charsum_cap.
     """
     if ctx.bits > ctx.charsum_cap:
         raise SizeGuard(
@@ -252,21 +253,36 @@ def reduction_at_shift(ctx: FieldContext, spec: QuadFamilySpec,
     return lin.q_linearized(ctx, pairs)
 
 
+# Shifts per s_fast call in is_perm_quadspec: the first block, doubling up
+# to the largest.  A failing shift is usually small, and a one-row stack
+# costs about as much as 64 rows; blocks past 1024 rows scan no faster but
+# hold larger temporaries.
+_FIRST_SHIFTS = 64
+_MAX_SHIFTS = 1024
+
+
 def is_perm_quadspec(ctx: FieldContext, spec: QuadFamilySpec) -> PermReport:
     """Decide permutation status via the reduction to quadratic-form sums.
 
     For each shift u != 0 the character sum of u*f equals S of a q-linear
     polynomial with coefficients adjoint(L_i)(u); f permutes the field iff
-    that S vanishes for every such u.  Witness = first u with S != 0.
+    that S vanishes for every such u.  The polynomials of consecutive
+    shifts go to s_fast in blocks, one stack each, and the scan stops at
+    the first block with a nonzero S.  Witness = first u with S != 0.
     """
     if ctx.bits > ctx.size_cap:
         raise SizeGuard(f"{ctx.bits}-bit field exceeds the size cap {ctx.size_cap}")
     adj_tables = [lin.evaluate_all(ctx, lin.adjoint(ctx, part))
                   for part in spec.parts]
-    for u in range(1, ctx.order):
-        ell = lin.q_linearized(ctx, [(i, int(t[u])) for i, t in enumerate(adj_tables)])
-        if s_fast(ctx, ell, resolve_sign=False).s_value != 0:
-            return PermReport(False, "quadspec", u)
+    lo, size = 1, _FIRST_SHIFTS
+    while lo < ctx.order:
+        shifts = slice(lo, lo + size)
+        rows = lin.linearized_rows(ctx, [(ctx.m * i, t[shifts])
+                                         for i, t in enumerate(adj_tables)])
+        bad = np.flatnonzero(s_fast(ctx, rows, resolve_sign=False).s_value)
+        if bad.size:
+            return PermReport(False, "quadspec", lo + int(bad[0]))
+        lo, size = lo + size, min(2 * size, _MAX_SHIFTS)
     return PermReport(True, "quadspec")
 
 

@@ -142,9 +142,25 @@ def _rng(seed: int, campaign_id: str, ctx: FieldContext, *extra) -> random.Rando
 
 
 def _draws(rng: random.Random, ctx: FieldContext, count: int, width: int) -> np.ndarray:
-    """count rows of width seeded elements, drawn row by row."""
-    return np.array([rng.randrange(ctx.order) for _ in range(count * width)],
-                    dtype=np.int64).reshape(count, width)
+    """count rows of width seeded elements, drawn row by row.
+
+    The values, and the state rng is left in, are those of one
+    rng.randrange(ctx.order) per element: randrange keeps the top
+    order.bit_length() bits of one 32-bit Mersenne Twister word and draws
+    again when they reach order, and getrandbits(32 * k) is k such words,
+    least significant first.
+    """
+    need = count * width
+    shift = 32 - ctx.order.bit_length()
+    out = []
+    while need:
+        words = np.frombuffer(rng.getrandbits(32 * need).to_bytes(4 * need, "little"),
+                              dtype="<u4")
+        values = (words >> shift).astype(np.int64)
+        values = values[values < ctx.order]
+        out.append(values)
+        need -= values.size
+    return np.concatenate(out or [np.zeros(0, dtype=np.int64)]).reshape(count, width)
 
 
 def _q_draws(rng: random.Random, ctx: FieldContext, count: int) -> np.ndarray:
@@ -281,8 +297,8 @@ def _thm_tr_grid(ctx, seed, budget):
 
 def _thm_tr(ctx, p):
     l0, l1, shift = p["l0"], p["l1"], p["shift"]
-    off_q = np.arange(ctx.bits) % ctx.m != 0
-    if shift < 0 or l0[..., off_q].any() or l1[..., off_q].any():
+    if shift < 0 or not (lin._q_linear_rows(ctx, l0).all()
+                         and lin._q_linear_rows(ctx, l1).all()):
         raise BadParameters("thm_tr needs q-linear L0 and L1 and shift >= 0")
     structured = pt._trace_form_ok(ctx, lin.evaluate_all(ctx, lin.adjoint(ctx, l1)),
                                    lin.evaluate_all(ctx, lin.adjoint(ctx, l0)), shift)
@@ -316,20 +332,18 @@ def _prop2(ctx, p):
 # ---- fast vs brute character sums ------------------------------------------
 
 def _prop3_grid(ctx, seed, budget):
-    # a * x^(q^k) + b * x for every k, a and b; then seeded dense polynomials
-    units = [{"poly": lin.linearized_rows(ctx, [(ctx.m * k, a), (0, ctx.elements)])}
-             for k in (range(1, ctx.n) or [0]) for a in range(ctx.order)]
-    rows = _q_draws(_rng(seed, "prop3", ctx), ctx, budget)
-    return units + [{"poly": rows[sl]} for sl in _blocks(budget, ctx.order)]
+    # a * x^(q^k) + b * x for every k, a and b, then seeded dense
+    # polynomials: one stack of rows in that order, cut into blocks
+    e = ctx.elements
+    rows = [lin.linearized_rows(ctx, [(ctx.m * k, e[:, None]), (0, e)])
+            .reshape(-1, ctx.bits) for k in (range(1, ctx.n) or [0])]
+    rows = np.concatenate(rows + [_q_draws(_rng(seed, "prop3", ctx), ctx, budget)])
+    return [{"poly": rows[sl]} for sl in _blocks(len(rows), _CELLS // ctx.order)]
 
 
 def _prop3(ctx, p):
-    rows = p["poly"]
-    polys = [lin.linearized(ctx, enumerate(row))
-             for row in rows.reshape(-1, ctx.bits).tolist()]
-    fast = np.array([s_fast(ctx, f).s_value for f in polys]).reshape(rows.shape[:-1])
-    brute = np.array([s_bruteforce(ctx, f) for f in polys]).reshape(rows.shape[:-1])
-    return fast, brute, brute
+    brute = s_bruteforce(ctx, p["poly"])
+    return s_fast(ctx, p["poly"]).s_value, brute, brute
 
 
 # ---- character-sum permutation test vs occupancy ---------------------------

@@ -219,6 +219,25 @@ def test_jobs_below_one_is_usage_error(capsys, jobs):
     assert err == f"usage error: --jobs must be at least 1, got {jobs}\n"
 
 
+@pytest.mark.parametrize("max_n", ["-1", "25"])
+def test_max_n_outside_the_size_cap_is_usage_error(capsys, max_n):
+    code, out, err = run_cli(capsys, "field-info", "--field", "1:2",
+                             "--max-n", max_n)
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: --max-n must lie in 0 .. 24, got {max_n}\n"
+
+
+def test_max_n_at_the_size_cap_runs(capsys):
+    code, out, _ = run_cli(capsys, "permtest", "--field", "4:4", "--poly", "1:1",
+                           "--method", "charsum", "--max-n", "24")
+    assert code == 0
+    assert json.loads(out)["is_permutation"] is True
+    code, _, err = run_cli(capsys, "permtest", "--field", "4:4", "--poly", "1:1",
+                           "--method", "charsum")
+    assert code == 1 and "character-sum cap 12" in err
+
+
 def test_search_csv_header_always(capsys):
     code, out, _ = run_cli(capsys, "search", "--field", "1:3", "--template",
                            "tu", "--coeffs", "", "--format", "csv")

@@ -32,9 +32,11 @@ from charperm import (
     quad_family,
     reduction_at_shift,
     s_bruteforce,
+    s_fast,
     trace_form_spec,
 )
 from charperm import linearized as lin
+from charperm import permtest as pt
 from charperm.permtest import _bijective_rows, report_from_values
 from charperm.errors import (
     BadParameters,
@@ -224,6 +226,39 @@ def test_quadspec_permtest_vs_bruteforce(gf16_tower):
         if not fast.is_permutation:
             ell = reduction_at_shift(ctx, spec, fast.witness)
             assert s_bruteforce(ctx, ell) != 0
+
+
+def _first_failing_shift(ctx, spec):
+    """is_perm_quadspec's witness, one shift at a time."""
+    for u in range(1, ctx.order):
+        if s_fast(ctx, reduction_at_shift(ctx, spec, u), resolve_sign=False).s_value:
+            return u
+    return None
+
+
+@pytest.mark.parametrize("blocks", [(pt._FIRST_SHIFTS, pt._MAX_SHIFTS), (2, 4), (1, 1)])
+def test_quadspec_blocks_keep_the_smallest_witness(blocks, monkeypatch):
+    # two-part specs on 64 elements fail first anywhere from u = 1 to past 10;
+    # small blocks put those shifts in the second, third and later blocks
+    monkeypatch.setattr(pt, "_FIRST_SHIFTS", blocks[0])
+    monkeypatch.setattr(pt, "_MAX_SHIFTS", blocks[1])
+    witnesses = set()
+    for field in ((2, 3), (1, 6)):
+        ctx = build_context(*field)
+        rng = random.Random(5)
+        for _ in range(40):
+            parts = [lin.zero(ctx)] * ctx.n
+            parts[0] = lin.linearized(ctx, [(rng.randrange(ctx.bits),
+                                             rng.randrange(1, ctx.order))])
+            parts[rng.randrange(1, ctx.n)] = lin.linearized(
+                ctx, [(rng.randrange(ctx.bits), rng.randrange(1, ctx.order))])
+            spec = quad_family(ctx, parts)
+            want = _first_failing_shift(ctx, spec)
+            got = is_perm_quadspec(ctx, spec)
+            assert got.is_permutation == (want is None)
+            assert got.witness == want
+            witnesses.add(want)
+    assert None in witnesses and 1 in witnesses and max(witnesses - {None}) >= 10
 
 
 def test_quadspec_x_q_plus_1_not_perm(gf4):

@@ -1,0 +1,138 @@
+"""Stacks of coefficient rows through kernel, s_fast, classify_form and
+s_bruteforce: every row must give what the polynomial gives alone."""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from charperm import build_context, classify_form, s_bruteforce, s_fast
+from charperm import charsum
+from charperm import linearized as lin
+from charperm.errors import InvariantViolation, NotQLinear
+
+# every (m, n) with 2 <= m*n <= 16 and n <= 8 (the scalar classify_form
+# slows down quickly with n)
+STACK_FIELDS = [(m, n) for n in range(1, 9) for m in range(1, 17)
+                if 2 <= m * n <= 16]
+_contexts = {}
+
+
+def _ctx(m, n):
+    if (m, n) not in _contexts:
+        _contexts[(m, n)] = build_context(m, n)
+    return _contexts[(m, n)]
+
+
+def _row(ctx, kind, draw):
+    """One q-linear coefficient row of the given kind."""
+    row = np.zeros(ctx.bits, dtype=np.int64)
+    elem = st.integers(0, ctx.order - 1)
+    if kind == "dense":
+        row[::ctx.m] = [draw(elem) for _ in range(ctx.n)]
+    elif kind == "sparse":
+        row[ctx.m * draw(st.integers(0, ctx.n - 1))] = draw(elem)
+        row[ctx.m * draw(st.integers(0, ctx.n - 1))] ^= draw(elem)
+    elif kind == "kernel" and ctx.n % 2 == 0:
+        # c * x^(q^(n/2)) with c in GF(q^(n/2)) has a zero polar form and Q
+        # vanishes everywhere; one more term leaves kernels of every size
+        half = ctx.subfield_elements(ctx.m * ctx.n // 2)
+        row[ctx.m * ctx.n // 2] = half[draw(st.integers(0, len(half) - 1))]
+        row[ctx.m * draw(st.integers(0, ctx.n - 1))] ^= draw(elem) * draw(st.booleans())
+    elif kind == "kernel":
+        row[0] = draw(elem)
+    return row
+
+
+def _report_row(rep, idx):
+    fields = (rep.kernel_dim_fq, rep.vanishes_on_kernel, rep.s_value,
+              rep.form_type, rep.rank, rep.sign_known)
+    return tuple(np.asarray(f, dtype=object)[idx] for f in fields)
+
+
+def _report(rep):
+    return (rep.kernel_dim_fq, rep.vanishes_on_kernel, rep.s_value,
+            rep.form_type, rep.rank, rep.sign_known)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(field=st.sampled_from(STACK_FIELDS), data=st.data())
+def test_stack_routes_match_single_polynomials(field, data):
+    ctx = _ctx(*field)
+    rows_n = data.draw(st.integers(1, 5 if ctx.bits > 12 else 9))
+    kinds = st.sampled_from(("dense", "sparse", "kernel", "zero"))
+    rows = np.array([_row(ctx, data.draw(kinds), data.draw) for _ in range(rows_n)])
+    if data.draw(st.booleans()):
+        rows = rows.reshape(1, rows_n, ctx.bits)
+    shape = rows.shape[:-1]
+    ker = lin.kernel(ctx, rows)
+    fast = s_fast(ctx, rows)
+    magnitude = s_fast(ctx, rows, resolve_sign=False)
+    full = classify_form(ctx, rows)
+    brute = s_bruteforce(ctx, rows)
+    assert ker.basis.shape == rows.shape and ker.dim2.shape == shape
+    assert fast.s_value.shape == shape and brute.shape == shape
+    for idx in np.ndindex(shape):
+        poly = lin.linearized(ctx, enumerate(rows[idx].tolist()))
+        one = lin.kernel(ctx, poly)
+        assert ker.dim2[idx] == one.dim2
+        assert ker.basis[idx].tolist() == list(one.basis) + [0] * (ctx.bits - one.dim2)
+        assert _report_row(fast, idx) == _report(s_fast(ctx, poly))
+        assert _report_row(magnitude, idx) == _report(
+            s_fast(ctx, poly, resolve_sign=False))
+        assert _report_row(full, idx) == _report(classify_form(ctx, poly))
+        assert brute[idx] == s_bruteforce(ctx, poly) == fast.s_value[idx]
+
+
+def test_stacks_cover_vanishing_kernels_and_both_signs():
+    # the "kernel" rows of the property give every outcome on 2:4
+    ctx = _ctx(2, 4)
+    rng = random.Random(0)
+    half = ctx.subfield_elements(4)
+    rows = np.zeros((200, ctx.bits), dtype=np.int64)
+    for row in rows:
+        row[4] = rng.choice(half)
+        row[2 * rng.randrange(4)] ^= rng.randrange(ctx.order) * rng.randrange(2)
+    rep = s_fast(ctx, rows)
+    assert set(rep.form_type.tolist()) == {"plus", "minus", "zero-sum"}
+    dims = rep.kernel_dim_fq[rep.vanishes_on_kernel]
+    assert (dims == 4).any() and ((dims > 0) & (dims < 4)).any()
+    assert (rep.s_value == s_bruteforce(ctx, rows)).all()
+
+
+def test_classify_cross_check_on_a_stack(gf16_tower, monkeypatch):
+    rows = np.array([[0, 0, 1, 0], [3, 0, 2, 0], [0, 0, 0, 0]])
+    rep = classify_form(gf16_tower, rows, cross_check=True)
+    assert rep.s_value.tolist() == s_bruteforce(gf16_tower, rows).tolist()
+    monkeypatch.setattr(charsum, "s_bruteforce", lambda ctx, rows: -rep.s_value)
+    with pytest.raises(InvariantViolation):
+        classify_form(gf16_tower, rows, cross_check=True)
+
+
+def test_s_fast_checks_the_sign_route_on_a_stack(gf16_tower, monkeypatch):
+    rows = np.array([[1, 0, 1, 0], [0, 0, 1, 0]])
+    real = charsum.classify_form
+
+    def doubled(ctx, poly, **kw):
+        rep = real(ctx, poly, **kw)
+        return rep.__class__(rep.kernel_dim_fq, rep.vanishes_on_kernel,
+                             2 * rep.s_value, rep.form_type, rep.rank)
+
+    monkeypatch.setattr(charsum, "classify_form", doubled)
+    with pytest.raises(InvariantViolation):
+        s_fast(gf16_tower, rows)
+    assert s_fast(gf16_tower, rows, resolve_sign=False).s_value.tolist() == [0, 16]
+
+
+def test_stacks_must_be_q_linear(gf16_tower):
+    rows = np.array([[1, 1, 0, 0], [0, 1, 0, 0]])    # x^2 + x and x^2
+    for fn in (s_fast, classify_form):
+        with pytest.raises(NotQLinear):
+            fn(gf16_tower, rows)
+    # the kernel and the full sum take any 2-linear rows
+    assert lin.kernel(gf16_tower, rows).dim2.tolist() == [1, 0]
+    assert s_bruteforce(gf16_tower, rows).tolist() == [
+        s_bruteforce(gf16_tower, lin.linearized(gf16_tower, enumerate(r)))
+        for r in rows.tolist()]

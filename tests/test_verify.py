@@ -1,5 +1,8 @@
 """Oracle-equivalence campaigns, coefficient searches, determinism."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from charperm import (
@@ -139,6 +142,30 @@ def test_jobs_do_not_change_reports():
         assert a.cases_total == b.cases_total
         assert a.cases_agreeing == b.cases_agreeing
         assert a.mismatches == b.mismatches
+
+
+def test_prop3_blocks_do_not_change_reports():
+    # the default fields cut into several stacked blocks each on 2:3
+    ctx = build_context(2, 3)
+    assert len(verify._prop3_grid(ctx, 0, 1000)) > 2
+    a = run_verify(VerifyCampaign("prop3"), jobs=1)
+    b = run_verify(VerifyCampaign("prop3"), jobs=2)
+    assert (a.cases_total, a.cases_agreeing, a.mismatches) == (
+        b.cases_total, b.cases_agreeing, b.mismatches)
+    assert a.cases_total == a.cases_agreeing == 14360
+
+
+@pytest.mark.parametrize("seed", [0, 1, "prop3", 2 ** 40])
+def test_draws_match_one_randrange_per_element(seed):
+    for bits in range(1, 21):
+        ctx = SimpleNamespace(order=1 << bits)
+        for count, width in ((0, 3), (1, 1), (7, 3), (50, 2)):
+            fast, loop = random.Random(seed), random.Random(seed)
+            rows = verify._draws(fast, ctx, count, width)
+            want = [loop.randrange(ctx.order) for _ in range(count * width)]
+            assert rows.shape == (count, width)
+            assert rows.ravel().tolist() == want
+            assert fast.random() == loop.random()
 
 
 def test_pool_workers_clamped_to_tasks_and_cpus(monkeypatch):
