@@ -5,7 +5,9 @@ residue class modulo the field modulus, so addition is xor and there are no
 per-element wrapper objects.  A FieldContext fixes m, n, the modulus and the
 chosen F_q-basis, and provides both scalar operations and numpy lookup tables
 for whole-field sweeps.  Every table is built from GF(2)-linearity (see
-_linear_table): a few scalar calls per bit, not one per element.
+_linear_table): a few scalar calls per bit, not one per element.  Element
+and log tables are int32; log_table[0] is a sentinel into a zero-filled tail
+of exp_table, so a vector product is one lookup exp[log x + log y], no masks.
 
 Up to _TABLE_BITS = 16 bits the scalar mul, pow, inv and frobenius are one
 lookup each in the context's own exp_table/log_table; above that they stay
@@ -364,8 +366,11 @@ class FieldContext:
 
     @property
     def exp_table(self) -> np.ndarray:
-        """Doubled power table: exp_table[i] = g^i for 0 <= i < 2*(order-1).
+        """int32 power table: exp_table[i] = g^(i mod (order-1)) for
+        0 <= i < 2*(order-1), then zeros up to index 4*(order-1).
 
+        The zero tail is where log_table's sentinel for 0 points, so
+        exp_table[log x + log y] is x*y for every x and y, zeros included.
         Built by exponent doubling: with g^0 .. g^(L-1) in place, the next
         block g^L .. g^(2L-1) is that prefix times the constant g^L, a
         GF(2)-linear map applied through 8-bit slice tables.
@@ -373,7 +378,7 @@ class FieldContext:
         arr = self._caches.get("exp")
         if arr is None:
             go = max(self.group_order, 1)
-            arr = np.empty(2 * go, dtype=np.int64)
+            arr = np.zeros(4 * go + 1, dtype=np.int32)
             arr[0] = 1
             filled, c = 1, self.generator        # c = g^filled
             while filled < go:
@@ -389,17 +394,21 @@ class FieldContext:
                         dst ^= table[(src >> (8 * i)) & 0xFF]
                 filled += count
                 c = self._mul_serial(c, c)
-            arr[go:] = arr[:go]
+            arr[go:2 * go] = arr[:go]
             self._caches["exp"] = arr
         return arr
 
     @property
     def log_table(self) -> np.ndarray:
+        """int32 discrete logs to the base generator, and at 0 the sentinel
+        2*(order-1): added to any log (or to itself) it indexes the zero
+        tail of exp_table."""
         arr = self._caches.get("log")
         if arr is None:
-            arr = np.zeros(self.order, dtype=np.int64)
             go = max(self.group_order, 1)
-            arr[self.exp_table[:go]] = np.arange(go, dtype=np.int64)
+            arr = np.empty(self.order, dtype=np.int32)
+            arr[0] = 2 * go
+            arr[self.exp_table[:go]] = np.arange(go, dtype=np.int32)
             self._caches["log"] = arr
         return arr
 
@@ -448,42 +457,29 @@ class FieldContext:
 
     def mul_vec(self, a: int, arr: np.ndarray) -> np.ndarray:
         """Scalar times vector, elementwise over field elements."""
-        if a == 0:
-            return np.zeros_like(arr)
-        la = int(self.log_table[a])
-        out = np.zeros_like(arr)
-        nz = arr != 0
-        out[nz] = self.exp_table[la + self.log_table[arr[nz]]]
-        return out
+        return self.mul_elementwise(a, arr)
 
     def mul_elementwise(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Elementwise product of two arrays that broadcast against each
-        other.  Equal shapes multiply their nonzero pairs only, the faster
-        route for large tables; otherwise the logs are looked up before
-        broadcasting (a column of coefficients against a table, say) and
-        the products with a zero factor are cleared afterwards."""
-        x, y = np.asarray(x), np.asarray(y)
-        if x.shape != y.shape:
-            out = np.take(self.exp_table, np.take(self.log_table, x)
-                          + np.take(self.log_table, y))
-            out[(x == 0) | (y == 0)] = 0
-            return out
-        out = np.zeros(x.shape, dtype=np.int64)
-        nz = (x != 0) & (y != 0)
-        out[nz] = self.exp_table[self.log_table[x[nz]] + self.log_table[y[nz]]]
-        return out
+        other.  The logs are looked up before broadcasting (a column of
+        coefficients against a table, say); the sentinel log of 0 makes
+        every product with a zero factor land on a zero of exp_table."""
+        log = self.log_table
+        return self.exp_table.take(log.take(x) + log.take(y))
 
     def pow_vec(self, arr: np.ndarray, e: int) -> np.ndarray:
         """Elementwise arr^e with the same conventions as pow()."""
         if e == 0:
             return np.ones_like(arr)
-        go = max(self.group_order, 1)
-        if e < 0 and np.any(arr == 0):
+        arr = np.asarray(arr)
+        zero = arr == 0
+        if e < 0 and zero.any():
             raise DivisionByZero("inverse of zero")
-        er = e % go
-        out = np.zeros_like(arr)
-        nz = arr != 0
-        out[nz] = self.exp_table[(self.log_table[arr[nz]] * er) % go]
+        go = max(self.group_order, 1)
+        # log * e needs int64; the sentinel of 0 is no log, so zeros are cleared after
+        logs = self.log_table.take(arr).astype(np.int64)
+        out = self.exp_table.take(logs * (e % go) % go)
+        out[zero] = 0
         return out
 
     @property
@@ -512,23 +508,27 @@ class FieldContext:
 _CHUNK = 1 << 16
 
 # Largest field (in bits) whose scalar operations read exp_table and
-# log_table: 1.5 MB of tables at 16 bits, but about 400 MB at 24, so larger
-# fields keep the bit-serial multiply and never build them as a side effect.
+# log_table: the pair takes 1.3 MB at 16 bits, 21 MB at 20 and 336 MB at 24
+# (exp_table's zero tail is half of it), so larger fields keep the
+# bit-serial multiply and never build them as a side effect.
 _TABLE_BITS = 16
 
 
-def _linear_table(images: Sequence[int]) -> np.ndarray:
+def _linear_table(images) -> np.ndarray:
     """Table of the GF(2)-linear map sending unit vector 1 << j to images[j].
 
     Entry v is the xor of images[j] over the set bits j of v.  Built by
-    doubling into one array: out[L:2L] = out[:L] ^ images[j] for L = 2^j,
-    so the cost is one vector xor per image and no scalar call per element.
+    doubling into one int32 array: out[L:2L] = out[:L] ^ images[j] for
+    L = 2^j, so the cost is one vector xor per image and no scalar call per
+    element.  images may also be an array (..., k); the result then has one
+    table of 2^k entries per row, along the last axis.
     """
-    out = np.empty(1 << len(images), dtype=np.int64)
-    out[0] = 0
-    for j, image in enumerate(images):
+    images = np.asarray(images, dtype=np.int32)
+    out = np.empty(images.shape[:-1] + (1 << images.shape[-1],), dtype=np.int32)
+    out[..., 0] = 0
+    for j in range(images.shape[-1]):
         half = 1 << j
-        np.bitwise_xor(out[:half], image, out=out[half:2 * half])
+        np.bitwise_xor(out[..., :half], images[..., j, None], out=out[..., half:2 * half])
     return out
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import gf2
 from .errors import InvariantViolation, NotQLinear
-from .field import FieldContext
+from .field import FieldContext, _linear_table
 
 
 @dataclass(frozen=True)
@@ -114,24 +114,26 @@ def _q_linear_rows(ctx: FieldContext, rows: np.ndarray) -> np.ndarray:
 
 def _evaluate_at(ctx: FieldContext, rows: np.ndarray, points=None) -> np.ndarray:
     """Every row of a stack evaluated at points, one value per point along
-    a new last axis: at every element when points is None, otherwise at an
-    int array that broadcasts against rows[..., :1]."""
-    shape = np.broadcast_shapes(rows.shape[:-1] + (1,),
-                                (ctx.order,) if points is None else np.shape(points))
-    out = np.zeros(shape, dtype=np.int64)
+    a new last axis: at an int array that broadcasts against rows[..., :1],
+    or at every element when points is None.  A whole table is built by
+    linearity from the row's images of the bits unit vectors."""
+    if points is None:
+        return _linear_table(_evaluate_at(ctx, rows, 1 << np.arange(ctx.bits)))
+    out = np.zeros(np.broadcast_shapes(rows.shape[:-1] + (1,), np.shape(points)),
+                   dtype=np.int32)
     for i in _columns(ctx, rows):
-        table = ctx.frob_table(i)
-        out ^= ctx.mul_elementwise(rows[..., i, None],
-                                   table if points is None else table[points])
+        out ^= ctx.mul_elementwise(rows[..., i, None], ctx.frob_table(i)[points])
     return out
 
 
 def evaluate_all(ctx: FieldContext, poly) -> np.ndarray:
-    """L(v) for every field element v, as an array indexed by v.
+    """L(v) for every field element v, as an int32 array indexed by v.
 
     poly may also be a stack of coefficient rows (..., bits), rows[..., i]
     multiplying x^(2^i); the result then has one value table per row, along
-    a new last axis.
+    a new last axis.  L is GF(2)-linear, so each table is built from the
+    row's bits values at the unit vectors (see field._linear_table), one
+    vector xor per unit vector.
     """
     rows = np.asarray(getattr(poly, "coeffs", poly), dtype=np.int64)
     return _evaluate_at(ctx, rows)
@@ -155,18 +157,6 @@ def adjoint(ctx: FieldContext, poly):
     for i in _columns(ctx, poly):
         out[..., -i % ctx.bits] = ctx.frob_table(-i % ctx.bits)[poly[..., i]]
     return out
-
-
-def compose(ctx: FieldContext, outer: LinearizedPoly,
-            inner: LinearizedPoly) -> LinearizedPoly:
-    """outer(inner(x)) with exponents folded modulo x^(2^bits) = x."""
-    pairs = []
-    for i in outer.support():
-        a = outer.coeffs[i]
-        for j in inner.support():
-            pairs.append(((i + j) % ctx.bits,
-                          ctx.mul(a, ctx.frobenius(inner.coeffs[j], i))))
-    return linearized(ctx, pairs)
 
 
 def to_matrix(ctx: FieldContext, poly: LinearizedPoly) -> List[int]:

@@ -70,10 +70,15 @@ def evaluate_poly(ctx: FieldContext, poly: MonomialPoly, x: int) -> int:
 
 
 def evaluate_poly_all(ctx: FieldContext, poly: MonomialPoly) -> np.ndarray:
-    """Value table of poly on every field element, in element order."""
-    acc = np.zeros(ctx.order, dtype=np.int64)
+    """Value table of poly on every field element, in element order.  The
+    terms c * x^(2^j) form one linearized polynomial (see
+    linearized.evaluate_all); each other term is a pow_vec and a mul_vec."""
+    linear = [(e.bit_length() - 1, c) for c, e in poly.terms if not e & (e - 1)]
+    acc = (lin.evaluate_all(ctx, lin.linearized(ctx, linear)) if linear
+           else np.zeros(ctx.order, dtype=np.int32))
     for c, e in poly.terms:
-        acc ^= ctx.mul_vec(c, ctx.pow_vec(ctx.elements, e))
+        if e & (e - 1):
+            acc ^= ctx.mul_vec(c, ctx.pow_vec(ctx.elements, e))
     return acc
 
 
@@ -118,10 +123,15 @@ def _bijective_rows(values: np.ndarray) -> np.ndarray:
     """Whether each last-axis row of values permutes 0 .. size - 1, where
     size is the row length.
 
-    One bincount over all rows: row r is shifted by r * size, so its entries
-    land in a bin range of its own.  A single row is counted as it stands.
+    Rows of at most 64 entries: the OR of 1 << v over a row is 2^size - 1
+    exactly when its size entries cover 0 .. size - 1.  Longer rows: one
+    bincount over all rows, row r shifted by r * size so that its entries
+    land in a bin range of its own; a single row is counted as it stands.
     """
     size = values.shape[-1]
+    if size <= 64:
+        seen = np.left_shift(np.uint64(1), values.astype(np.uint64))
+        return np.bitwise_or.reduce(seen, axis=-1) == np.uint64((1 << size) - 1)
     rows = values.reshape(-1, size)
     if rows.shape[0] > 1:
         rows = rows + np.arange(0, rows.size, size)[:, None]
@@ -131,20 +141,19 @@ def _bijective_rows(values: np.ndarray) -> np.ndarray:
 
 def report_from_values(ctx: FieldContext, values: np.ndarray,
                        method: str = "bruteforce") -> PermReport:
-    """Occupancy check of a full value table; witness = first collision."""
+    """Occupancy check of a full value table; witness = first collision
+    (v1, v2): v2 is the first input to repeat a value, v1 the first with it."""
     values = np.asarray(values)
     if values.ndim != 1 or values.size != ctx.order:
         raise BadParameters(
             f"value table has shape {values.shape}, expected ({ctx.order},)")
     if _bijective_rows(values):
         return PermReport(True, method)
-    first_idx = np.full(ctx.order, -1, dtype=np.int64)
-    uniq, idx = np.unique(values, return_index=True)
-    first_idx[uniq] = idx
-    dup = first_idx[values] != np.arange(ctx.order)
-    v2 = int(np.argmax(dup))
-    v1 = int(first_idx[values[v2]])
-    return PermReport(False, method, (v1, v2))
+    inputs = np.arange(ctx.order)
+    first = np.full(ctx.order, ctx.order)
+    np.minimum.at(first, values, inputs)
+    v2 = int(np.argmax(first[values] != inputs))
+    return PermReport(False, method, (int(first[values[v2]]), v2))
 
 
 def _values_of(ctx: FieldContext, f) -> np.ndarray:

@@ -193,6 +193,36 @@ def test_pow_vec(gf16):
         ctx.pow_vec(nz, -2), np.array([ctx.pow(v, -2) for v in range(1, 16)]))
 
 
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 3), (4, 4)], ids=lambda v: str(v))
+def test_vector_ops_with_zero_operands(m, n):
+    # log_table[0] is a sentinel into the zero tail of exp_table: every
+    # product with a zero factor must come out 0, in every shape
+    ctx = build_context(m, n)
+    rng = np.random.default_rng(ctx.bits)
+    x = rng.integers(0, ctx.order, 40)
+    x[:5] = 0
+    x[5] = ctx.order - 1
+    want = np.array([[ctx.mul(a, b) for b in x] for a in x])
+    np.testing.assert_array_equal(ctx.mul_elementwise(x[:, None], x), want)
+    np.testing.assert_array_equal(ctx.mul_elementwise(x, x[:, None]), want.T)
+    np.testing.assert_array_equal(ctx.mul_elementwise(x, x), np.diag(want))
+    np.testing.assert_array_equal(ctx.mul_elementwise(np.zeros_like(x), x), 0 * x)
+    assert int(ctx.mul_elementwise(np.array(0), np.array(0))) == 0
+    for a in (0, 1, int(x[6])):
+        row = [ctx.mul(a, v) for v in x]
+        np.testing.assert_array_equal(ctx.mul_vec(a, x), row)
+        np.testing.assert_array_equal(ctx.mul_vec(a, x.reshape(5, 8)), np.reshape(row, (5, 8)))
+    for e in (0, 1, 2, 3, ctx.group_order, ctx.group_order + 1, 7 * ctx.order):
+        np.testing.assert_array_equal(ctx.pow_vec(x, e), [ctx.pow(v, e) for v in x])
+    assert ctx.pow_vec(np.zeros(3, dtype=np.int64), 0).tolist() == [1, 1, 1]
+    assert ctx.pow_vec(np.zeros(3, dtype=np.int64), 5).tolist() == [0, 0, 0]
+    for e in (-1, -2, -ctx.order):
+        with pytest.raises(DivisionByZero):
+            ctx.pow_vec(x, e)
+        nz = x[x != 0]
+        np.testing.assert_array_equal(ctx.pow_vec(nz, e), [ctx.pow(v, e) for v in nz])
+
+
 def test_exp_log_consistency(gf8):
     ctx = gf8
     g = ctx.generator
@@ -282,7 +312,7 @@ SMALL_FIELDS = [(m, n) for m in range(1, 13) for n in range(1, 13) if m * n <= 1
 
 
 def _assert_table(table, expected, length):
-    assert table.dtype == np.int64 and table.shape == (length,)
+    assert table.dtype == np.int32 and table.shape == (length,)
     np.testing.assert_array_equal(table, np.array(expected, dtype=np.int64))
 
 
@@ -307,8 +337,8 @@ def test_every_table_matches_scalars_exhaustively(m, n):
         powers.append(t)
         t = oracle_mul(ctx, t, ctx.generator)
     assert t == 1 and len(set(powers)) == go
-    _assert_table(ctx.exp_table, powers + powers, 2 * go)
-    logs = [0] * order
+    _assert_table(ctx.exp_table, powers + powers + [0] * (2 * go + 1), 4 * go + 1)
+    logs = [2 * go] * order
     for i, p in enumerate(powers):
         logs[p] = i
     _assert_table(ctx.log_table, logs, order)
@@ -321,7 +351,7 @@ def test_every_table_matches_scalars_exhaustively(m, n):
     # chi(u * w) = (-1)^popcount(s_u & w): both sides are characters in w,
     # so the unit vectors w = 1 << i decide it
     idx = ctx.chi_index_table
-    assert idx.dtype == np.int64 and idx.shape == (order,)
+    assert idx.dtype == np.int32 and idx.shape == (order,)
     for u in range(order):
         s = int(idx[u])
         for i in range(bits):
@@ -365,7 +395,7 @@ def test_24_bit_tables_smoke():
     ctx = build_context(8, 3)
     sqr, tr = ctx.frob_table(1), ctx.trace_table(8)
     for table in (sqr, tr):
-        assert table.dtype == np.int64 and table.shape == (1 << 24,)
+        assert table.dtype == np.int32 and table.shape == (1 << 24,)
     rng = random.Random(24)
     for v in [0, 1, ctx.order - 1] + [rng.randrange(ctx.order) for _ in range(197)]:
         assert sqr[v] == ctx.mul(v, v)

@@ -5,11 +5,22 @@ import random
 import numpy as np
 import pytest
 
+from charperm import build_context
 from charperm import linearized as lin
 
 
 def _random_poly(ctx, rng, step=1):
     pairs = [(i, rng.randrange(ctx.order)) for i in range(0, ctx.bits, step)]
+    return lin.linearized(ctx, pairs)
+
+
+def _compose(ctx, outer, inner):
+    """outer(inner(x)) with exponents folded modulo x^(2^bits) = x."""
+    pairs = []
+    for i in outer.support():
+        for j in inner.support():
+            pairs.append(((i + j) % ctx.bits,
+                          ctx.mul(outer.coeffs[i], ctx.frobenius(inner.coeffs[j], i))))
     return lin.linearized(ctx, pairs)
 
 
@@ -51,6 +62,30 @@ def test_evaluate_all_matches_scalar(gf64_tower):
         table = lin.evaluate_all(gf64_tower, p)
         for x in (0, 1, 9, 0x3f):
             assert int(table[x]) == lin.evaluate(gf64_tower, p, x)
+
+
+@pytest.mark.parametrize("m,n", [(2, 4), (3, 4), (1, 13), (4, 4), (6, 3), (4, 5)],
+                         ids=lambda v: str(v))
+def test_evaluate_all_matches_scalar_at_seeded_points_8_to_20_bits(m, n):
+    # the table is built from the images of the unit vectors by linearity,
+    # so a wrong image or doubling step shows at the points drawn here
+    ctx = build_context(m, n)
+    rng = random.Random(ctx.bits)
+    points = [0, 1, ctx.order - 1] + [rng.randrange(ctx.order) for _ in range(21)]
+    single = _random_poly(ctx, rng, step=2)
+    table = lin.evaluate_all(ctx, single)
+    assert table.shape == (ctx.order,)
+    assert [int(table[x]) for x in points] == [lin.evaluate(ctx, single, x) for x in points]
+    stack = np.array([[_random_poly(ctx, rng, step=3).coeffs for _ in range(3)]
+                      for _ in range(2)], dtype=np.int64)
+    stack[0, 1] = 0
+    stack[1, 2] = 0
+    tables = lin.evaluate_all(ctx, stack)
+    assert tables.shape == (2, 3, ctx.order)
+    assert not tables[0, 1].any() and not tables[1, 2].any()
+    for r in np.ndindex(2, 3):
+        poly = lin.linearized(ctx, enumerate(stack[r].tolist()))
+        assert tables[r][points].tolist() == [lin.evaluate(ctx, poly, x) for x in points]
 
 
 def test_q_linearized_commutes_with_subfield_scalars(gf64_tower):
@@ -95,8 +130,8 @@ def test_adjoint_antihomomorphism(gf16):
     for _ in range(10):
         f = _random_poly(gf16, rng)
         g = _random_poly(gf16, rng)
-        left = lin.adjoint(gf16, lin.compose(gf16, f, g))
-        right = lin.compose(gf16, lin.adjoint(gf16, g), lin.adjoint(gf16, f))
+        left = lin.adjoint(gf16, _compose(gf16, f, g))
+        right = _compose(gf16, lin.adjoint(gf16, g), lin.adjoint(gf16, f))
         assert left == right
 
 
@@ -105,7 +140,7 @@ def test_compose_matches_pointwise(gf16):
     for _ in range(10):
         f = _random_poly(gf16, rng)
         g = _random_poly(gf16, rng)
-        h = lin.compose(gf16, f, g)
+        h = _compose(gf16, f, g)
         for x in range(16):
             assert lin.evaluate(gf16, h, x) == lin.evaluate(
                 gf16, f, lin.evaluate(gf16, g, x))

@@ -79,6 +79,30 @@ def test_evaluate_poly_matches_table(gf64_tower):
             assert int(table[x]) == evaluate_poly(ctx, p, x)
 
 
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (3, 4), (4, 5)], ids=lambda v: str(v))
+def test_evaluate_poly_all_mixes_linear_and_other_terms(m, n):
+    # 2-power terms go through one linearized table, the rest through
+    # pow_vec and mul_vec; every split must give the scalar values
+    ctx = build_context(m, n)
+    rng = random.Random(ctx.bits)
+    points = sorted({0, 1, ctx.order - 1} | {rng.randrange(ctx.order) for _ in range(30)})
+    bits = ctx.bits
+    polys = [
+        monomial(ctx, []),
+        monomial(ctx, [(rng.randrange(1, ctx.order), 1 << j) for j in range(0, bits, 2)]),
+        monomial(ctx, [(rng.randrange(1, ctx.order), rng.randrange(3, 4 * ctx.order))
+                       for _ in range(3)]),
+        monomial(ctx, [(rng.randrange(1, ctx.order), 1 << (bits - 1)),
+                       (rng.randrange(1, ctx.order), 1 << bits),     # folds onto x
+                       (rng.randrange(1, ctx.order), 3),
+                       (rng.randrange(1, ctx.order), ctx.group_order)]),
+    ]
+    for p in polys:
+        table = evaluate_poly_all(ctx, p)
+        assert table.shape == (ctx.order,)
+        assert [int(table[x]) for x in points] == [evaluate_poly(ctx, p, x) for x in points]
+
+
 def test_parse_format_roundtrip(gf64_tower):
     for text in ("3:1", "1:2,5:3f", "21:1"):
         p = parse_monomial(gf64_tower, text)
@@ -105,6 +129,34 @@ def test_bijective_rows_match_report_from_values():
                 for row in stack.reshape(-1, ctx.order)]
         assert got.ravel().tolist() == want
         assert bool(_bijective_rows(stack[0, 0, 0])) == want[0]
+
+
+def _unique_witness(ctx, values):
+    """The first-collision witness built with np.unique, kept as the oracle."""
+    first_idx = np.full(ctx.order, -1, dtype=np.int64)
+    uniq, idx = np.unique(values, return_index=True)
+    first_idx[uniq] = idx
+    v2 = int(np.argmax(first_idx[values] != np.arange(ctx.order)))
+    return int(first_idx[values[v2]]), v2
+
+
+def test_collision_witness_matches_the_unique_construction():
+    rng = np.random.default_rng(11)
+    for m, n in ((1, 1), (1, 3), (2, 3), (4, 4)):
+        ctx = build_context(m, n)
+        last = rng.permutation(ctx.order)
+        last[-1] = last[rng.integers(ctx.order - 1)]   # only the last input collides
+        tables = [np.zeros(ctx.order, dtype=np.int64),   # a constant table
+                  np.full(ctx.order, ctx.order - 1), last,
+                  rng.integers(0, ctx.order, ctx.order)]
+        tables[-1][-1] = tables[-1][0]
+        for values in tables:
+            report = report_from_values(ctx, values)
+            assert not report.is_permutation
+            assert report.witness == _unique_witness(ctx, values)
+            v1, v2 = report.witness
+            assert v1 < v2 and values[v1] == values[v2]
+        assert report_from_values(ctx, last).witness[1] == ctx.order - 1
 
 
 def test_report_from_values_rejects_other_shapes(gf4):
