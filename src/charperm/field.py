@@ -8,6 +8,7 @@ for whole-field sweeps.  Every table is built from GF(2)-linearity (see
 _linear_table): a few scalar calls per bit, not one per element.  Element
 and log tables are int32; log_table[0] is a sentinel into a zero-filled tail
 of exp_table, so a vector product is one lookup exp[log x + log y], no masks.
+So is a whole-field power map c * x^e (monomial_vec): there log x is log_table.
 
 Up to _TABLE_BITS = 16 bits the scalar mul, pow, inv and frobenius are one
 lookup each in the context's own exp_table/log_table; above that they stay
@@ -480,6 +481,24 @@ class FieldContext:
         logs = self.log_table.take(arr).astype(np.int64)
         out = self.exp_table.take(logs * (e % go) % go)
         out[zero] = 0
+        return out
+
+    def monomial_vec(self, c, e: int) -> np.ndarray:
+        """c * x^e for every element x in element order, as in pow() (e < 0
+        raises: 0 is an element); c is an element or an array broadcasting
+        against the element axis.  As log x is log_table, this is one lookup
+        exp[log c + (e * log x mod (order-1))], with x = 0 set after."""
+        if e < 0:
+            raise DivisionByZero("inverse of zero")
+        if isinstance(c, int) and not 0 <= c < self.order:
+            self._reject(c)
+        logs = self.log_table * np.int64(e % self.group_order)   # needs int64
+        logs %= self.group_order
+        # in place unless c is a stack: a fresh 2^20 array costs as much as a step
+        logs = np.add(logs, self.log_table.take(c), out=None if np.ndim(c) > 1 else logs)
+        out = self.exp_table.take(logs)
+        if e:
+            out[..., 0] = 0
         return out
 
     @property

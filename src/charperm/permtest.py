@@ -18,7 +18,8 @@ import numpy as np
 
 from . import linearized as lin
 from .charsum import s_fast
-from .errors import BadParameters, NotQLinear, SizeGuard, UnknownTheorem, WrongDegree
+from .errors import (BadParameters, InvariantViolation, NotQLinear, SizeGuard,
+                     UnknownTheorem, WrongDegree)
 from .field import FieldContext, walsh_hadamard
 
 Witness = Union[int, Tuple[int, int]]
@@ -72,13 +73,14 @@ def evaluate_poly(ctx: FieldContext, poly: MonomialPoly, x: int) -> int:
 def evaluate_poly_all(ctx: FieldContext, poly: MonomialPoly) -> np.ndarray:
     """Value table of poly on every field element, in element order.  The
     terms c * x^(2^j) form one linearized polynomial (see
-    linearized.evaluate_all); each other term is a pow_vec and a mul_vec."""
+    linearized.evaluate_all); each other term is one exp_table lookup
+    (see FieldContext.monomial_vec)."""
     linear = [(e.bit_length() - 1, c) for c, e in poly.terms if not e & (e - 1)]
     acc = (lin.evaluate_all(ctx, lin.linearized(ctx, linear)) if linear
            else np.zeros(ctx.order, dtype=np.int32))
     for c, e in poly.terms:
         if e & (e - 1):
-            acc ^= ctx.mul_vec(c, ctx.pow_vec(ctx.elements, e))
+            acc ^= ctx.monomial_vec(c, e)
     return acc
 
 
@@ -149,7 +151,7 @@ def report_from_values(ctx: FieldContext, values: np.ndarray,
             f"value table has shape {values.shape}, expected ({ctx.order},)")
     if _bijective_rows(values):
         return PermReport(True, method)
-    inputs = np.arange(ctx.order)
+    inputs = ctx.elements
     first = np.full(ctx.order, ctx.order)
     np.minimum.at(first, values, inputs)
     v2 = int(np.argmax(first[values] != inputs))
@@ -341,20 +343,24 @@ def perm_gold_linearized(ctx: FieldContext, k: int,
 
     Requires n odd, 0 < 2k < n, gcd(k, n) = 1; L0 may be any 2-linear
     polynomial.  Holds iff the relative trace of adjoint(L0)(u^(q^k+1)) *
-    u^-2 avoids 1 for every u != 0.
+    u^-2 avoids 1 for every u != 0 (tested by substitution, see _gold_ok).
     """
     return bool(_gold_ok(ctx, k, lin.evaluate_all(ctx, lin.adjoint(ctx, l0))))
 
 
 def _gold_ok(ctx: FieldContext, k: int, adj: np.ndarray) -> np.ndarray:
-    """perm_gold_linearized on value tables (..., order) of adjoint(L0)."""
+    """perm_gold_linearized on value tables (..., order) of adjoint(L0).  As
+    gcd(q^k+1, q^n-1) divides gcd(q^2k-1, q^n-1) = q-1 (n odd, gcd(k, n) = 1)
+    and q^k+1 = 2 mod the odd q-1, it is 1: w = u^(q^k+1) runs over F* once, and
+    with u^-2 = w^c, c = -2/(q^k+1) mod q^n-1, the test is Tr(adj(w) w^c) != 1."""
     if ctx.n % 2 == 0 or not 0 < 2 * k < ctx.n or math.gcd(k, ctx.n) != 1:
         raise BadParameters(
             f"needs n odd, 0 < 2k < n and gcd(k, n) = 1, got n={ctx.n} k={k}")
-    u = ctx.elements[1:]
-    t = adj[..., ctx.pow_vec(u, (1 << (ctx.m * k)) + 1)]
-    prod = ctx.mul_elementwise(t, ctx.pow_vec(u, -2))
-    return np.all(ctx.trace_table(ctx.m)[prod] != 1, axis=-1)
+    go, gold = ctx.group_order, (1 << (ctx.m * k)) + 1
+    if math.gcd(gold, go) != 1:
+        raise InvariantViolation(f"gcd(q^k+1, q^n-1) != 1 for n={ctx.n} k={k}")
+    prod = ctx.monomial_vec(adj, -2 * pow(gold, -1, go) % go)
+    return np.all(ctx.trace_table(ctx.m)[prod[..., 1:]] != 1, axis=-1)
 
 
 @dataclass(frozen=True)

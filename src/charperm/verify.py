@@ -200,7 +200,7 @@ def _ab_grid(ctx: FieldContext, **fixed) -> List[Params]:
 
 def _binomial_sums(ctx: FieldContext, a, k: int, b) -> np.ndarray:
     """S(a*x^(q^k) + b*x) summed directly: chi(a*v^(q^k+1) + b*v^2) over v."""
-    av = _scaled(ctx, a, ctx.pow_vec(ctx.elements, (1 << (ctx.m * k)) + 1))
+    av = ctx.monomial_vec(np.asarray(a)[..., None], (1 << (ctx.m * k)) + 1)
     return ctx.chi_table[av ^ _scaled(ctx, b, ctx.frob_table(1))].sum(
         axis=-1, dtype=np.int64)
 
@@ -252,7 +252,7 @@ def _thm6(ctx, p):
     v0 = lin.evaluate_all(ctx, p["l0"])
     v1 = lin.evaluate_all(ctx, p["l1"])
     structured = pt._quad_ext_ok(ctx, v0, v1)
-    x_q1 = ctx.pow_vec(ctx.elements, ctx.q + 1)
+    x_q1 = ctx.monomial_vec(1, ctx.q + 1)
     brute = pt._bijective_rows(v1[..., x_q1] ^ v0[..., ctx.frob_table(1)])
     return structured, brute, None
 
@@ -275,7 +275,7 @@ def _thm7_grid(ctx, seed, budget):
 def _thm7(ctx, p):
     k, l0 = p["k"], p["l0"]
     structured = pt._gold_ok(ctx, k, lin.evaluate_all(ctx, lin.adjoint(ctx, l0)))
-    gold = ctx.pow_vec(ctx.elements, (1 << (ctx.m * k)) + 1)
+    gold = ctx.monomial_vec(1, (1 << (ctx.m * k)) + 1)
     brute = pt._bijective_rows(gold ^ lin.evaluate_all(ctx, l0)[..., ctx.frob_table(1)])
     return structured, brute, None
 
@@ -380,12 +380,12 @@ def _poly_occupancy(ctx, name, params) -> bool:
 
 def _tu_brute(ctx, p):
     q = ctx.q
-    base = ctx.pow_vec(ctx.elements, q * q + 1) ^ ctx.pow_vec(ctx.elements, q + 1)
+    base = ctx.monomial_vec(1, q * q + 1) ^ ctx.monomial_vec(1, q + 1)
     return pt._bijective_rows(base ^ _scaled(ctx, p["a"], ctx.elements))
 
 
 def _abnorm_brute(ctx, p):
-    base = (ctx.pow_vec(ctx.elements, ctx.q + 1)
+    base = (ctx.monomial_vec(1, ctx.q + 1)
             ^ _scaled(ctx, p["a"], ctx.frob_table(ctx.m + 1)))
     return pt._bijective_rows(base ^ _scaled(ctx, p["b"], ctx.frob_table(1)))
 

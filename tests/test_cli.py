@@ -145,6 +145,58 @@ def test_eval_fuzzed_elements_exit_cleanly():
     check()
 
 
+def _occupancy_by_scalars(ctx, f):
+    """(is_permutation, witness) of f from evaluate_poly on every element,
+    the witness as permtest prints it: the first input to repeat a value
+    and the first input with that value."""
+    first = {}
+    for x in range(ctx.order):
+        y = cp.evaluate_poly(ctx, f, x)
+        if y in first:
+            return False, [format(first[y], "x"), format(x, "x")]
+        first[y] = x
+    return True, None
+
+
+def test_permtest_fuzzed_monomials_exit_cleanly():
+    ctx = build_context(2, 3)
+    go = ctx.group_order
+    good_exponent = st.one_of(
+        st.integers(1, 4 * ctx.order),
+        st.integers(1, 40).map(lambda t: t * go),           # x^0 away from zero
+        st.sampled_from((ctx.order, 2 * ctx.order)),         # both fold to x
+        st.integers(2 ** 64, 2 ** 4000)).map(str)
+    exponent = good_exponent | st.integers(-3, 0).map(str) | st.sampled_from(
+        ("9" * 5000, "", "0x3", " 5 ", "1_0")) | st.text(max_size=4)
+    good_coeff = (st.just(0) | st.integers(1, ctx.order - 1)).map(lambda c: format(c, "x"))
+    coeff = good_coeff | st.integers(-ctx.order, 4 * ctx.order).map(
+        lambda c: format(c, "x")) | st.text(max_size=3)
+    term = st.one_of(
+        st.tuples(exponent, coeff).map(":".join),
+        exponent,                                             # no coefficient
+        st.tuples(exponent, coeff, coeff).map(":".join),     # one colon too many
+        st.text(max_size=8))
+    # well-formed polynomials, then anything the term strategies give
+    poly = (st.lists(st.tuples(good_exponent, good_coeff).map(":".join), max_size=4)
+            | st.lists(term, max_size=4)).map(",".join)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(text=poly)
+    def check(text):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["permtest", "--field", "2:3", "--form", "monomials",
+                         "--method", "brute", f"--poly={text}"])
+        assert code in (0, 1, 2)
+        if code == 0:
+            rep = json.loads(out.getvalue())
+            want = _occupancy_by_scalars(ctx, cp.parse_monomial(ctx, text))
+            assert (rep["is_permutation"], rep["witness"]) == want
+
+    check()
+
+
 def test_field_info(capsys):
     code, out, _ = run_cli(capsys, "field-info", "--field", "2:3")
     assert code == 0

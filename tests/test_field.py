@@ -533,3 +533,63 @@ def test_mul_elementwise_equal_and_broadcast_shapes(gf64_tower):
     same = ctx.mul_elementwise(ctx.elements, ctx.elements[::-1].copy())
     assert same.tolist() == [ctx.mul(a, ctx.order - 1 - a) for a in range(ctx.order)]
     assert ctx.mul_elementwise(np.array(5), ctx.elements).tolist() == table[5].tolist()
+
+
+# ---- whole-field monomials -------------------------------------------------
+
+def _monomial_exponents(ctx, rng):
+    """0, 1, a 2-power, a Gold exponent q^k+1, exponents at and past the
+    group order, and a random one."""
+    go = ctx.group_order
+    gold = (1 << (ctx.m * rng.randrange(ctx.n))) + 1
+    return sorted({0, 1, 1 << rng.randrange(ctx.bits), gold, go, go + 1,
+                   2 * go + 3, rng.randrange(4 * ctx.order)})
+
+
+@pytest.mark.parametrize("m,n", SMALL_FIELDS, ids=lambda v: str(v))
+def test_monomial_vec_matches_scalars_exhaustively(m, n):
+    ctx = build_context(m, n)
+    rng = random.Random(f"monomial:{m}:{n}")
+    xs = range(ctx.order)
+    coeffs = [0, 1, rng.randrange(ctx.order)]
+    stack = np.array([[rng.randrange(ctx.order) for _ in xs] for _ in range(2)])
+    for e in _monomial_exponents(ctx, rng):
+        powers = [ctx.pow(x, e) for x in xs]
+        want = [[ctx.mul(c, p) for p in powers] for c in coeffs]
+        for c, row in zip(coeffs, want):
+            got = ctx.monomial_vec(c, e)
+            assert got.shape == (ctx.order,) and got.tolist() == row, (c, e)
+        # a column of coefficients gives one row per c; a table one c per x
+        assert ctx.monomial_vec(np.array(coeffs)[:, None], e).tolist() == want
+        per_x = [[ctx.mul(c, p) for c, p in zip(row, powers)] for row in stack.tolist()]
+        assert ctx.monomial_vec(stack, e).tolist() == per_x
+        assert ctx.monomial_vec(stack[1], e).tolist() == per_x[1]
+    for e in (-1, -2, -ctx.order):
+        with pytest.raises(DivisionByZero):
+            ctx.monomial_vec(1, e)
+    for c in (-1, ctx.order):
+        with pytest.raises(BadParameters):
+            ctx.monomial_vec(c, 3)
+
+
+def test_monomial_vec_matches_oracle_13_to_20_bits():
+    contexts = {}
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(field=st.sampled_from(MID_FIELDS), data=st.data())
+    def check(field, data):
+        if field not in contexts:
+            contexts[field] = build_context(*field)
+        ctx = contexts[field]
+        go = ctx.group_order
+        c = data.draw(st.sampled_from((0, 1)) | st.integers(0, ctx.order - 1), label="c")
+        e = data.draw(st.sampled_from((0, 1, 1 << (ctx.bits - 1), ctx.q + 1, go, go + 1,
+                                       2 * go + 3)) | st.integers(0, 4 * ctx.order),
+                      label="e")
+        xs = data.draw(st.lists(st.integers(0, ctx.order - 1), max_size=12), label="xs")
+        table = ctx.monomial_vec(c, e)
+        for x in xs + [0, 1, ctx.order - 1]:
+            power = oracle_pow(ctx, x, e) if x else int(e == 0)
+            assert table[x] == ctx.mul(c, ctx.pow(x, e)) == oracle_mul(ctx, c, power)
+
+    check()

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charperm import build_context
 from charperm import linearized as lin
@@ -110,6 +112,46 @@ def test_adjoint_duality_exhaustive(gf16_tower):
                 lhs = ctx.trace_to(ctx.mul(u, lin.evaluate(ctx, p, v)), 1)
                 rhs = ctx.trace_to(ctx.mul(lin.evaluate(ctx, adj, u), v), 1)
                 assert lhs == rhs
+
+
+# 8 to 20 bits, several tower shapes per size
+ADJOINT_FIELDS = [(8, 1), (2, 4), (4, 2), (3, 3), (5, 2), (2, 6), (13, 1), (7, 2),
+                  (4, 4), (1, 17), (6, 3), (19, 1), (4, 5), (2, 10)]
+
+
+def test_adjoint_identity_8_to_20_bits():
+    # Tr(u * L(v)) == Tr(adjoint(L)(u) * v), absolute trace, for a single
+    # polynomial (scalar adjoint) and for each row of a (2, 3) stack (the
+    # stack route through Frobenius tables)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(field=st.sampled_from(ADJOINT_FIELDS), stacked=st.booleans(), data=st.data())
+    def check(field, stacked, data):
+        ctx = build_context(*field)
+        elem = st.integers(0, ctx.order - 1)
+        count = 6 * ctx.bits if stacked else ctx.bits
+        coeffs = data.draw(st.lists(st.sampled_from((0, 1)) | elem,
+                                    min_size=count, max_size=count), label="coeffs")
+        if stacked:
+            rows = np.array(coeffs).reshape(2, 3, ctx.bits)
+            adj_rows = lin.adjoint(ctx, rows)
+            assert adj_rows.shape == rows.shape
+            pairs = [(lin.linearized(ctx, list(enumerate(r))),
+                      lin.linearized(ctx, list(enumerate(a))))
+                     for r, a in zip(rows.reshape(6, -1).tolist(),
+                                     adj_rows.reshape(6, -1).tolist())]
+        else:
+            p = lin.linearized(ctx, list(enumerate(coeffs)))
+            pairs = [(p, lin.adjoint(ctx, p))]
+        points = data.draw(st.lists(st.tuples(elem, elem), min_size=1, max_size=6),
+                           label="points")
+        for p, adj in pairs:
+            for u, v in points:
+                lhs = ctx.trace_to(ctx.mul(u, lin.evaluate(ctx, p, v)), 1)
+                rhs = ctx.trace_to(ctx.mul(lin.evaluate(ctx, adj, u), v), 1)
+                assert lhs == rhs
+
+    check()
 
 
 def test_adjoint_involution(gf16):

@@ -1,6 +1,8 @@
 """Permutation tests: brute force, all-shift character sums, closed forms."""
 
+import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,8 +40,10 @@ from charperm import (
 from charperm import linearized as lin
 from charperm import permtest as pt
 from charperm.permtest import _bijective_rows, report_from_values
+from charperm.verify import gold_ks
 from charperm.errors import (
     BadParameters,
+    InvariantViolation,
     NotQLinear,
     SizeGuard,
     UnknownTheorem,
@@ -380,6 +384,84 @@ def test_gold_rejects(gf8, gf16):
         perm_gold_linearized(gf8, 2, lin.zero(gf8))    # 2k = 4 > n = 3
     with pytest.raises(BadParameters):
         perm_gold_linearized(gf16, 1, lin.zero(gf16))  # n even
+
+
+def _gold_ok_by_gather(ctx, k, adj):
+    """The Gold criterion as first written, the oracle of the substitution
+    in _gold_ok: adjoint(L0) read at u^(q^k+1), times u^-2, for every u != 0."""
+    u = ctx.elements[1:]
+    t = adj[..., ctx.pow_vec(u, (1 << (ctx.m * k)) + 1)]
+    prod = ctx.mul_elementwise(t, ctx.pow_vec(u, -2))
+    return np.all(ctx.trace_table(ctx.m)[prod] != 1, axis=-1)
+
+
+GOLD_FIELDS = [(m, n) for n in range(3, 13, 2) for m in range(1, 5) if m * n <= 12]
+
+# (m, n, k) on which some a * x^(q^(n-1)) with a != 0 makes the Gold
+# polynomial permute, so both verdicts occur
+GOLD_BOTH_VERDICTS = {(2, 3, 1), (4, 3, 1), (2, 5, 2)}
+
+
+@pytest.mark.parametrize("m,n", GOLD_FIELDS, ids=lambda v: str(v))
+def test_gold_substitution_matches_the_gather(m, n):
+    ctx = build_context(m, n)
+    rng = np.random.default_rng(ctx.bits)
+    a = ctx.elements if ctx.order <= 256 else rng.integers(0, ctx.order, 256)
+    sparse = [(int(j), rng.integers(0, ctx.order, 32))
+              for j in rng.choice(ctx.bits, 2, replace=False)]
+    rows = np.concatenate([lin.linearized_rows(ctx, [(m * (n - 1), a)]),
+                           lin.linearized_rows(ctx, sparse)])
+    tables = np.concatenate([lin.evaluate_all(ctx, lin.adjoint(ctx, rows)),
+                             rng.integers(0, ctx.order, (4, ctx.order))])
+    for k in gold_ks(n):
+        got = pt._gold_ok(ctx, k, tables)
+        assert got.tolist() == _gold_ok_by_gather(ctx, k, tables).tolist()
+        # a (2, 3, order) stack and single tables, passing ones first
+        pick = np.resize(np.concatenate([np.flatnonzero(got)[:3],
+                                         np.flatnonzero(~got)[:3]]), 6)
+        stack = tables[pick].reshape(2, 3, ctx.order)
+        assert pt._gold_ok(ctx, k, stack).tolist() == got[pick].reshape(2, 3).tolist()
+        for i in pick:
+            assert pt._gold_ok(ctx, k, tables[i]) == _gold_ok_by_gather(ctx, k, tables[i])
+        if (m, n, k) in GOLD_BOTH_VERDICTS:
+            assert got[:len(a)][a != 0].any() and not got.all()
+
+
+def test_gold_substitution_against_bruteforce_at_20_bits():
+    # L0 = 0 is the permuting case: for L0 = a * x^(2^j), a != 0, the
+    # products adj(w) * w^c run through a coset of a subgroup of F*, and on
+    # 4:5 every such coset holds an element of relative trace 1
+    ctx = build_context(4, 5)
+    rng = random.Random(45)
+    l0s = [lin.zero(ctx)] + [
+        lin.linearized(ctx, [(i, rng.randrange(1, ctx.order))
+                             for i in rng.sample(range(ctx.bits), 2)])
+        for _ in range(2)]
+    verdicts = set()
+    for k in gold_ks(ctx.n):
+        for l0 in l0s:
+            want = bool(_gold_ok_by_gather(ctx, k, lin.evaluate_all(ctx, lin.adjoint(ctx, l0))))
+            assert perm_gold_linearized(ctx, k, l0) == want
+            assert is_perm_bruteforce(ctx, gold_poly(ctx, k, l0)).is_permutation == want
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_gold_exponent_is_prime_to_the_group_order():
+    # the substitution w = u^(q^k+1) in _gold_ok rests on this for odd n;
+    # for even n it fails, and perm_gold_linearized refuses even n
+    for m in range(1, 9):
+        for n in range(3, 26, 2):
+            for k in gold_ks(n):
+                assert math.gcd((1 << (m * k)) + 1, (1 << (m * n)) - 1) == 1
+    assert math.gcd((1 << 1) + 1, (1 << 4) - 1) == 3
+
+
+def test_gold_substitution_guard_is_a_typed_error():
+    # a stand-in context whose group order shares the factor 3 with q^k+1 = 3
+    ctx = SimpleNamespace(m=1, n=3, group_order=9)
+    with pytest.raises(InvariantViolation):
+        pt._gold_ok(ctx, 1, np.zeros(10, dtype=np.int64))
 
 
 # ---- trace-assembled forms -------------------------------------------------
