@@ -126,14 +126,19 @@ def _bijective_rows(values: np.ndarray) -> np.ndarray:
     size is the row length.
 
     Rows of at most 64 entries: the OR of 1 << v over a row is 2^size - 1
-    exactly when its size entries cover 0 .. size - 1.  Longer rows: one
-    bincount over all rows, row r shifted by r * size so that its entries
-    land in a bin range of its own; a single row is counted as it stands.
+    exactly when its size entries cover 0 .. size - 1.  The shifts are made
+    in the narrowest unsigned dtype of at least size bits, or in uint64 if
+    an entry lies outside 0 .. size - 1 (it could wrap into range in a
+    narrower one).  Longer rows: one bincount over all rows, row r shifted
+    by r * size so that its entries land in a bin range of its own; a
+    single row is counted as it stands.
     """
     size = values.shape[-1]
     if size <= 64:
-        seen = np.left_shift(np.uint64(1), values.astype(np.uint64))
-        return np.bitwise_or.reduce(seen, axis=-1) == np.uint64((1 << size) - 1)
+        in_range = not values.size or 0 <= values.min() <= values.max() < size
+        dt = np.dtype(f"uint{max(8, 1 << (size - 1).bit_length()) if in_range else 64}")
+        seen = np.left_shift(dt.type(1), values, dtype=dt, casting="unsafe")
+        return np.bitwise_or.reduce(seen, axis=-1) == dt.type((1 << size) - 1)
     rows = values.reshape(-1, size)
     if rows.shape[0] > 1:
         rows = rows + np.arange(0, rows.size, size)[:, None]
@@ -144,7 +149,9 @@ def _bijective_rows(values: np.ndarray) -> np.ndarray:
 def report_from_values(ctx: FieldContext, values: np.ndarray,
                        method: str = "bruteforce") -> PermReport:
     """Occupancy check of a full value table; witness = first collision
-    (v1, v2): v2 is the first input to repeat a value, v1 the first with it."""
+    (v1, v2): v2 is the first input to repeat a value, v1 the first with it.
+    The search stops at the first of the prefixes 1024, 4096, ... that holds
+    a repeat, which is then the table's first."""
     values = np.asarray(values)
     if values.ndim != 1 or values.size != ctx.order:
         raise BadParameters(
@@ -153,8 +160,14 @@ def report_from_values(ctx: FieldContext, values: np.ndarray,
         return PermReport(True, method)
     inputs = ctx.elements
     first = np.full(ctx.order, ctx.order)
-    np.minimum.at(first, values, inputs)
-    v2 = int(np.argmax(first[values] != inputs))
+    lo, hi = 0, 1024
+    while True:
+        np.minimum.at(first, values[lo:hi], inputs[lo:hi])
+        repeat = first[values[lo:hi]] != inputs[lo:hi]
+        if repeat.any() or hi >= ctx.order:
+            break
+        lo, hi = hi, 4 * hi
+    v2 = lo + int(np.argmax(repeat))
     return PermReport(False, method, (int(first[values[v2]]), v2))
 
 
@@ -418,15 +431,18 @@ def perm_trace_form(ctx: FieldContext, spec: TraceFormSpec) -> bool:
 def _trace_form_ok(ctx: FieldContext, x_tab: np.ndarray, y_tab: np.ndarray,
                    shift: int) -> np.ndarray:
     """perm_trace_form on value tables (..., order) of adjoint(L1) and
-    adjoint(L0), broadcast over their leading axes."""
+    adjoint(L0), broadcast over their leading axes.  t(v) = v^q + v is
+    GF(2)-linear with kernel F_q, so y + z lies in F_q iff t(y) = t(z)."""
     xl = ctx.frob_table(shift)[x_tab]
     in_fq = ctx.subfield_mask(ctx.m)
-    branch1 = in_fq[x_tab] & ((ctx.frob_table(1)[y_tab] ^ xl) != 0)
+    t = ctx.frob_table(ctx.m) ^ ctx.elements
+    branch1 = in_fq[x_tab] & (ctx.frob_table(1)[y_tab] != xl)
     # {1, Y, XL} is dependent over F_q iff some projective combination
     # c2*Y + c3*XL lands in F_q; q+1 classes cover all of them (c = 0 first)
     dep = in_fq[xl] | in_fq[y_tab]
+    ty = t[y_tab]
     for c in ctx.subfield_elements(ctx.m)[1:]:
-        dep |= in_fq[y_tab ^ ctx.mul_vec(c, xl)]
+        dep |= ty == t[ctx.mul_vec(c, xl)]
     ok = branch1 | ~dep
     return np.all(ok[..., 1:], axis=-1)
 

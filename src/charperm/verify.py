@@ -129,7 +129,8 @@ _tables: Dict[Tuple, List[Params]] = {}
 
 
 # Value-table entries per unit where a grid cuts a batch into blocks (of at
-# least one row): about 1 MB per int64 tensor, which bounds sweep memory.
+# least one row), along one axis or, for thm6's pairs, two: about 1 MB per
+# int64 tensor, which bounds sweep memory.
 _CELLS = 1 << 17
 
 
@@ -237,13 +238,15 @@ def _support2(ctx: FieldContext) -> np.ndarray:
 
 
 def _thm6_grid(ctx, seed, budget):
-    # every L1 of support <= 2 against every such L0, blocks of L1 rows;
+    # every L1 of support <= 2 against every such L0, in square blocks of
+    # side rows of each, so that a unit evaluates only the rows it pairs;
     # then seeded dense pairs, which hold about four value tables per case
     pt._need_quad_ext(ctx)
     polys = _support2(ctx)
+    side = math.isqrt(_CELLS // ctx.order)
     draws = _draws(_rng(seed, "thm6", ctx), ctx, budget, 2 * ctx.bits)
-    return ([{"l0": polys, "l1": polys[sl, None]}
-             for sl in _blocks(len(polys), _CELLS // (len(polys) * ctx.order))]
+    return ([{"l0": polys[s0], "l1": polys[s1, None]}
+             for s1 in _blocks(len(polys), side) for s0 in _blocks(len(polys), side)]
             + [{"l0": draws[sl, :ctx.bits], "l1": draws[sl, ctx.bits:]}
                for sl in _blocks(budget, _CELLS // (4 * ctx.order))])
 

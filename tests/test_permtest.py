@@ -135,6 +135,43 @@ def test_bijective_rows_match_report_from_values():
         assert bool(_bijective_rows(stack[0, 0, 0])) == want[0]
 
 
+def _small_rows(size, dtype):
+    """Rows of size entries for the shift path of _bijective_rows: a
+    permutation, a repeat, and entries outside 0 .. size - 1 (size itself,
+    the bit widths of the shift dtypes, and values that wrap onto the
+    missing entry modulo 2^8, 2^16 or 2^32, from above or below zero)."""
+    rng = np.random.default_rng(size)
+    perm = rng.permutation(size)
+    rows = [perm]
+    if size == 0:
+        return rows
+    limits = np.iinfo(dtype)
+    k = int(perm[-1])
+    for entry in (int(perm[0]), size, 8, 16, 32, 64, 255, k + 256, k + (1 << 16),
+                  k + (1 << 32), -1, k - 256, k - (1 << 16)):
+        if entry != k and limits.min <= entry <= limits.max:
+            row = perm.copy()
+            row[-1] = entry
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint8, np.uint16])
+def test_bijective_rows_small_rows_match_sorting(dtype):
+    # every row length of the shift path, single rows and (2, 3, size) stacks
+    for size in range(65):
+        rows = [np.asarray(r).astype(dtype) for r in _small_rows(size, dtype)]
+        want = [np.array_equal(np.sort(r), np.arange(size)) for r in rows]
+        assert want[0] and not any(want[1:])
+        for row, w in zip(rows, want):
+            assert bool(_bijective_rows(row)) == w, (size, row)
+        picks = [(i * 5 + 1) % len(rows) for i in range(6)]
+        stack = np.stack([rows[i] for i in picks]).reshape(2, 3, size)
+        got = _bijective_rows(stack)
+        assert got.shape == (2, 3)
+        assert got.ravel().tolist() == [want[i] for i in picks], size
+
+
 def _unique_witness(ctx, values):
     """The first-collision witness built with np.unique, kept as the oracle."""
     first_idx = np.full(ctx.order, -1, dtype=np.int64)
@@ -509,6 +546,51 @@ def test_perm_trace_form_vs_bruteforce(gf64_tower):
         pred = perm_trace_form(ctx, spec)
         brute = is_perm_bruteforce(ctx, expand_traceform(ctx, spec))
         assert pred == brute.is_permutation, (l0, l1, shift)
+
+
+def _trace_form_gather(ctx, x_tab, y_tab, shift):
+    """_trace_form_ok by F_q-membership of XOR sums, kept as the oracle."""
+    xl = ctx.frob_table(shift)[x_tab]
+    in_fq = ctx.subfield_mask(ctx.m)
+    branch1 = in_fq[x_tab] & ((ctx.frob_table(1)[y_tab] ^ xl) != 0)
+    dep = in_fq[xl] | in_fq[y_tab]
+    for c in ctx.subfield_elements(ctx.m)[1:]:
+        dep |= in_fq[y_tab ^ ctx.mul_vec(c, xl)]
+    return np.all((branch1 | ~dep)[..., 1:], axis=-1)
+
+
+def test_trace_form_ok_matches_gather_construction():
+    # every field of at most 8 bits; tables of two entries decide one u each,
+    # so both verdicts occur there, and full tables check the broadcasting
+    rng = np.random.default_rng(12)
+    for m, n in [(m, n) for m in range(1, 9) for n in range(1, 9) if m * n <= 8]:
+        ctx = build_context(m, n)
+        for shift in range(4):
+            pairs = rng.integers(0, ctx.order, (2, 400, 2))
+            got = pt._trace_form_ok(ctx, pairs[0], pairs[1], shift)
+            want = _trace_form_gather(ctx, pairs[0], pairs[1], shift)
+            assert got.tolist() == want.tolist(), (m, n, shift)
+            if n > 1:                 # at n = 1 nearly every u passes
+                assert 0 < want.sum() < want.size, (m, n, shift)
+            x, y = rng.integers(0, ctx.order, (2, 2, 3, ctx.order))
+            for args in ((x[0, 0], y[0, 0]), (x, y), (x[:, :1], y[:1])):
+                got = pt._trace_form_ok(ctx, *args, shift)
+                assert np.array_equal(got, _trace_form_gather(ctx, *args, shift))
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (1, 5)])
+def test_perm_trace_form_vs_bruteforce_on_monomial_parts(m, n):
+    ctx = build_context(m, n)
+    rng = random.Random(f"traceform:{m}:{n}")
+    seen = set()
+    for _ in range(200):
+        l0 = lin.q_linearized(ctx, [(rng.randrange(n), rng.randrange(1, ctx.order))])
+        l1 = lin.q_linearized(ctx, [(rng.randrange(n), rng.randrange(ctx.order))])
+        spec = trace_form_spec(ctx, l0, l1, rng.randrange(4))
+        pred = perm_trace_form(ctx, spec)
+        assert pred == is_perm_bruteforce(ctx, expand_traceform(ctx, spec)).is_permutation
+        seen.add(pred)
+    assert seen == {True, False}
 
 
 # ---- shifted monomial plus x Tr(x) -----------------------------------------

@@ -3,6 +3,7 @@
 import random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from charperm import (
@@ -92,6 +93,30 @@ def test_thm1_with_samples():
     rep = _run("thm1", field_ranges=("1:4",), sample_budget=50)
     assert rep.cases_total == 15 + 50
     assert rep.cases_agreeing == rep.cases_total
+
+
+@pytest.mark.parametrize("field", [(1, 2), (2, 2)])
+def test_thm6_square_blocks_pair_every_support2_row_once(field):
+    # the oracle is the earlier grid: each block of L1 rows against all L0
+    ctx = build_context(*field)
+    polys = verify._support2(ctx)
+
+    def codes(rows):
+        return rows @ (ctx.order ** np.arange(ctx.bits))
+
+    units = [p for p in verify._thm6_grid(ctx, 0, 10) if p["l1"].ndim == 3]
+    got, old = [], []
+    for p in units:
+        assert len(p["l0"]) * len(p["l1"]) * ctx.order <= verify._CELLS
+        got.append(np.add.outer(codes(p["l1"][:, 0]) * ctx.order ** ctx.bits,
+                                codes(p["l0"])).ravel())
+    block = verify._CELLS // (len(polys) * ctx.order)
+    for sl in verify._blocks(len(polys), block):
+        old.append(np.add.outer(codes(polys[sl]) * ctx.order ** ctx.bits,
+                                codes(polys)).ravel())
+    got, old = np.concatenate(got), np.concatenate(old)
+    assert got.size == len(polys) ** 2
+    assert np.array_equal(np.sort(got), np.sort(old))
 
 
 def test_thm6_wrong_degree():
