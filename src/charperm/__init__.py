@@ -6,12 +6,9 @@ field's irreducible polynomial.
 """
 
 from .charsum import (
-    GramMatrix,
     QuadraticFormReport,
     bilinear_psi_sum,
     classify_form,
-    evaluate_gram,
-    gram_matrix,
     polar_poly,
     quad_value,
     s_bruteforce,

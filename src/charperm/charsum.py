@@ -2,24 +2,26 @@
 
 S(L) is the sum of chi(v * L(v)) over the whole field.  For q-linear L the
 form Q takes values in F_q and S(L) is controlled by the kernel of
-adjoint(L) + L: either Q vanishes on that kernel and S(L)^2 = q^n * |kernel|,
-or S(L) = 0.  classify_form resolves the sign constructively by reducing the
-form to its canonical shape over F_q.
+adjoint(L) + L, the radical of Q's polar form: either Q vanishes on that
+kernel and S(L)^2 = q^n * |kernel|, or S(L) = 0.  classify_form is the one
+route that decides S(L): it finds the radical and the sign together by
+reducing the form to its canonical shape.  s_fast is that decision checked
+by the kernel criterion, which it computes only on the forms with S != 0.
 
 s_fast, classify_form and s_bruteforce (with linearized.kernel) take a
 single LinearizedPoly or a stack of coefficient rows (..., bits), as
 linearized.evaluate_all does.  A stack is decided at once with numpy: the
-kernel by one GF(2) elimination over every row, the sign by a symplectic
-reduction of the GF(2) form Tr(v * L(v)), and the reports hold arrays over
+sign by a symplectic reduction of the GF(2) form Tr(v * L(v)) over every
+row, the kernel by one GF(2) elimination, and the reports hold arrays over
 the stack.  A single polynomial keeps the scalar route, which is cheaper for
-one form than a stack of one.
+one form than a stack of one up to about 16 bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List
 
 import numpy as np
 
@@ -40,15 +42,9 @@ from .linearized import LinearizedPoly
 class QuadraticFormReport:
     kernel_dim_fq: int            # F_q-dimension of ker(adjoint(L) + L)
     vanishes_on_kernel: bool
-    s_value: int                  # exact signed S(L); magnitude only if sign unknown
-    form_type: Optional[str]      # "zero-sum" | "plus" | "minus" | None
+    s_value: int                  # exact signed S(L)
+    form_type: str                # "zero-sum" | "plus" | "minus"
     rank: int                     # canonical rank of the form over F_q
-    sign_known: bool = True
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    entries: Tuple[Tuple[int, ...], ...]  # n x n subfield elements
 
 
 def quad_value(ctx: FieldContext, poly: LinearizedPoly, v: int) -> int:
@@ -62,14 +58,6 @@ def polar_poly(ctx: FieldContext, poly):
     if isinstance(poly, LinearizedPoly):
         return lin.add(ctx, lin.adjoint(ctx, poly), poly)
     return lin.adjoint(ctx, poly) ^ poly
-
-
-def _stack(ctx: FieldContext, poly, name: str) -> np.ndarray:
-    """poly as coefficient rows (..., bits), every row q-linear."""
-    rows = np.asarray(poly, dtype=np.int64)
-    if not lin._q_linear_rows(ctx, rows).all():
-        raise NotQLinear(f"{name} needs q-linear polynomials")
-    return rows
 
 
 def s_bruteforce(ctx: FieldContext, poly):
@@ -87,79 +75,46 @@ def s_bruteforce(ctx: FieldContext, poly):
     return ctx.chi_table[prods].sum(axis=-1, dtype=np.int64)
 
 
-def s_fast(ctx: FieldContext, poly, *,
-           resolve_sign: bool = True) -> QuadraticFormReport:
-    """S(L) via the kernel of adjoint(L) + L, for q-linear L.
+def s_fast(ctx: FieldContext, poly) -> QuadraticFormReport:
+    """S(L) from classify_form, checked by the kernel criterion, for q-linear L.
 
-    Evaluates Q on a GF(2)-basis of the kernel; Q is additive there, so
-    vanishing on the basis gives vanishing on the kernel.  A nonzero basis
-    value forces S(L) = 0, otherwise |S(L)| = sqrt(q^n * |kernel|) and the
-    sign comes from classify_form.
+    The criterion: S(L) != 0 exactly when Q vanishes on the kernel of
+    adjoint(L) + L, and then S(L)^2 = q^n * |kernel|.  On every form that
+    classify_form finds with S != 0 the kernel is computed anew and Q is
+    evaluated on a GF(2)-basis of it; Q is additive there, so vanishing on
+    the basis gives vanishing on the kernel.  A disagreement raises
+    InvariantViolation.  A stack tests vanishing with the absolute trace of
+    b * L(b): the kernel is an F_q-space and Q(c*v) = c^2 * Q(v), so
+    Tr(c^2 * Q(v)) = 0 for every c in F_q exactly when Q(v) = 0.
 
     poly may also be a stack of coefficient rows (..., bits); every field
     of the report is then an array over the stack, row r equal to the
-    report of row r alone (see _s_fast_rows).  A single polynomial stays on
-    the scalar route, which is faster for one form.
+    report of row r alone.
     """
-    if not isinstance(poly, LinearizedPoly):
-        return _s_fast_rows(ctx, _stack(ctx, poly, "s_fast"), resolve_sign)
-    if not poly.q_linear:
-        raise NotQLinear("s_fast needs a q-linear polynomial")
-    ker = lin.kernel(ctx, polar_poly(ctx, poly))
-    dim_fq = ker.dim2 // ctx.m
-    vanishes = all(quad_value(ctx, poly, b) == 0 for b in ker.basis)
-    if not vanishes:
-        return QuadraticFormReport(dim_fq, False, 0, "zero-sum",
-                                   rank=ctx.n - dim_fq + 1)
-    two_exp = ctx.m * ctx.n + ker.dim2
-    if two_exp % 2:
-        raise InvariantViolation("S^2 = q^n * |kernel| must be an even power of 2")
-    magnitude = 1 << (two_exp // 2)
-    rank = ctx.n - dim_fq
-    if not resolve_sign:
-        return QuadraticFormReport(dim_fq, True, magnitude, None, rank,
-                                   sign_known=False)
-    full = classify_form(ctx, poly)
-    if abs(full.s_value) != magnitude:
+    rep = classify_form(ctx, poly)
+    if isinstance(poly, LinearizedPoly):
+        if rep.vanishes_on_kernel:
+            ker = lin.kernel(ctx, polar_poly(ctx, poly))
+            _check_kernel(ctx, rep.s_value, ker.dim2,
+                          all(quad_value(ctx, poly, b) == 0 for b in ker.basis))
+        return rep
+    live = rep.vanishes_on_kernel
+    if live.any():
+        rows = np.asarray(poly, dtype=np.int64)[live]
+        ker = lin.kernel(ctx, polar_poly(ctx, rows))
+        values = lin._evaluate_at(ctx, rows, ker.basis)
+        _check_kernel(ctx, rep.s_value[live], ker.dim2,
+                      (ctx.chi_table[ctx.mul_elementwise(ker.basis, values)] > 0).all())
+    return rep
+
+
+def _check_kernel(ctx: FieldContext, s_value, dim2, vanishes: bool) -> None:
+    """Raise unless Q vanishes on the kernel and S^2 = q^n * 2^dim2."""
+    two_exp = ctx.bits + np.asarray(dim2)
+    if not (vanishes and (two_exp % 2 == 0).all()
+            and (np.abs(s_value) == np.left_shift(1, two_exp // 2)).all()):
         raise InvariantViolation(
-            f"classify_form gives |S| = {abs(full.s_value)}, the kernel gives {magnitude}")
-    return QuadraticFormReport(dim_fq, True, full.s_value, full.form_type, rank)
-
-
-def _s_fast_rows(ctx: FieldContext, rows: np.ndarray,
-                 resolve_sign: bool) -> QuadraticFormReport:
-    """s_fast on a stack of q-linear rows.
-
-    One kernel call gives every row's kernel.  Vanishing is tested with the
-    absolute trace of b * L(b) on the GF(2) basis: the kernel is an
-    F_q-space and Q(c*v) = c^2 * Q(v), so Tr(c^2 * Q(v)) = 0 for every c in
-    F_q exactly when Q(v) = 0.  Only the vanishing rows go to classify_form.
-    """
-    shape = rows.shape[:-1]
-    rows = rows.reshape(-1, ctx.bits)
-    ker = lin.kernel(ctx, polar_poly(ctx, rows))
-    values = lin._evaluate_at(ctx, rows, ker.basis)
-    vanishes = (ctx.chi_table[ctx.mul_elementwise(ker.basis, values)] > 0).all(axis=1)
-    two_exp = ctx.bits + ker.dim2
-    if (two_exp % 2).any():
-        raise InvariantViolation("S^2 = q^n * |kernel| must be an even power of 2")
-    magnitude = np.left_shift(1, two_exp // 2, dtype=np.int64)
-    dim_fq = ker.dim2 // ctx.m
-    s_value = np.where(vanishes, magnitude, 0)
-    form_type = np.where(vanishes, None, "zero-sum").astype(object)
-    sign_known = ~vanishes
-    if resolve_sign and vanishes.any():
-        full = classify_form(ctx, rows[vanishes])
-        if (np.abs(full.s_value) != magnitude[vanishes]).any():
-            raise InvariantViolation(
-                "classify_form and the kernel give different |S| on a stack")
-        s_value[vanishes] = full.s_value
-        form_type[vanishes] = full.form_type
-        sign_known[vanishes] = True
-    return QuadraticFormReport(
-        dim_fq.reshape(shape), vanishes.reshape(shape), s_value.reshape(shape),
-        form_type.reshape(shape), (ctx.n - dim_fq + ~vanishes).reshape(shape),
-        sign_known.reshape(shape))
+            "classify_form and the kernel criterion give different S(L)")
 
 
 def classify_form(ctx: FieldContext, poly, *,
@@ -176,7 +131,10 @@ def classify_form(ctx: FieldContext, poly, *,
     fields are then arrays over the stack (see _classify_rows).
     """
     if not isinstance(poly, LinearizedPoly):
-        return _classify_rows(ctx, _stack(ctx, poly, "classify_form"), cross_check)
+        rows = np.asarray(poly, dtype=np.int64)
+        if not lin._q_linear_rows(ctx, rows).all():
+            raise NotQLinear("classify_form needs q-linear polynomials")
+        return _classify_rows(ctx, rows, cross_check)
     if not poly.q_linear:
         raise NotQLinear("classify_form needs a q-linear polynomial")
     polar = polar_poly(ctx, poly)
@@ -285,31 +243,10 @@ def _classify_rows(ctx: FieldContext, rows: np.ndarray,
     shape = rows.shape[:-1]
     report = QuadraticFormReport(
         dim_fq.reshape(shape), vanishes.reshape(shape), s_value.reshape(shape),
-        form_type.reshape(shape), (ctx.n - dim_fq + ~vanishes).reshape(shape),
-        np.ones(shape, dtype=bool))
+        form_type.reshape(shape), (ctx.n - dim_fq + ~vanishes).reshape(shape))
     if cross_check and (s_bruteforce(ctx, rows) != report.s_value).any():
         raise InvariantViolation("classify_form and the full sum differ on a stack")
     return report
-
-
-def gram_matrix(ctx: FieldContext, poly: LinearizedPoly) -> GramMatrix:
-    """Entries trace_to(basis_i * L(basis_j), m) over the F_q-basis."""
-    if not poly.q_linear:
-        raise NotQLinear("gram_matrix needs a q-linear polynomial")
-    images = [lin.evaluate(ctx, poly, b) for b in ctx.fq_basis]
-    rows = []
-    for bi in ctx.fq_basis:
-        rows.append(tuple(ctx.trace_to(ctx.mul(bi, img), ctx.m) for img in images))
-    return GramMatrix(tuple(rows))
-
-
-def evaluate_gram(ctx: FieldContext, gram: GramMatrix, coords: Tuple[int, ...]) -> int:
-    """Q(v) from coordinates: sum of v_i * v_j * entries[i][j] over F_q."""
-    r = 0
-    for i, vi in enumerate(coords):
-        for j, vj in enumerate(coords):
-            r ^= ctx.mul(ctx.mul(vi, vj), gram.entries[i][j])
-    return r
 
 
 def s_zero_quadratic_ext(ctx: FieldContext, a: int, b: int) -> bool:

@@ -185,7 +185,7 @@ def _classify_json(ctx, poly, extras: bool = True) -> dict:
     }
     if extras:
         out["rank"] = rep.rank
-        out["sign_known"] = rep.sign_known
+        out["sign_known"] = True      # classify_form always resolves the sign
     return out
 
 

@@ -146,9 +146,9 @@ def adjoint(ctx: FieldContext, poly):
     and the absolute trace of u * L(v) equals that of adjoint(L)(u) * v.
     For a stack of coefficient rows (see evaluate_all) it is the stack of
     adjoint rows, whose Frobenius steps go through tables.  A single
-    polynomial takes scalar steps and builds no table; s_fast takes one
-    adjoint per call, and through a one-row stack each would cost about
-    four times as much.
+    polynomial takes scalar steps and builds no table; classify_form takes
+    one adjoint per call (s_fast a second one on a form with S != 0), and
+    through a one-row stack each would cost about four times as much.
     """
     if isinstance(poly, LinearizedPoly):
         return linearized(ctx, [(-i % ctx.bits, ctx.frobenius(c, -i % ctx.bits))

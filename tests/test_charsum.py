@@ -9,8 +9,6 @@ from charperm import (
     bilinear_psi_sum,
     build_context,
     classify_form,
-    evaluate_gram,
-    gram_matrix,
     polar_poly,
     quad_value,
     s_bruteforce,
@@ -60,18 +58,6 @@ def test_zero_poly_sum_is_order(gf8):
     assert s_bruteforce(gf8, lin.zero(gf8)) == 8
 
 
-def test_magnitude_only_mode(gf16):
-    rng = random.Random(0)
-    for _ in range(40):
-        poly = lin.q_linearized(gf16, [(i, rng.randrange(16)) for i in range(4)])
-        full = s_fast(gf16, poly)
-        mag = s_fast(gf16, poly, resolve_sign=False)
-        assert abs(mag.s_value) == abs(full.s_value)
-        assert (mag.s_value == 0) == (full.s_value == 0)
-        if mag.s_value and not mag.sign_known:
-            assert mag.form_type is None
-
-
 def test_s_fast_requires_q_linear(gf64_tower):
     with pytest.raises(NotQLinear):
         s_fast(gf64_tower, lin.linearized(gf64_tower, [(1, 1)]))
@@ -105,22 +91,6 @@ def test_quad_value_and_polar(gf16):
                    ^ quad_value(gf16, poly, u) ^ quad_value(gf16, poly, v))
             direct = gf16.trace_to(gf16.mul(u, lin.evaluate(gf16, polar, v)), 1)
             assert bil == direct
-
-
-def test_gram_matrix_identity(gf4):
-    g = gram_matrix(gf4, lin.identity(gf4))
-    assert g.entries == ((0, 1), (1, 1))
-
-
-def test_gram_matches_quad_value(gf16_tower):
-    ctx = gf16_tower
-    rng = random.Random(3)
-    for _ in range(10):
-        poly = lin.q_linearized(ctx, [(i, rng.randrange(16)) for i in range(2)])
-        g = gram_matrix(ctx, poly)
-        for x in range(16):
-            coords = tuple(ctx.fq_coordinates(x))
-            assert evaluate_gram(ctx, g, coords) == quad_value(ctx, poly, x)
 
 
 def test_classify_cross_check(gf16):

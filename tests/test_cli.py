@@ -512,3 +512,112 @@ def test_verify_all_stdout_is_byte_identical(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "a75844b0cea89f6f3c43449914bfd6e34c6a8a81a30b8f5eeea145eb2df2ef4b")
+
+
+# ---- golden stdout of the quadratic-form commands ---------------------------
+
+# Per field: the zero map and one more plus form, two minus forms and two
+# zero-sum forms (x among them).  Each polynomial gives three lines, from
+# charsum --method fast, charsum --method classify and classify.  Pinned
+# while s_fast still decided S(L) by the kernel route, so a change of route
+# must move no byte.
+GOLDEN_POLYS = {
+    "1:3": ("", "0:4,2:2", "0:3,2:6", "0:4,2:7", "0:1", "2:5"),
+    "2:4": ("", "6:75", "0:63,4:f8", "6:40", "0:1", "0:d7"),
+    "3:4": ("", "3:ca4,6:24", "6:d51", "0:56,3:36", "0:1", "0:c6e"),
+    "6:2": ("", "0:c33,6:fbb", "6:596", "6:8c4", "0:1", "0:f53"),
+}
+GOLDEN_STDOUT = {
+    "1:3": """\
+{"s": 8, "kernel_dim_fq": 3, "vanishes": true, "type": "plus"}
+{"s": 8, "kernel_dim_fq": 3, "vanishes": true, "type": "plus"}
+{"s": 8, "kernel_dim_fq": 3, "vanishes": true, "type": "plus", "rank": 0, "sign_known": true}
+{"s": 4, "kernel_dim_fq": 1, "vanishes": true, "type": "plus"}
+{"s": 4, "kernel_dim_fq": 1, "vanishes": true, "type": "plus"}
+{"s": 4, "kernel_dim_fq": 1, "vanishes": true, "type": "plus", "rank": 2, "sign_known": true}
+{"s": -4, "kernel_dim_fq": 1, "vanishes": true, "type": "minus"}
+{"s": -4, "kernel_dim_fq": 1, "vanishes": true, "type": "minus"}
+{"s": -4, "kernel_dim_fq": 1, "vanishes": true, "type": "minus", "rank": 2, "sign_known": true}
+{"s": -4, "kernel_dim_fq": 1, "vanishes": true, "type": "minus"}
+{"s": -4, "kernel_dim_fq": 1, "vanishes": true, "type": "minus"}
+{"s": -4, "kernel_dim_fq": 1, "vanishes": true, "type": "minus", "rank": 2, "sign_known": true}
+{"s": 0, "kernel_dim_fq": 3, "vanishes": false, "type": "zero-sum"}
+{"s": 0, "kernel_dim_fq": 3, "vanishes": false, "type": "zero-sum"}
+{"s": 0, "kernel_dim_fq": 3, "vanishes": false, "type": "zero-sum", "rank": 1, "sign_known": true}
+{"s": 0, "kernel_dim_fq": 1, "vanishes": false, "type": "zero-sum"}
+{"s": 0, "kernel_dim_fq": 1, "vanishes": false, "type": "zero-sum"}
+{"s": 0, "kernel_dim_fq": 1, "vanishes": false, "type": "zero-sum", "rank": 3, "sign_known": true}
+""",
+    "2:4": """\
+{"s": 256, "kernel_dim_fq": 4, "vanishes": true, "type": "plus"}
+{"s": 256, "kernel_dim_fq": 4, "vanishes": true, "type": "plus"}
+{"s": 256, "kernel_dim_fq": 4, "vanishes": true, "type": "plus", "rank": 0, "sign_known": true}
+{"s": 16, "kernel_dim_fq": 0, "vanishes": true, "type": "plus"}
+{"s": 16, "kernel_dim_fq": 0, "vanishes": true, "type": "plus"}
+{"s": 16, "kernel_dim_fq": 0, "vanishes": true, "type": "plus", "rank": 4, "sign_known": true}
+{"s": -16, "kernel_dim_fq": 0, "vanishes": true, "type": "minus"}
+{"s": -16, "kernel_dim_fq": 0, "vanishes": true, "type": "minus"}
+{"s": -16, "kernel_dim_fq": 0, "vanishes": true, "type": "minus", "rank": 4, "sign_known": true}
+{"s": -64, "kernel_dim_fq": 2, "vanishes": true, "type": "minus"}
+{"s": -64, "kernel_dim_fq": 2, "vanishes": true, "type": "minus"}
+{"s": -64, "kernel_dim_fq": 2, "vanishes": true, "type": "minus", "rank": 2, "sign_known": true}
+{"s": 0, "kernel_dim_fq": 4, "vanishes": false, "type": "zero-sum"}
+{"s": 0, "kernel_dim_fq": 4, "vanishes": false, "type": "zero-sum"}
+{"s": 0, "kernel_dim_fq": 4, "vanishes": false, "type": "zero-sum", "rank": 1, "sign_known": true}
+{"s": 0, "kernel_dim_fq": 4, "vanishes": false, "type": "zero-sum"}
+{"s": 0, "kernel_dim_fq": 4, "vanishes": false, "type": "zero-sum"}
+{"s": 0, "kernel_dim_fq": 4, "vanishes": false, "type": "zero-sum", "rank": 1, "sign_known": true}
+""",
+    "3:4": """\
+{"s": 4096, "kernel_dim_fq": 4, "vanishes": true, "type": "plus"}
+{"s": 4096, "kernel_dim_fq": 4, "vanishes": true, "type": "plus"}
+{"s": 4096, "kernel_dim_fq": 4, "vanishes": true, "type": "plus", "rank": 0, "sign_known": true}
+{"s": 64, "kernel_dim_fq": 0, "vanishes": true, "type": "plus"}
+{"s": 64, "kernel_dim_fq": 0, "vanishes": true, "type": "plus"}
+{"s": 64, "kernel_dim_fq": 0, "vanishes": true, "type": "plus", "rank": 4, "sign_known": true}
+{"s": -64, "kernel_dim_fq": 0, "vanishes": true, "type": "minus"}
+{"s": -64, "kernel_dim_fq": 0, "vanishes": true, "type": "minus"}
+{"s": -64, "kernel_dim_fq": 0, "vanishes": true, "type": "minus", "rank": 4, "sign_known": true}
+{"s": -64, "kernel_dim_fq": 0, "vanishes": true, "type": "minus"}
+{"s": -64, "kernel_dim_fq": 0, "vanishes": true, "type": "minus"}
+{"s": -64, "kernel_dim_fq": 0, "vanishes": true, "type": "minus", "rank": 4, "sign_known": true}
+{"s": 0, "kernel_dim_fq": 4, "vanishes": false, "type": "zero-sum"}
+{"s": 0, "kernel_dim_fq": 4, "vanishes": false, "type": "zero-sum"}
+{"s": 0, "kernel_dim_fq": 4, "vanishes": false, "type": "zero-sum", "rank": 1, "sign_known": true}
+{"s": 0, "kernel_dim_fq": 4, "vanishes": false, "type": "zero-sum"}
+{"s": 0, "kernel_dim_fq": 4, "vanishes": false, "type": "zero-sum"}
+{"s": 0, "kernel_dim_fq": 4, "vanishes": false, "type": "zero-sum", "rank": 1, "sign_known": true}
+""",
+    "6:2": """\
+{"s": 4096, "kernel_dim_fq": 2, "vanishes": true, "type": "plus"}
+{"s": 4096, "kernel_dim_fq": 2, "vanishes": true, "type": "plus"}
+{"s": 4096, "kernel_dim_fq": 2, "vanishes": true, "type": "plus", "rank": 0, "sign_known": true}
+{"s": 64, "kernel_dim_fq": 0, "vanishes": true, "type": "plus"}
+{"s": 64, "kernel_dim_fq": 0, "vanishes": true, "type": "plus"}
+{"s": 64, "kernel_dim_fq": 0, "vanishes": true, "type": "plus", "rank": 2, "sign_known": true}
+{"s": -64, "kernel_dim_fq": 0, "vanishes": true, "type": "minus"}
+{"s": -64, "kernel_dim_fq": 0, "vanishes": true, "type": "minus"}
+{"s": -64, "kernel_dim_fq": 0, "vanishes": true, "type": "minus", "rank": 2, "sign_known": true}
+{"s": -64, "kernel_dim_fq": 0, "vanishes": true, "type": "minus"}
+{"s": -64, "kernel_dim_fq": 0, "vanishes": true, "type": "minus"}
+{"s": -64, "kernel_dim_fq": 0, "vanishes": true, "type": "minus", "rank": 2, "sign_known": true}
+{"s": 0, "kernel_dim_fq": 2, "vanishes": false, "type": "zero-sum"}
+{"s": 0, "kernel_dim_fq": 2, "vanishes": false, "type": "zero-sum"}
+{"s": 0, "kernel_dim_fq": 2, "vanishes": false, "type": "zero-sum", "rank": 1, "sign_known": true}
+{"s": 0, "kernel_dim_fq": 2, "vanishes": false, "type": "zero-sum"}
+{"s": 0, "kernel_dim_fq": 2, "vanishes": false, "type": "zero-sum"}
+{"s": 0, "kernel_dim_fq": 2, "vanishes": false, "type": "zero-sum", "rank": 1, "sign_known": true}
+""",
+}
+
+
+@pytest.mark.parametrize("field", sorted(GOLDEN_POLYS))
+def test_quadratic_form_commands_golden_stdout(capsys, field):
+    out = []
+    for poly in GOLDEN_POLYS[field]:
+        for argv in (("charsum", "--method", "fast"),
+                     ("charsum", "--method", "classify"), ("classify",)):
+            code, text, _ = run_cli(capsys, *argv, "--field", field, "--poly", poly)
+            assert code == 0
+            out.append(text)
+    assert "".join(out) == GOLDEN_STDOUT[field]

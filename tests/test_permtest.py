@@ -34,7 +34,6 @@ from charperm import (
     quad_family,
     reduction_at_shift,
     s_bruteforce,
-    s_fast,
     trace_form_spec,
 )
 from charperm import linearized as lin
@@ -207,6 +206,19 @@ def test_report_from_values_rejects_other_shapes(gf4):
         report_from_values(gf4, np.arange(4).reshape(2, 2))
 
 
+@pytest.mark.parametrize("field,bad", [((1, 3), -1), ((1, 3), 8),
+                                       ((2, 6), -1), ((2, 6), 4096)])
+def test_report_from_values_rejects_non_elements(field, bad):
+    # 0 .. order - 2 and one entry that is not an element: before the
+    # check, -1 wrapped to a witness (0, 0) on 8 elements, 8 raised a bare
+    # IndexError, and on 4096 elements bincount or reshape a ValueError
+    ctx = build_context(*field)
+    values = np.arange(ctx.order)
+    values[-1] = bad
+    with pytest.raises(BadParameters):
+        report_from_values(ctx, values)
+
+
 def test_identity_is_permutation(gf4):
     p = monomial(gf4, [(1, 1)])
     assert is_perm_bruteforce(gf4, p).is_permutation
@@ -322,11 +334,47 @@ def test_quadspec_permtest_vs_bruteforce(gf16_tower):
 
 
 def _first_failing_shift(ctx, spec):
-    """is_perm_quadspec's witness, one shift at a time."""
+    """is_perm_quadspec's witness, one shift at a time by the full sum."""
     for u in range(1, ctx.order):
-        if s_fast(ctx, reduction_at_shift(ctx, spec, u), resolve_sign=False).s_value:
+        if s_bruteforce(ctx, reduction_at_shift(ctx, spec, u)) != 0:
             return u
     return None
+
+
+def _query_spec(ctx, rng, permuting):
+    """A sparse spec as one-off queries draw them.  A permuting one has a
+    bijective monomial as part 0 and, for even n, c*(x^(q^(n/2)) + x) as
+    part n/2, which changes no value but gives every shift a nontrivial
+    form; otherwise two or three random terms land in random parts."""
+    parts = [lin.zero(ctx)] * ctx.n
+    if permuting:
+        parts[0] = lin.linearized(ctx, [(rng.randrange(ctx.bits),
+                                         rng.randrange(1, ctx.order))])
+        c = rng.randrange(1, ctx.order)
+        parts[ctx.n // 2] = lin.linearized(ctx, [(ctx.m * ctx.n // 2, c), (0, c)])
+        return quad_family(ctx, parts)
+    for _ in range(rng.randrange(2, 4)):
+        i = rng.randrange(ctx.n)
+        parts[i] = lin.add(ctx, parts[i], lin.linearized(
+            ctx, [(rng.randrange(ctx.bits), rng.randrange(1, ctx.order))]))
+    return quad_family(ctx, parts)
+
+
+@pytest.mark.parametrize("field", [(6, 2), (3, 4), (2, 6)])
+def test_quadspec_at_query_sizes(field):
+    # 12-bit fields, where one-off queries run full quadspec scans
+    ctx = build_context(*field)
+    rng = random.Random(f"quadspec:{field}")
+    verdicts = set()
+    for k in range(12):
+        spec = _query_spec(ctx, rng, permuting=k % 3 == 0)
+        got = is_perm_quadspec(ctx, spec)
+        brute = is_perm_bruteforce(ctx, expand_quadspec(ctx, spec))
+        assert got.is_permutation == brute.is_permutation
+        if not got.is_permutation:
+            assert got.witness == _first_failing_shift(ctx, spec)
+        verdicts.add(got.is_permutation)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("blocks", [(pt._FIRST_SHIFTS, pt._MAX_SHIFTS), (2, 4), (1, 1)])

@@ -48,13 +48,13 @@ def _row(ctx, kind, draw):
 
 def _report_row(rep, idx):
     fields = (rep.kernel_dim_fq, rep.vanishes_on_kernel, rep.s_value,
-              rep.form_type, rep.rank, rep.sign_known)
+              rep.form_type, rep.rank)
     return tuple(np.asarray(f, dtype=object)[idx] for f in fields)
 
 
 def _report(rep):
     return (rep.kernel_dim_fq, rep.vanishes_on_kernel, rep.s_value,
-            rep.form_type, rep.rank, rep.sign_known)
+            rep.form_type, rep.rank)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -69,7 +69,6 @@ def test_stack_routes_match_single_polynomials(field, data):
     shape = rows.shape[:-1]
     ker = lin.kernel(ctx, rows)
     fast = s_fast(ctx, rows)
-    magnitude = s_fast(ctx, rows, resolve_sign=False)
     full = classify_form(ctx, rows)
     brute = s_bruteforce(ctx, rows)
     assert ker.basis.shape == rows.shape and ker.dim2.shape == shape
@@ -80,8 +79,6 @@ def test_stack_routes_match_single_polynomials(field, data):
         assert ker.dim2[idx] == one.dim2
         assert ker.basis[idx].tolist() == list(one.basis) + [0] * (ctx.bits - one.dim2)
         assert _report_row(fast, idx) == _report(s_fast(ctx, poly))
-        assert _report_row(magnitude, idx) == _report(
-            s_fast(ctx, poly, resolve_sign=False))
         assert _report_row(full, idx) == _report(classify_form(ctx, poly))
         assert brute[idx] == s_bruteforce(ctx, poly) == fast.s_value[idx]
 
@@ -111,19 +108,61 @@ def test_classify_cross_check_on_a_stack(gf16_tower, monkeypatch):
         classify_form(gf16_tower, rows, cross_check=True)
 
 
-def test_s_fast_checks_the_sign_route_on_a_stack(gf16_tower, monkeypatch):
-    rows = np.array([[1, 0, 1, 0], [0, 0, 1, 0]])
-    real = charsum.classify_form
-
+def _doubled(real):
+    """classify_form with every S doubled."""
     def doubled(ctx, poly, **kw):
         rep = real(ctx, poly, **kw)
         return rep.__class__(rep.kernel_dim_fq, rep.vanishes_on_kernel,
                              2 * rep.s_value, rep.form_type, rep.rank)
+    return doubled
 
-    monkeypatch.setattr(charsum, "classify_form", doubled)
+
+def test_s_fast_checks_the_sign_route_on_a_stack(gf16_tower, monkeypatch):
+    rows = np.array([[1, 0, 1, 0], [0, 0, 1, 0]])
+    monkeypatch.setattr(charsum, "classify_form", _doubled(charsum.classify_form))
     with pytest.raises(InvariantViolation):
         s_fast(gf16_tower, rows)
-    assert s_fast(gf16_tower, rows, resolve_sign=False).s_value.tolist() == [0, 16]
+
+
+def test_s_fast_checks_the_sign_route_on_a_polynomial(gf16_tower, monkeypatch):
+    poly = lin.linearized(gf16_tower, [(2, 1)])
+    assert s_fast(gf16_tower, poly).s_value == 16
+    monkeypatch.setattr(charsum, "classify_form", _doubled(charsum.classify_form))
+    with pytest.raises(InvariantViolation):
+        s_fast(gf16_tower, poly)
+
+
+@pytest.mark.parametrize("field", [(1, 4), (2, 2), (2, 3)])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_s_fast_checks_the_kernel(field, stacked, monkeypatch):
+    # a kernel that loses its last basis vector (zeroed, one fewer counted)
+    # breaks S^2 = q^n * |kernel| on every form with S != 0
+    ctx = _ctx(*field)
+    rows = np.zeros((3, ctx.bits), dtype=np.int64)
+    rows[1, 0] = 1                                  # x: S = 0
+    rows[2, ctx.m * (ctx.n // 2)] = 1               # x^(q^(n/2))
+    real = lin.kernel
+
+    def short(ctx, poly):
+        ker = real(ctx, poly)
+        if isinstance(poly, lin.LinearizedPoly):
+            return lin.Kernel(ker.basis[:-1] + (0,), ker.dim2 - 1)
+        basis = ker.basis.copy()
+        np.put_along_axis(basis, (ker.dim2 - 1)[..., None], 0, axis=-1)
+        return lin.Kernel(basis, np.count_nonzero(basis, axis=-1))
+
+    polys = [rows] if stacked else [
+        lin.linearized(ctx, enumerate(row.tolist())) for row in rows]
+    for poly in polys:
+        rep = s_fast(ctx, poly)
+        assert np.all(s_bruteforce(ctx, poly) == rep.s_value)
+        with monkeypatch.context() as patch:
+            patch.setattr(lin, "kernel", short)
+            if not np.any(rep.s_value):
+                s_fast(ctx, poly)           # S = 0: the kernel is not computed
+                continue
+            with pytest.raises(InvariantViolation):
+                s_fast(ctx, poly)
 
 
 def test_stacks_must_be_q_linear(gf16_tower):
