@@ -10,10 +10,12 @@ and log tables are int32; log_table[0] is a sentinel into a zero-filled tail
 of exp_table, so a vector product is one lookup exp[log x + log y], no masks.
 So is a whole-field power map c * x^e (monomial_vec): there log x is log_table.
 
-Up to _TABLE_BITS = 16 bits the scalar mul, pow, inv and frobenius are one
-lookup each in the context's own exp_table/log_table; above that they stay
-bit-serial, so a large context builds no table it was not asked for.  On
-both routes they raise BadParameters for an operand outside 0 .. order - 1.
+The scalar mul, pow, inv and frobenius are one lookup each in the
+context's own exp_table/log_table up to _TABLE_BITS = 16 bits, where they
+build the pair on first use, and above that once the context holds the pair
+already.  Otherwise they are bit-serial, so a large context builds no table
+it was not asked for.  On both routes they raise BadParameters for an
+operand outside 0 .. order - 1.
 """
 
 from __future__ import annotations
@@ -106,21 +108,22 @@ class FieldContext:
         return a ^ b
 
     def mul(self, a: int, b: int) -> int:
-        """Product in GF(2^bits): exp[log a + log b] up to _TABLE_BITS bits,
-        the bit-serial multiply above."""
+        """Product in GF(2^bits): exp[log a + log b] where _load_views gives
+        the tables, the bit-serial multiply otherwise."""
         if not 0 <= a | b < self.order:
             self._reject(a, b)
         if not (a and b):
             return 0
-        if self.bits > _TABLE_BITS:
+        views = self._views or self._load_views()
+        if views is None:
             return self._mul_serial(a, b)
-        exp, log = self._views or self._load_views()
+        exp, log = views
         return exp[log[a] + log[b]]
 
     def pow(self, a: int, e: int) -> int:
         """a^e with exponents reduced modulo the group order for a != 0:
-        exp[(log a * e) mod group_order] up to _TABLE_BITS bits,
-        square-and-multiply above.
+        exp[(log a * e) mod group_order] where _load_views gives the tables,
+        square-and-multiply otherwise.
 
         0^0 = 1; 0^e = 0 for e > 0; negative e with a = 0 raises.
         """
@@ -132,9 +135,10 @@ class FieldContext:
             if e < 0:
                 raise DivisionByZero("inverse of zero")
             return 0
-        if self.bits > _TABLE_BITS:
+        views = self._views or self._load_views()
+        if views is None:
             return self._pow_serial(a, e)
-        exp, log = self._views or self._load_views()
+        exp, log = views
         return exp[log[a] * e % self.group_order]
 
     def inv(self, a: int) -> int:
@@ -144,18 +148,19 @@ class FieldContext:
 
     def frobenius(self, a: int, k: int) -> int:
         """a^(2^k), k taken modulo bits (so negative k works):
-        exp[(log a * 2^k) mod group_order] up to _TABLE_BITS bits, k
-        squarings above."""
+        exp[(log a * 2^k) mod group_order] where _load_views gives the
+        tables, k bit-serial squarings otherwise."""
         if not 0 <= a < self.order:
             self._reject(a)
         k %= self.bits
         if not (a and k):
             return a
-        if self.bits > _TABLE_BITS:
+        views = self._views or self._load_views()
+        if views is None:
             for _ in range(k):
                 a = self._mul_serial(a, a)
             return a
-        exp, log = self._views or self._load_views()
+        exp, log = views
         return exp[(log[a] << k) % self.group_order]
 
     def trace_to(self, a: int, sub_m: int) -> int:
@@ -231,10 +236,14 @@ class FieldContext:
             e >>= 1
         return r
 
-    def _load_views(self) -> tuple:
-        """(exp, log) memoryviews over exp_table and log_table, which the
-        scalar operations read up to _TABLE_BITS bits; the tables are built
-        on first use."""
+    def _load_views(self) -> tuple | None:
+        """(exp, log) memoryviews over exp_table and log_table for the
+        scalar operations to read: up to _TABLE_BITS bits, building the
+        tables on first use, and above that once log_table (and with it
+        exp_table) is built.  None otherwise: a large context builds no
+        table from scalar calls, and stays bit-serial until it has one."""
+        if self.bits > _TABLE_BITS and "log" not in self._caches:
+            return None
         self._views = (memoryview(self.exp_table), memoryview(self.log_table))
         return self._views
 
@@ -526,10 +535,10 @@ class FieldContext:
 # temporaries of that step to a few MB whatever the field size.
 _CHUNK = 1 << 16
 
-# Largest field (in bits) whose scalar operations read exp_table and
-# log_table: the pair takes 1.3 MB at 16 bits, 21 MB at 20 and 336 MB at 24
-# (exp_table's zero tail is half of it), so larger fields keep the
-# bit-serial multiply and never build them as a side effect.
+# Largest field (in bits) whose scalar operations build exp_table and
+# log_table on first use: the pair takes 1.3 MB at 16 bits, 21 MB at 20 and
+# 336 MB at 24 (exp_table's zero tail is half of it), so larger fields keep
+# the bit-serial multiply until something else has built the pair.
 _TABLE_BITS = 16
 
 

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from charperm import (
@@ -199,3 +200,73 @@ def test_s_bruteforce_size_guard(gf16):
     ctx.size_cap = 3
     with pytest.raises(SizeGuard):
         s_bruteforce(ctx, lin.identity(ctx))
+
+
+# ---- s_bruteforce against the literal sum ----------------------------------
+
+def _literal_sum(ctx, poly):
+    """sum of chi(v * L(v)) over every element, one scalar term at a time."""
+    return sum(ctx.chi(ctx.mul(v, lin.evaluate(ctx, poly, v))) for v in range(ctx.order))
+
+
+def _gather_sum(ctx, poly):
+    """The full sum by lookups: chi_table at the products v * L(v)."""
+    prods = ctx.mul_elementwise(ctx.elements, lin.evaluate_all(ctx, poly))
+    return int(ctx.chi_table[prods].sum(dtype=np.int64))
+
+
+FIELDS_TO_8_BITS = [(m, n) for m in range(1, 9) for n in range(1, 9) if m * n <= 8]
+
+
+@pytest.mark.parametrize("m,n", FIELDS_TO_8_BITS + [(3, 4), (6, 2), (4, 4), (4, 5)],
+                         ids=lambda v: str(v))
+def test_s_bruteforce_matches_reference_sum(m, n):
+    """Against the scalar sum up to 8 bits, the chi_table gather above; on
+    q-linear polynomials, 2-linear ones off the q-power support (m > 1) and
+    a (2, 3, bits) stack."""
+    ctx = build_context(m, n)
+    reference = _literal_sum if ctx.bits <= 8 else _gather_sum
+    rng = random.Random(f"{m}:{n}")
+    polys = [lin.zero(ctx), lin.identity(ctx)] + [
+        lin.q_linearized(ctx, [(j, rng.randrange(ctx.order)) for j in range(ctx.n)])
+        for _ in range(2)]
+    if m > 1:
+        polys += [lin.linearized(ctx, [(i, rng.randrange(1, ctx.order))
+                                       for i in rng.sample(range(ctx.bits), 2)])
+                  for _ in range(2)]
+        assert not all(p.q_linear for p in polys)
+    for poly in polys:
+        got = s_bruteforce(ctx, poly)
+        assert type(got) is int and got == reference(ctx, poly)
+    rows = np.array([[rng.randrange(ctx.order) for _ in range(ctx.bits)]
+                     for _ in range(6)], dtype=np.int64).reshape(2, 3, ctx.bits)
+    got = s_bruteforce(ctx, rows)
+    assert got.dtype == np.int64 and got.shape == (2, 3)
+    assert got.tolist() == [[reference(ctx, lin.linearized(ctx, enumerate(r)))
+                             for r in block] for block in rows.tolist()]
+
+
+def test_s_fast_reaches_kernel_check_on_20_bits(monkeypatch):
+    """On 4:5 the forms with S != 0 go through the kernel criterion: the
+    zero form, whose kernel is the whole field, and seeded q-linear forms."""
+    ctx = build_context(4, 5)
+    rng = random.Random(20)
+    polys = [lin.zero(ctx)]
+    while len(polys) < 4:
+        poly = lin.q_linearized(ctx, [(j, rng.randrange(ctx.order)) for j in range(ctx.n)])
+        if s_bruteforce(ctx, poly):
+            polys.append(poly)
+    calls = []
+    real_kernel = lin.kernel
+
+    def counting_kernel(ctx, poly):
+        calls.append(poly)
+        return real_kernel(ctx, poly)
+
+    monkeypatch.setattr(lin, "kernel", counting_kernel)
+    for poly in polys:
+        assert s_fast(ctx, poly).s_value == s_bruteforce(ctx, poly) != 0
+    assert len(calls) == len(polys)
+    rows = np.array([p.coeffs for p in polys], dtype=np.int64)
+    assert s_fast(ctx, rows).s_value.tolist() == s_bruteforce(ctx, rows).tolist()
+    assert len(calls) == len(polys) + 1

@@ -458,14 +458,16 @@ WIDE_FIELDS = [(3, 3), (5, 2), (11, 1), (2, 6), (13, 1), (7, 2), (5, 3), (4, 4),
                (1, 17), (6, 3), (19, 1), (4, 5), (3, 7), (11, 2), (8, 3), (2, 12)]
 
 
-def test_scalar_ops_match_oracle_9_to_24_bits():
+def _check_scalar_ops(fields, make_context, max_examples):
+    """Scalar mul, frobenius, trace_to, pow and inv against the oracle on
+    drawn elements of the given fields, one context per field."""
     contexts = {}
 
-    @settings(max_examples=160, deadline=None, derandomize=True, database=None)
-    @given(field=st.sampled_from(WIDE_FIELDS), data=st.data())
+    @settings(max_examples=max_examples, deadline=None, derandomize=True, database=None)
+    @given(field=st.sampled_from(fields), data=st.data())
     def check(field, data):
         if field not in contexts:
-            contexts[field] = build_context(*field)
+            contexts[field] = make_context(*field)
         ctx = contexts[field]
         a = data.draw(st.integers(0, ctx.order - 1), label="a")
         b = data.draw(st.integers(0, ctx.order - 1), label="b")
@@ -483,6 +485,28 @@ def test_scalar_ops_match_oracle_9_to_24_bits():
             assert ctx.pow(a, abs(e)) == (0 if e else 1)
 
     check()
+
+
+def test_scalar_ops_match_oracle_9_to_24_bits():
+    _check_scalar_ops(WIDE_FIELDS, build_context, 160)
+
+
+def _bit_serial_disabled(*_):
+    raise AssertionError("a scalar operation took the bit-serial route")
+
+
+def _context_with_tables(m, n):
+    """A context whose exp/log tables were built before any scalar call,
+    and whose bit-serial multiply raises if a scalar operation reaches it."""
+    ctx = build_context(m, n)
+    ctx.log_table
+    ctx._mul_serial = _bit_serial_disabled
+    return ctx
+
+
+def test_scalar_ops_match_oracle_with_tables_above_16_bits():
+    # above 16 bits the scalar operations read exp/log once they are built
+    _check_scalar_ops([(1, 17), (6, 3), (19, 1), (4, 5)], _context_with_tables, 80)
 
 
 def test_context_pickles_after_scalar_lookups(gf64_tower):
@@ -508,9 +532,10 @@ def test_scalar_ops_build_exp_log_only_up_to_16_bits():
     assert "exp" in small._caches and "log" in small._caches
 
 
-@pytest.mark.parametrize("m,n", [(2, 3), (4, 5)], ids=["table", "bit-serial"])
-def test_scalar_ops_reject_non_elements(m, n):
-    ctx = build_context(m, n)
+@pytest.mark.parametrize("m,n,tables", [(2, 3, False), (4, 5, False), (4, 5, True)],
+                         ids=["table", "bit-serial", "table above 16 bits"])
+def test_scalar_ops_reject_non_elements(m, n, tables):
+    ctx = _context_with_tables(m, n) if tables else build_context(m, n)
     for bad in (-1, -ctx.order, ctx.order, ctx.order + 3, 1 << 25):
         for call in (lambda: ctx.mul(bad, 3), lambda: ctx.mul(3, bad),
                      lambda: ctx.mul(bad, 0), lambda: ctx.pow(bad, 2),
