@@ -125,15 +125,13 @@ def _check_kernel(ctx: FieldContext, s_value, dim2, vanishes: bool) -> None:
             "classify_form and the kernel criterion give different S(L)")
 
 
-def classify_form(ctx: FieldContext, poly, *,
-                  cross_check: bool = False) -> QuadraticFormReport:
+def classify_form(ctx: FieldContext, poly) -> QuadraticFormReport:
     """Canonical type and exact signed S(L) via symplectic reduction.
 
     Splits off hyperbolic planes of the polar form greedily, accumulating the
     Arf-style invariant sum of Q(u_i) * Q(w_i) over the normalized pairs; the
     residual radical either kills S (form not identically zero there) or
-    contributes a factor q per dimension.  With cross_check=True the result
-    is also compared against s_bruteforce.
+    contributes a factor q per dimension.
 
     poly may also be a stack of coefficient rows (..., bits); the report's
     fields are then arrays over the stack (see _classify_rows).
@@ -142,7 +140,7 @@ def classify_form(ctx: FieldContext, poly, *,
         rows = np.asarray(poly, dtype=np.int64)
         if not lin._q_linear_rows(ctx, rows).all():
             raise NotQLinear("classify_form needs q-linear polynomials")
-        return _classify_rows(ctx, rows, cross_check)
+        return _classify_rows(ctx, rows)
     if not poly.q_linear:
         raise NotQLinear("classify_form needs a q-linear polynomial")
     polar = polar_poly(ctx, poly)
@@ -187,18 +185,10 @@ def classify_form(ctx: FieldContext, poly, *,
         form_type = "minus" if sign < 0 else "plus"
         report = QuadraticFormReport(radical_dim, True, s_value, form_type,
                                      rank=2 * planes)
-    if cross_check:
-        if ctx.bits > ctx.size_cap:
-            raise SizeGuard("cross check needs a full-field sum")
-        brute = s_bruteforce(ctx, poly)
-        if brute != report.s_value:
-            raise InvariantViolation(
-                f"classify_form gives S = {report.s_value}, the full sum gives {brute}")
     return report
 
 
-def _classify_rows(ctx: FieldContext, rows: np.ndarray,
-                   cross_check: bool) -> QuadraticFormReport:
+def _classify_rows(ctx: FieldContext, rows: np.ndarray) -> QuadraticFormReport:
     """classify_form on a stack of q-linear rows, over GF(2).
 
     The form q2(v) = Tr(v * L(v)) has the polar form Tr(u * P(v)), P =
@@ -249,12 +239,9 @@ def _classify_rows(ctx: FieldContext, rows: np.ndarray,
                          "zero-sum").astype(object)
     dim_fq = radical // m
     shape = rows.shape[:-1]
-    report = QuadraticFormReport(
+    return QuadraticFormReport(
         dim_fq.reshape(shape), vanishes.reshape(shape), s_value.reshape(shape),
         form_type.reshape(shape), (ctx.n - dim_fq + ~vanishes).reshape(shape))
-    if cross_check and (s_bruteforce(ctx, rows) != report.s_value).any():
-        raise InvariantViolation("classify_form and the full sum differ on a stack")
-    return report
 
 
 def s_zero_quadratic_ext(ctx: FieldContext, a: int, b: int) -> bool:

@@ -10,6 +10,10 @@ and log tables are int32; log_table[0] is a sentinel into a zero-filled tail
 of exp_table, so a vector product is one lookup exp[log x + log y], no masks.
 So is a whole-field power map c * x^e (monomial_vec): there log x is log_table.
 
+One cache, one memo: every table and constant a context derives is kept in
+its one dict _caches, keyed by the accessor's name and normalized argument,
+and only _memo reads or writes it.
+
 The scalar mul, pow, inv and frobenius are one lookup each in the
 context's own exp_table/log_table up to _TABLE_BITS = 16 bits, where they
 build the pair on first use, and above that once the context holds the pair
@@ -79,11 +83,7 @@ class FieldContext:
         self.modulus = modulus
         self.size_cap = size_cap
         self.charsum_cap = charsum_cap
-        self._subfield_basis: dict[int, Tuple[int, ...]] = {}
-        self._subfield_elements: dict[int, Tuple[int, ...]] = {}
-        self._frob_tables: dict[int, np.ndarray] = {}
-        self._trace_tables: dict[int, np.ndarray] = {}
-        self._caches: dict[str, object] = {}
+        self._caches: dict[tuple, object] = {}    # see _memo
         self._views: tuple | None = None     # see _load_views
         self.fq_basis = self._build_fq_basis()
 
@@ -242,10 +242,16 @@ class FieldContext:
         tables on first use, and above that once log_table (and with it
         exp_table) is built.  None otherwise: a large context builds no
         table from scalar calls, and stays bit-serial until it has one."""
-        if self.bits > _TABLE_BITS and "log" not in self._caches:
+        if self.bits > _TABLE_BITS and ("log_table",) not in self._caches:
             return None
         self._views = (memoryview(self.exp_table), memoryview(self.log_table))
         return self._views
+
+    def _memo(self, key: tuple, build):
+        """The value cached under key, from build() on the first request."""
+        if key not in self._caches:
+            self._caches[key] = build()
+        return self._caches[key]
 
     def _check_subfield_degree(self, sub_m: int):
         if sub_m < 1 or self.bits % sub_m != 0:
@@ -256,8 +262,7 @@ class FieldContext:
     def subfield_basis(self, sub_m: int) -> Tuple[int, ...]:
         """GF(2)-basis of the subfield GF(2^sub_m) inside this field."""
         self._check_subfield_degree(sub_m)
-        cached = self._subfield_basis.get(sub_m)
-        if cached is None:
+        def build():
             # kernel of a |-> a^(2^sub_m) + a
             cols = [self.frobenius(1 << j, sub_m) ^ (1 << j) for j in range(self.bits)]
             basis = gf2.mat_kernel(cols)
@@ -265,21 +270,13 @@ class FieldContext:
                 raise InvariantViolation(
                     f"fixed space of x^(2^{sub_m}) has dimension {len(basis)}, "
                     f"expected {sub_m}")
-            cached = tuple(basis)
-            self._subfield_basis[sub_m] = cached
-        return cached
+            return tuple(basis)
+        return self._memo(("subfield_basis", sub_m), build)
 
     def subfield_elements(self, sub_m: int) -> Tuple[int, ...]:
         """All elements of GF(2^sub_m) inside this field, sorted ascending."""
-        cached = self._subfield_elements.get(sub_m)
-        if cached is None:
-            basis = self.subfield_basis(sub_m)
-            elems = [0]
-            for b in basis:
-                elems += [e ^ b for e in elems]
-            cached = tuple(sorted(elems))
-            self._subfield_elements[sub_m] = cached
-        return cached
+        return self._memo(("subfield_elements", sub_m), lambda: tuple(sorted(
+            _linear_table(self.subfield_basis(sub_m)).tolist())))
 
     def fq_linearly_independent(self, elems: Sequence[int]) -> bool:
         """True iff the elements are linearly independent over F_q.
@@ -297,14 +294,10 @@ class FieldContext:
     def fq_coordinates(self, a: int) -> Tuple[int, ...]:
         """Coordinates of a over fq_basis: n subfield elements v_i with
         sum of v_i * basis_i equal to a."""
-        inv_cols = self._caches.get("coord_inv")
-        if inv_cols is None:
-            sub = self.subfield_basis(self.m)
-            cols = [self.mul(s, b) for b in self.fq_basis for s in sub]
-            inv_cols = gf2.mat_invert(cols, self.bits)
-            self._caches["coord_inv"] = inv_cols
-        y = gf2.mat_apply(inv_cols, a)
         sub = self.subfield_basis(self.m)
+        inv_cols = self._memo(("fq_coordinates",), lambda: gf2.mat_invert(
+            [self.mul(s, b) for b in self.fq_basis for s in sub], self.bits))
+        y = gf2.mat_apply(inv_cols, a)
         coords = []
         for i in range(self.n):
             c = 0
@@ -341,38 +334,26 @@ class FieldContext:
 
     @property
     def trace_mask(self) -> int:
-        mask = self._caches.get("trace_mask")
-        if mask is None:
-            mask = 0
-            for i in range(self.bits):
-                if self.trace_to(1 << i, 1) & 1:
-                    mask |= 1 << i
-            self._caches["trace_mask"] = mask
-        return mask
+        return self._memo(("trace_mask",), lambda: sum(
+            1 << i for i in range(self.bits) if self.trace_to(1 << i, 1) & 1))
 
     @property
     def generator(self) -> int:
         """Smallest generator of the multiplicative group."""
-        g = self._caches.get("generator")
-        if g is None:
+        def build():
             go = self.group_order
             if go == 1:
-                g = 1
-            else:
-                primes = gf2._prime_factors(go)
-                g = 2
-                while any(self._pow_serial(g, go // p) == 1 for p in primes):
-                    g += 1
-            self._caches["generator"] = g
-        return g
+                return 1
+            primes = gf2._prime_factors(go)
+            g = 2
+            while any(self._pow_serial(g, go // p) == 1 for p in primes):
+                g += 1
+            return g
+        return self._memo(("generator",), build)
 
     @property
     def elements(self) -> np.ndarray:
-        arr = self._caches.get("elements")
-        if arr is None:
-            arr = np.arange(self.order, dtype=np.int64)
-            self._caches["elements"] = arr
-        return arr
+        return self._memo(("elements",), lambda: np.arange(self.order, dtype=np.int64))
 
     @property
     def exp_table(self) -> np.ndarray:
@@ -385,8 +366,7 @@ class FieldContext:
         block g^L .. g^(2L-1) is that prefix times the constant g^L, a
         GF(2)-linear map applied through 8-bit slice tables.
         """
-        arr = self._caches.get("exp")
-        if arr is None:
+        def build():
             go = max(self.group_order, 1)
             arr = np.zeros(4 * go + 1, dtype=np.int32)
             arr[0] = 1
@@ -405,33 +385,30 @@ class FieldContext:
                 filled += count
                 c = self._mul_serial(c, c)
             arr[go:2 * go] = arr[:go]
-            self._caches["exp"] = arr
-        return arr
+            return arr
+        return self._memo(("exp_table",), build)
 
     @property
     def log_table(self) -> np.ndarray:
         """int32 discrete logs to the base generator, and at 0 the sentinel
         2*(order-1): added to any log (or to itself) it indexes the zero
         tail of exp_table."""
-        arr = self._caches.get("log")
-        if arr is None:
+        def build():
             go = max(self.group_order, 1)
             arr = np.empty(self.order, dtype=np.int32)
             arr[0] = 2 * go
             arr[self.exp_table[:go]] = np.arange(go, dtype=np.int32)
-            self._caches["log"] = arr
-        return arr
+            return arr
+        return self._memo(("log_table",), build)
 
     @property
     def chi_table(self) -> np.ndarray:
-        arr = self._caches.get("chi")
-        if arr is None:
+        def build():
             # the absolute trace bit is linear: parity of v & trace_mask
             mask = self.trace_mask
             t = _linear_table([(mask >> j) & 1 for j in range(self.bits)])
-            arr = (1 - 2 * t).astype(np.int8)
-            self._caches["chi"] = arr
-        return arr
+            return (1 - 2 * t).astype(np.int8)
+        return self._memo(("chi_table",), build)
 
     def frob_table(self, k: int) -> np.ndarray:
         """Permutation array v |-> v^(2^k) over all elements, k modulo bits.
@@ -440,30 +417,21 @@ class FieldContext:
         the bits unit vectors alone (see _linear_table).
         """
         k %= self.bits
-        arr = self._frob_tables.get(k)
-        if arr is None:
-            arr = _linear_table([self.frobenius(1 << j, k) for j in range(self.bits)])
-            self._frob_tables[k] = arr
-        return arr
+        return self._memo(("frob_table", k), lambda: _linear_table(
+            [self.frobenius(1 << j, k) for j in range(self.bits)]))
 
     def trace_table(self, sub_m: int) -> np.ndarray:
         """trace_to(v, sub_m) for every element v, built from the traces of
         the unit vectors by linearity (see _linear_table)."""
         self._check_subfield_degree(sub_m)
-        arr = self._trace_tables.get(sub_m)
-        if arr is None:
-            arr = _linear_table([self.trace_to(1 << j, sub_m) for j in range(self.bits)])
-            self._trace_tables[sub_m] = arr
-        return arr
+        return self._memo(("trace_table", sub_m), lambda: _linear_table(
+            [self.trace_to(1 << j, sub_m) for j in range(self.bits)]))
 
     def subfield_mask(self, sub_m: int) -> np.ndarray:
         """Boolean array: which elements lie in GF(2^sub_m)."""
-        key = f"submask{sub_m}"
-        arr = self._caches.get(key)
-        if arr is None:
-            arr = self.frob_table(sub_m % self.bits) == self.elements
-            self._caches[key] = arr
-        return arr
+        sub_m %= self.bits
+        return self._memo(("subfield_mask", sub_m),
+                          lambda: self.frob_table(sub_m) == self.elements)
 
     def mul_vec(self, a: int, arr: np.ndarray) -> np.ndarray:
         """Scalar times vector, elementwise over field elements."""
@@ -516,8 +484,7 @@ class FieldContext:
         trace of u*w equals the bit parity of s & w for all w.  The map
         u |-> s is GF(2)-linear, so only the unit vectors' indices are
         computed directly."""
-        arr = self._caches.get("chi_index")
-        if arr is None:
+        def build():
             mask = self.trace_mask
             basis_masks = []
             for j in range(self.bits):
@@ -526,9 +493,8 @@ class FieldContext:
                     if (self.mul(1 << j, 1 << i) & mask).bit_count() & 1:
                         s |= 1 << i
                 basis_masks.append(s)
-            arr = _linear_table(basis_masks)
-            self._caches["chi_index"] = arr
-        return arr
+            return _linear_table(basis_masks)
+        return self._memo(("chi_index_table",), build)
 
 
 # Elements per block when exp_table applies a linear map, which bounds the

@@ -135,7 +135,8 @@ _CELLS = 1 << 17
 
 
 def _blocks(count: int, size: int) -> List[slice]:
-    return [slice(lo, lo + size) for lo in range(0, count, max(size, 1))]
+    size = max(size, 1)
+    return [slice(lo, lo + size) for lo in range(0, count, size)]
 
 
 def _rng(seed: int, campaign_id: str, ctx: FieldContext, *extra) -> random.Random:
@@ -199,13 +200,6 @@ def _ab_grid(ctx: FieldContext, **fixed) -> List[Params]:
 
 # ---- S = 0 criteria for binomial quadratic forms ---------------------------
 
-def _binomial_sums(ctx: FieldContext, a, k: int, b) -> np.ndarray:
-    """S(a*x^(q^k) + b*x) summed directly: chi(a*v^(q^k+1) + b*v^2) over v."""
-    av = ctx.monomial_vec(np.asarray(a)[..., None], (1 << (ctx.m * k)) + 1)
-    return ctx.chi_table[av ^ _scaled(ctx, b, ctx.frob_table(1))].sum(
-        axis=-1, dtype=np.int64)
-
-
 def _thm4_grid(ctx, seed, budget):
     pt._need_quad_ext(ctx)
     return _ab_grid(ctx)
@@ -213,13 +207,14 @@ def _thm4_grid(ctx, seed, budget):
 
 def _thm4(ctx, p):
     structured = _each(ctx, s_zero_quadratic_ext, p["a"], p["b"])
-    s = _binomial_sums(ctx, p["a"], 1, p["b"])
+    s = s_bruteforce(ctx, lin.linearized_rows(ctx, [(ctx.m, p["a"]), (0, p["b"])]))
     return structured, s == 0, s
 
 
 def _thm5(ctx, p):
     structured = _each(ctx, s_zero_binomial, p["a"], p["b"], p["k"])
-    s = _binomial_sums(ctx, p["a"], p["k"], p["b"])
+    s = s_bruteforce(ctx, lin.linearized_rows(ctx, [(ctx.m * p["k"], p["a"]),
+                                                     (0, p["b"])]))
     return structured, s == 0, s
 
 
@@ -590,7 +585,8 @@ def run_verify(campaign: VerifyCampaign, *, jobs: int = 1,
                               charsum_cap if charsum_cap is not None else DEFAULT_CHARSUM_CAP)
         units = len(_grid(sweep, ctx, campaign.seed, budget))
         if units == 0:
-            continue
+            raise BadParameters(f"campaign {campaign.theorem_id} has no cases "
+                                f"on field {field_label(ctx)}")
         chunks = min(max(jobs, 1), units)
         bounds = [(units * i // chunks, units * (i + 1) // chunks)
                   for i in range(chunks)]

@@ -98,8 +98,7 @@ def test_classify_cross_check(gf16):
     rng = random.Random(4)
     for _ in range(25):
         poly = lin.q_linearized(gf16, [(i, rng.randrange(16)) for i in range(4)])
-        rep = classify_form(gf16, poly, cross_check=True)
-        assert rep.s_value == s_bruteforce(gf16, poly)
+        assert classify_form(gf16, poly).s_value == s_bruteforce(gf16, poly)
 
 
 def test_classify_rank_and_type(gf4):

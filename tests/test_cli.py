@@ -317,6 +317,13 @@ def test_verify_json_and_stderr(capsys):
     assert "wall" not in out
 
 
+def test_verify_field_without_cases_is_an_error(capsys):
+    # gold_ks(2) is empty, so thm5 has no case on a degree-2 extension
+    code, out, err = run_cli(capsys, "verify", "--campaign", "thm5", "--fields", "2:2")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "thm5" in err and "2:2" in err
+
+
 def test_verify_csv_mismatch_rows(capsys):
     code, out, _ = run_cli(capsys, "verify", "--campaign", "thm5", "--fields",
                            "1:4", "--format", "csv")

@@ -400,9 +400,38 @@ def test_24_bit_tables_smoke():
     for v in [0, 1, ctx.order - 1] + [rng.randrange(ctx.order) for _ in range(197)]:
         assert sqr[v] == ctx.mul(v, v)
         assert tr[v] == ctx.trace_to(v, 8)
-    # the scalar calls above are bit-serial: no exp/log table was built
-    assert set(ctx._frob_tables) == {1} and set(ctx._trace_tables) == {8}
-    assert "exp" not in ctx._caches and "log" not in ctx._caches
+    # the scalar calls above are bit-serial: no exp/log table was built, and
+    # the one cache holds the two tables and the basis the constructor used
+    assert set(ctx._caches) == {("frob_table", 1), ("trace_table", 8),
+                                ("subfield_basis", 8)}
+
+
+def _every_accessor(ctx):
+    """Each cached accessor of ctx once (fq_coordinates through its inverse)."""
+    return [ctx.trace_mask, ctx.generator, ctx.elements, ctx.exp_table,
+            ctx.log_table, ctx.chi_table, ctx.chi_index_table, ctx.frob_table(1),
+            ctx.trace_table(ctx.m), ctx.subfield_mask(ctx.m),
+            ctx.subfield_basis(ctx.m), ctx.subfield_elements(ctx.m),
+            ctx.fq_coordinates(ctx.order - 1)]
+
+
+def test_one_cache_returns_the_same_objects():
+    ctx = build_context(4, 4)
+    first = _every_accessor(ctx)
+    cached = dict(ctx._caches)
+    again = _every_accessor(ctx)
+    assert all(a is b for a, b in zip(first[:-1], again[:-1]))
+    assert first[-1] == again[-1]
+    assert set(ctx._caches) == set(cached)
+    assert all(ctx._caches[key] is value for key, value in cached.items())
+    assert ("fq_coordinates",) in cached
+
+
+def test_frobenius_tables_share_one_entry_per_k_mod_bits():
+    ctx = build_context(2, 3)
+    assert ctx.frob_table(2) is ctx.frob_table(2 + ctx.bits) is ctx.frob_table(2 - ctx.bits)
+    assert ctx.subfield_mask(2) is ctx.subfield_mask(2 + ctx.bits)
+    assert [key for key in ctx._caches if key[0] == "frob_table"] == [("frob_table", 2)]
 
 
 # ---- scalar operations against the oracle, both sides of the 16-bit line ---
@@ -526,10 +555,11 @@ def test_scalar_ops_build_exp_log_only_up_to_16_bits():
     big.frobenius(a, 3)
     big.trace_to(b, 4)
     big.trace_to(b, 1)
-    assert "exp" not in big._caches and "log" not in big._caches
+    pair = {("exp_table",), ("log_table",)}
+    assert not pair & set(big._caches)
     small = build_context(4, 4)
     small.mul(0x1234, 0xabcd)
-    assert "exp" in small._caches and "log" in small._caches
+    assert pair <= set(small._caches)
 
 
 @pytest.mark.parametrize("m,n,tables", [(2, 3, False), (4, 5, False), (4, 5, True)],

@@ -180,6 +180,21 @@ def test_prop3_blocks_do_not_change_reports():
     assert a.cases_total == a.cases_agreeing == 14360
 
 
+def test_blocks_below_one_row_keep_every_case(monkeypatch):
+    # with _CELLS smaller than one value table every block still holds one
+    # row, so each campaign's total on its first field does not move
+    def totals():
+        return {cid: _run(cid, field_ranges=sweep.default_fields[:1],
+                          sample_budget=min(sweep.default_budget, 40)).cases_total
+                for cid, sweep in SWEEPS.items()}
+
+    want = totals()
+    monkeypatch.setattr(verify, "_CELLS", 8)
+    monkeypatch.setattr(verify, "_tables", {})
+    assert totals() == want
+    assert min(want.values()) > 0
+
+
 @pytest.mark.parametrize("seed", [0, 1, "prop3", 2 ** 40])
 def test_draws_match_one_randrange_per_element(seed):
     for bits in range(1, 21):
