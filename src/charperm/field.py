@@ -8,7 +8,8 @@ for whole-field sweeps.  Every table is built from GF(2)-linearity (see
 _linear_table): a few scalar calls per bit, not one per element.  Element
 and log tables are int32; log_table[0] is a sentinel into a zero-filled tail
 of exp_table, so a vector product is one lookup exp[log x + log y], no masks.
-So is a whole-field power map c * x^e (monomial_vec): there log x is log_table.
+So is a power map c * x^e on a block of inputs (monomial_vec): there log x is
+log_table itself, sliced to the block.
 
 One cache, one memo: every table and constant a context derives is kept in
 its one dict _caches, keyed by the accessor's name and normalized argument,
@@ -428,8 +429,11 @@ class FieldContext:
             [self.trace_to(1 << j, sub_m) for j in range(self.bits)]))
 
     def subfield_mask(self, sub_m: int) -> np.ndarray:
-        """Boolean array: which elements lie in GF(2^sub_m)."""
+        """Boolean array: which elements lie in GF(2^sub_m).  sub_m is taken
+        modulo bits, and a residue of 0 stands for bits, the whole field;
+        InvalidSubfield unless the residue divides bits."""
         sub_m %= self.bits
+        self._check_subfield_degree(sub_m or self.bits)
         return self._memo(("subfield_mask", sub_m),
                           lambda: self.frob_table(sub_m) == self.elements)
 
@@ -460,21 +464,29 @@ class FieldContext:
         out[zero] = 0
         return out
 
-    def monomial_vec(self, c, e: int) -> np.ndarray:
-        """c * x^e for every element x in element order, as in pow() (e < 0
-        raises: 0 is an element); c is an element or an array broadcasting
-        against the element axis.  As log x is log_table, this is one lookup
-        exp[log c + (e * log x mod (order-1))], with x = 0 set after."""
+    def monomial_vec(self, c, e: int, block: slice = slice(None)) -> np.ndarray:
+        """c * x^e for the elements x of block, a slice of element order
+        (every element by default), as in pow() (e < 0 raises: 0 is an
+        element); c is an element or an array broadcasting against the
+        block's axis.  As log x is log_table[block], this is one lookup
+        exp[log c + (e * log x mod (order-1))], with x = 0 set after when the
+        block holds it."""
         if e < 0:
             raise DivisionByZero("inverse of zero")
         if isinstance(c, int) and not 0 <= c < self.order:
             self._reject(c)
-        logs = self.log_table * np.int64(e % self.group_order)   # needs int64
-        logs %= self.group_order
+        lo, hi, step = block.indices(self.order)
+        if step != 1:
+            raise BadParameters(f"input block {block} is not contiguous")
+        go = self.group_order
+        logs = self.log_table[lo:hi] * np.int64(e % go)   # needs int64
+        # mod go by a floor division: numpy divides by a scalar without a
+        # hardware division per entry, and takes % at full cost (about 2x)
+        logs -= logs // go * go
         # in place unless c is a stack: a fresh 2^20 array costs as much as a step
         logs = np.add(logs, self.log_table.take(c), out=None if np.ndim(c) > 1 else logs)
         out = self.exp_table.take(logs)
-        if e:
+        if e and lo == 0 < hi:
             out[..., 0] = 0
         return out
 

@@ -71,17 +71,28 @@ def evaluate_poly(ctx: FieldContext, poly: MonomialPoly, x: int) -> int:
 
 
 def evaluate_poly_all(ctx: FieldContext, poly: MonomialPoly) -> np.ndarray:
-    """Value table of poly on every field element, in element order.  The
-    terms c * x^(2^j) form one linearized polynomial (see
-    linearized.evaluate_all); each other term is one exp_table lookup
-    (see FieldContext.monomial_vec)."""
+    """Value table of poly on every field element, in element order (see
+    _poly_values)."""
+    return _poly_values(ctx, poly)(slice(None))
+
+
+def _poly_values(ctx: FieldContext, poly: MonomialPoly) -> Callable[[slice], np.ndarray]:
+    """Block evaluator of poly: values(block) are its values on the inputs
+    of block, a slice of element order.  The terms c * x^(2^j) form one
+    linearized polynomial, whose whole table is built once by linearity
+    (see linearized.evaluate_all) and sliced; each other term is one
+    exp_table lookup over the block (see FieldContext.monomial_vec)."""
     linear = [(e.bit_length() - 1, c) for c, e in poly.terms if not e & (e - 1)]
-    acc = (lin.evaluate_all(ctx, lin.linearized(ctx, linear)) if linear
-           else np.zeros(ctx.order, dtype=np.int32))
-    for c, e in poly.terms:
-        if e & (e - 1):
-            acc ^= ctx.monomial_vec(c, e)
-    return acc
+    table = lin.evaluate_all(ctx, lin.linearized(ctx, linear)) if linear else None
+    powers = [(c, e) for c, e in poly.terms if e & (e - 1)]
+
+    def values(block: slice) -> np.ndarray:
+        acc = table[block] if table is not None else None
+        for c, e in powers:
+            term = ctx.monomial_vec(c, e, block)
+            acc = term if acc is None else np.bitwise_xor(term, acc, out=term)
+        return acc if acc is not None else np.zeros_like(ctx.log_table[block])
+    return values
 
 
 def parse_monomial(ctx: FieldContext, text: str) -> MonomialPoly:
@@ -146,12 +157,64 @@ def _bijective_rows(values: np.ndarray) -> np.ndarray:
     return (counts.reshape(-1, size).max(axis=1) <= 1).reshape(values.shape[:-1])
 
 
+# The occupancy scan reads the prefixes _FIRST_BLOCK, 4 * _FIRST_BLOCK, ...
+# of the inputs, one block of new inputs each, while a prefix is at most
+# 1 / _PREFIX_SHARE of the field; it then evaluates the rest in one go.  A
+# map that does not permute repeats a value early (a random map within about
+# sqrt(order) inputs), and a prefix costs a sort of its own size, so only a
+# permutation, or a repeat past the share, pays for the whole field.
+_FIRST_BLOCK = 1024
+_PREFIX_SHARE = 64
+
+
+def _first_repeat(prefix: np.ndarray) -> Optional[Tuple[int, int]]:
+    """(v1, v2) for the first input v2 of prefix that repeats a value and
+    the first input v1 with that value, or None if prefix has no repeat.
+    A sort of the values tells whether there is a repeat; a sort of
+    value * size + input then puts equal values next to each other, their
+    inputs ascending, so v2 is the least input that follows an equal value."""
+    ordered = np.sort(prefix)
+    if not (ordered[1:] == ordered[:-1]).any():
+        return None
+    size = prefix.size
+    keys = prefix.astype(np.int64) * size + np.arange(size)
+    keys.sort()
+    again = keys[1:] // size == keys[:-1] // size
+    v2 = int((keys[1:][again] % size).min())
+    return int(np.argmax(prefix == prefix[v2])), v2
+
+
+def _occupancy(ctx: FieldContext, values: Callable[[slice], np.ndarray],
+               method: str) -> PermReport:
+    """The occupancy test of a map given by its block evaluator: values(block)
+    are its values on the inputs of block, a slice of element order, each
+    input asked for once.  The prefixes are searched for a repeat block by
+    block up to the share (see _PREFIX_SHARE); past it, the rest of the
+    inputs comes in one block and _bijective_rows decides on the whole
+    table.  Witness = first collision (v1, v2) (see _first_repeat): the
+    first prefix with a repeat holds the table's first."""
+    blocks, lo, hi = [], 0, _FIRST_BLOCK
+    while hi <= ctx.order // _PREFIX_SHARE:
+        blocks.append(values(slice(lo, hi)))
+        witness = _first_repeat(np.concatenate(blocks))
+        if witness is not None:
+            return PermReport(False, method, witness)
+        lo, hi = hi, 4 * hi
+    table = values(slice(lo, None))
+    if blocks:
+        table = np.concatenate(blocks + [table])
+    if _bijective_rows(table):
+        return PermReport(True, method)
+    while (witness := _first_repeat(table[:hi])) is None:
+        hi *= 4
+    return PermReport(False, method, witness)
+
+
 def report_from_values(ctx: FieldContext, values: np.ndarray,
                        method: str = "bruteforce") -> PermReport:
-    """Occupancy check of a full value table; witness = first collision
-    (v1, v2): v2 is the first input to repeat a value, v1 the first with it.
-    The search stops at the first of the prefixes 1024, 4096, ... that holds
-    a repeat, which is then the table's first.  An entry outside
+    """Occupancy check of a full value table, by the scan of _occupancy
+    over its prefixes; witness = first collision (v1, v2): v2 is the first
+    input to repeat a value, v1 the first with it.  An entry outside
     0 .. order - 1 is not an element and raises BadParameters."""
     values = np.asarray(values)
     if values.ndim != 1 or values.size != ctx.order:
@@ -159,35 +222,33 @@ def report_from_values(ctx: FieldContext, values: np.ndarray,
             f"value table has shape {values.shape}, expected ({ctx.order},)")
     if not 0 <= values.min() <= values.max() < ctx.order:
         raise BadParameters(f"value table has entries outside 0..{ctx.order - 1}")
-    if _bijective_rows(values):
-        return PermReport(True, method)
-    inputs = ctx.elements
-    first = np.full(ctx.order, ctx.order)
-    lo, hi = 0, 1024
-    while True:
-        np.minimum.at(first, values[lo:hi], inputs[lo:hi])
-        repeat = first[values[lo:hi]] != inputs[lo:hi]
-        if repeat.any() or hi >= ctx.order:
-            break
-        lo, hi = hi, 4 * hi
-    v2 = lo + int(np.argmax(repeat))
-    return PermReport(False, method, (int(first[values[v2]]), v2))
+    return _occupancy(ctx, values.__getitem__, method)
+
+
+def _values_in(ctx: FieldContext, f) -> Callable[[slice], np.ndarray]:
+    """Block evaluator of a MonomialPoly or a LinearizedPoly (whose whole
+    table is built once by linearity, and sliced)."""
+    if isinstance(f, lin.LinearizedPoly):
+        return lin.evaluate_all(ctx, f).__getitem__
+    return _poly_values(ctx, f)
 
 
 def _values_of(ctx: FieldContext, f) -> np.ndarray:
-    if isinstance(f, lin.LinearizedPoly):
-        return lin.evaluate_all(ctx, f)
-    return evaluate_poly_all(ctx, f)
+    return _values_in(ctx, f)(slice(None))
 
 
 def is_perm_bruteforce(ctx: FieldContext, f) -> PermReport:
-    """Ground truth: evaluate f everywhere and check the image is everything.
+    """Ground truth: evaluate f and check that its image is everything.
 
-    Accepts a MonomialPoly or a LinearizedPoly.
+    Accepts a MonomialPoly or a LinearizedPoly.  Its inputs are evaluated
+    block by block, and the scan stops at the first prefix of the inputs
+    that repeats a value (see _occupancy): only a permutation, or a map
+    whose first repeat comes late, is evaluated on the whole field.  Same
+    report and witness as report_from_values on the whole value table.
     """
     if ctx.bits > ctx.size_cap:
         raise SizeGuard(f"{ctx.bits}-bit field exceeds the size cap {ctx.size_cap}")
-    return report_from_values(ctx, _values_of(ctx, f))
+    return _occupancy(ctx, _values_in(ctx, f), "bruteforce")
 
 
 def charsum_for_shift(ctx: FieldContext, f, u: int) -> int:
@@ -360,7 +421,9 @@ def perm_gold_linearized(ctx: FieldContext, k: int,
 
     Requires n odd, 0 < 2k < n, gcd(k, n) = 1; L0 may be any 2-linear
     polynomial.  Holds iff the relative trace of adjoint(L0)(u^(q^k+1)) *
-    u^-2 avoids 1 for every u != 0 (tested by substitution, see _gold_ok).
+    u^-2 avoids 1 for every u != 0 (tested by substitution, see _gold_ok,
+    in blocks that stop at the first u that fails, so only a permutation
+    pays for the whole field).
     """
     return bool(_gold_ok(ctx, k, lin.evaluate_all(ctx, lin.adjoint(ctx, l0))))
 
@@ -369,15 +432,25 @@ def _gold_ok(ctx: FieldContext, k: int, adj: np.ndarray) -> np.ndarray:
     """perm_gold_linearized on value tables (..., order) of adjoint(L0).  As
     gcd(q^k+1, q^n-1) divides gcd(q^2k-1, q^n-1) = q-1 (n odd, gcd(k, n) = 1)
     and q^k+1 = 2 mod the odd q-1, it is 1: w = u^(q^k+1) runs over F* once, and
-    with u^-2 = w^c, c = -2/(q^k+1) mod q^n-1, the test is Tr(adj(w) w^c) != 1."""
+    with u^-2 = w^c, c = -2/(q^k+1) mod q^n-1, the test is Tr(adj(w) w^c) != 1.
+    It is made on the blocks of w of the occupancy scan, [1, _FIRST_BLOCK),
+    then up to 4 times the last bound, and stops once every table has
+    failed; a field of at most _FIRST_BLOCK elements is one block."""
     if ctx.n % 2 == 0 or not 0 < 2 * k < ctx.n or math.gcd(k, ctx.n) != 1:
         raise BadParameters(
             f"needs n odd, 0 < 2k < n and gcd(k, n) = 1, got n={ctx.n} k={k}")
     go, gold = ctx.group_order, (1 << (ctx.m * k)) + 1
     if math.gcd(gold, go) != 1:
         raise InvariantViolation(f"gcd(q^k+1, q^n-1) != 1 for n={ctx.n} k={k}")
-    prod = ctx.monomial_vec(adj, -2 * pow(gold, -1, go) % go)
-    return np.all(ctx.trace_table(ctx.m)[prod[..., 1:]] != 1, axis=-1)
+    c = -2 * pow(gold, -1, go) % go
+    trace = ctx.trace_table(ctx.m)
+    ok = np.ones(adj.shape[:-1], dtype=bool)
+    lo, hi = 1, _FIRST_BLOCK
+    while lo < ctx.order and ok.any():
+        block = slice(lo, hi)
+        ok &= np.all(trace[ctx.monomial_vec(adj[..., block], c, block)] != 1, axis=-1)
+        lo, hi = hi, 4 * hi
+    return ok[()]
 
 
 @dataclass(frozen=True)

@@ -128,6 +128,26 @@ def test_subfield_structure(gf64_tower):
         ctx.subfield_elements(4)
 
 
+@pytest.mark.parametrize("m,n", [(2, 3), (1, 6)])
+def test_subfield_mask_only_for_subfields(m, n):
+    # sub_m is read modulo bits, 0 standing for the whole field; a residue
+    # that does not divide bits is no subfield, as for trace_table (on 2:3,
+    # subfield_mask(4) used to return the mask of GF(4))
+    ctx = build_context(m, n)
+    for sub_m in (1, 2, 3, 6, 0, 2 + ctx.bits, -4):
+        mask = ctx.subfield_mask(sub_m)
+        size = 1 << ((sub_m % ctx.bits) or ctx.bits)
+        assert mask.tolist() == [ctx.frobenius(v, sub_m) == v for v in range(ctx.order)]
+        assert int(mask.sum()) == size
+        if size < ctx.order:
+            assert np.flatnonzero(mask).tolist() == list(ctx.subfield_elements(sub_m % ctx.bits))
+    for sub_m in (4, 5, 4 + ctx.bits, -1):
+        with pytest.raises(InvalidSubfield):
+            ctx.subfield_mask(sub_m)
+        with pytest.raises(InvalidSubfield):
+            ctx.trace_table(sub_m)
+
+
 def test_subfield_basis_and_coordinates(gf64_tower):
     ctx = gf64_tower
     basis = ctx.fq_basis
@@ -625,6 +645,29 @@ def test_monomial_vec_matches_scalars_exhaustively(m, n):
     for c in (-1, ctx.order):
         with pytest.raises(BadParameters):
             ctx.monomial_vec(c, 3)
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (3, 4)])
+def test_monomial_vec_blocks_are_slices_of_the_whole_table(m, n):
+    # a block reads log_table[lo:hi]; x = 0 is set only in a block holding it
+    ctx = build_context(m, n)
+    rng = np.random.default_rng(ctx.bits)
+    cuts = sorted({0, 1, ctx.order // 3, ctx.order - 1, ctx.order})
+    blocks = [slice(lo, hi) for lo in cuts for hi in cuts if lo <= hi]
+    blocks += [slice(None), slice(1, None), slice(None, 1), slice(-2, None)]
+    stack = rng.integers(0, ctx.order, (2, ctx.order))
+    for e in _monomial_exponents(ctx, random.Random(ctx.bits)):
+        for c in (0, 1, ctx.order - 1):
+            whole = ctx.monomial_vec(c, e)
+            for block in blocks:
+                assert ctx.monomial_vec(c, e, block).tolist() == whole[block].tolist()
+        whole = ctx.monomial_vec(stack, e)
+        for block in blocks:
+            got = ctx.monomial_vec(stack[..., block], e, block)
+            assert got.tolist() == whole[..., block].tolist()
+            assert ctx.monomial_vec(stack[1, block], e, block).tolist() == whole[1, block].tolist()
+    with pytest.raises(BadParameters):
+        ctx.monomial_vec(1, 3, slice(0, ctx.order, 2))
 
 
 def test_monomial_vec_matches_oracle_13_to_20_bits():

@@ -38,6 +38,7 @@ from charperm import (
 )
 from charperm import linearized as lin
 from charperm import permtest as pt
+from charperm.field import FieldContext
 from charperm.permtest import _bijective_rows, report_from_values
 from charperm.verify import gold_ks
 from charperm.errors import (
@@ -217,6 +218,107 @@ def test_report_from_values_rejects_non_elements(field, bad):
     values[-1] = bad
     with pytest.raises(BadParameters):
         report_from_values(ctx, values)
+
+
+def _whole_table_report(ctx, values):
+    """report_from_values as it was before the blocked scan, kept as the
+    reference: the verdict on the whole table, then the first collision by
+    np.minimum.at over the prefixes 1024, 4096, ... of the whole table."""
+    values = np.asarray(values)
+    if np.array_equal(np.sort(values), ctx.elements):
+        return True, None
+    inputs = ctx.elements
+    first = np.full(ctx.order, ctx.order)
+    lo, hi = 0, 1024
+    while True:
+        np.minimum.at(first, values[lo:hi], inputs[lo:hi])
+        repeat = first[values[lo:hi]] != inputs[lo:hi]
+        if repeat.any() or hi >= ctx.order:
+            break
+        lo, hi = hi, 4 * hi
+    v2 = lo + int(np.argmax(repeat))
+    return False, (int(first[values[v2]]), v2)
+
+
+def _pair(report):
+    return report.is_permutation, report.witness
+
+
+@pytest.fixture(scope="module")
+def gf_20():
+    return build_context(4, 5)
+
+
+def _gold_l0(ctx, rng):
+    """A two-term L0 as the bigfield benchmark draws them."""
+    return lin.linearized(ctx, [(i, rng.randrange(1, ctx.order))
+                                for i in rng.sample(range(ctx.bits), 2)])
+
+
+@pytest.mark.parametrize("field", [(6, 2), (4, 4), (4, 5)], ids=str)
+def test_blocked_scan_witness_matches_the_whole_table_report(field, gf_20):
+    ctx = gf_20 if field == (4, 5) else build_context(*field)
+    rng = random.Random(f"scan:{field}")
+    polys = []
+    while len(polys) < 4:       # monomials a * x^e with gcd(e, order - 1) > 1
+        e = rng.randrange(2, ctx.group_order)
+        if math.gcd(e, ctx.group_order) > 1:
+            polys.append(monomial(ctx, [(rng.randrange(1, ctx.order), e)]))
+    polys += [monomial(ctx, [(rng.randrange(1, ctx.order), rng.randrange(1, ctx.order))
+                             for _ in range(3)]) for _ in range(2)]
+    polys += [gold_poly(ctx, gold_ks(ctx.n)[0], _gold_l0(ctx, rng))
+              for _ in range(8 if ctx.n % 2 else 0)]
+    late = 0
+    for f in polys:
+        values = evaluate_poly_all(ctx, f)
+        want = _whole_table_report(ctx, values)
+        assert not want[0]
+        assert _pair(is_perm_bruteforce(ctx, f)) == want
+        assert _pair(report_from_values(ctx, values)) == want
+        late = max(late, want[1][1])
+    if ctx.n % 2:
+        assert late >= 1024     # a witness past the first block of inputs
+
+
+@pytest.mark.parametrize("field", [(3, 4), (4, 4), (4, 5)], ids=str)
+def test_blocked_scan_finds_a_single_late_repeat(field, gf_20):
+    # a permutation with one value repeated at input v2, first held at v1:
+    # v2 at the ends of the first blocks, past the scanned share, and last
+    ctx = gf_20 if field == (4, 5) else build_context(*field)
+    rng = np.random.default_rng(ctx.bits)
+    perm = rng.permutation(ctx.order)
+    assert _pair(report_from_values(ctx, perm)) == (True, None)
+    spots = [v for v in (1, 1023, 1024, 4095, 4096, 16383, 16384, 65536, ctx.order - 1)
+             if v < ctx.order]
+    for v2 in spots:
+        v1 = int(rng.integers(v2))
+        values = perm.copy()
+        values[v2] = values[v1]
+        assert _pair(report_from_values(ctx, values)) == (False, (v1, v2))
+        assert _whole_table_report(ctx, values) == (False, (v1, v2))
+
+
+def test_blocked_scan_keeps_permutations_and_linear_maps(gf_20):
+    assert _pair(is_perm_bruteforce(gf_20, gold_poly(gf_20, 1, lin.zero(gf_20)))) == (True, None)
+    for ctx, e in ((gf_20, 7), (build_context(4, 4), 7), (build_context(3, 4), 11)):
+        assert _pair(is_perm_bruteforce(ctx, monomial(ctx, [(3, e)]))) == (True, None)
+    # the LinearizedPoly branch: x^2 + a*x has kernel {0, a}, so its first
+    # repeat is at the least input with the top bit of a, past every block
+    # for a large a
+    for ctx in (build_context(6, 2), build_context(4, 4), gf_20):
+        rng = random.Random(ctx.bits)
+        polys = [lin.linearized(ctx, [(1, 1), (0, a)])
+                 for a in (1, 3, ctx.order - 1, ctx.order // 2 + 5)]
+        polys += [lin.linearized(ctx, [(j, rng.randrange(ctx.order)) for j in range(3)])
+                  for _ in range(3)]
+        polys.append(lin.identity(ctx))
+        verdicts = set()
+        for poly in polys:
+            want = _whole_table_report(ctx, lin.evaluate_all(ctx, poly))
+            assert _pair(is_perm_bruteforce(ctx, poly)) == want
+            verdicts.add(want[0])
+        assert verdicts == {True, False}
+        assert is_perm_bruteforce(ctx, polys[3]).witness[1] == ctx.order // 2
 
 
 def test_identity_is_permutation(gf4):
@@ -530,6 +632,92 @@ def test_gold_substitution_against_bruteforce_at_20_bits():
             assert is_perm_bruteforce(ctx, gold_poly(ctx, k, l0)).is_permutation == want
             verdicts.add(want)
     assert verdicts == {True, False}
+
+
+def _gold_ok_whole_field(ctx, k, adj):
+    """_gold_ok as it was before the blocked scan, kept as the reference:
+    Tr(adj(w) * w^c) != 1 on one product table over every w."""
+    go = ctx.group_order
+    c = -2 * pow((1 << (ctx.m * k)) + 1, -1, go) % go
+    prod = ctx.monomial_vec(adj, c)
+    return np.all(ctx.trace_table(ctx.m)[prod[..., 1:]] != 1, axis=-1)
+
+
+def _single_trace_one(ctx, k, w):
+    """An adj table, zero but at w, where adj(w) * w^c = 1, of relative
+    trace n = 1 (n odd): the Gold criterion fails at w and nowhere else."""
+    go = ctx.group_order
+    table = np.zeros(ctx.order, dtype=np.int32)
+    table[w] = ctx.pow(w, 2 * pow((1 << (ctx.m * k)) + 1, -1, go))
+    return table
+
+
+BLOCK_EDGES = (1, 1023, 1024, 4095, 4096, 16383, 16384, 65535, 65536, 262143, 262144)
+
+
+@pytest.mark.parametrize("field", [(1, 7), (3, 5), (4, 5)], ids=str)
+def test_blocked_gold_matches_the_whole_field(field, gf_20):
+    ctx = gf_20 if field == (4, 5) else build_context(*field)
+    rng = random.Random(f"gold:{field}")
+    k = gold_ks(ctx.n)[-1]
+    zero = np.zeros(ctx.order, dtype=np.int32)
+    assert pt._gold_ok(ctx, k, zero)
+    assert perm_gold_linearized(ctx, k, lin.zero(ctx))
+    edges = [w for w in BLOCK_EDGES if w < ctx.order] + [ctx.order - 1]
+    singles = [_single_trace_one(ctx, k, w) for w in edges]
+    for table in singles:
+        assert not pt._gold_ok(ctx, k, table)
+    # trace 1 at w = 0 only: w = 0 is no u^(q^k+1), so the criterion holds
+    at_zero = zero.copy()
+    at_zero[0] = 1
+    drawn = [lin.evaluate_all(ctx, lin.adjoint(ctx, _gold_l0(ctx, rng))) for _ in range(3)]
+    tables = np.stack([zero, at_zero, singles[0], singles[-1]] + drawn)
+    want = _gold_ok_whole_field(ctx, k, tables)
+    assert want[:4].tolist() == [True, True, False, False]
+    assert pt._gold_ok(ctx, k, tables).tolist() == want.tolist()
+    for i in range(len(tables)):
+        assert pt._gold_ok(ctx, k, tables[i]) == want[i]
+    # stacks that pass, fail only on the last w, or fail early, in one scan
+    pick = [0, len(tables) - 1, 3, 1, 2, 0]
+    stack = tables[pick].reshape(2, 3, ctx.order)
+    assert pt._gold_ok(ctx, k, stack).tolist() == want[pick].reshape(2, 3).tolist()
+
+
+def test_whole_field_checks_stop_at_the_first_failing_block(monkeypatch, gf_20):
+    # counts, not timings: a non-permuting 20-bit Gold map reads at most
+    # 4096 inputs in the occupancy scan and 1024 w in the Gold criterion;
+    # a permuting one reads every input exactly once
+    ctx = gf_20
+    rng = random.Random(20)
+    seen = []       # the input range (lo, hi) of every monomial_vec call
+    inner = FieldContext.monomial_vec
+
+    def counted(self, c, e, block=slice(None)):
+        seen.append(block.indices(self.order)[:2])
+        return inner(self, c, e, block)
+    monkeypatch.setattr(FieldContext, "monomial_vec", counted)
+    for k in gold_ks(ctx.n):
+        for _ in range(3):
+            l0 = _gold_l0(ctx, rng)
+            seen.clear()
+            assert not is_perm_bruteforce(ctx, gold_poly(ctx, k, l0)).is_permutation
+            assert sum(hi - lo for lo, hi in seen) <= 4096
+            seen.clear()
+            assert not perm_gold_linearized(ctx, k, l0)
+            assert sum(hi - lo for lo, hi in seen) <= 1024
+        seen.clear()
+        assert is_perm_bruteforce(ctx, gold_poly(ctx, k, lin.zero(ctx))).is_permutation
+        assert _tile(seen) == (0, ctx.order)
+        seen.clear()
+        assert perm_gold_linearized(ctx, k, lin.zero(ctx))
+        assert _tile(seen) == (1, ctx.order)
+
+
+def _tile(ranges):
+    """(start, end) if the ranges (lo, hi) cover start .. end - 1 once each."""
+    ranges = sorted(ranges)
+    assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+    return ranges[0][0], ranges[-1][1]
 
 
 def test_gold_exponent_is_prime_to_the_group_order():
