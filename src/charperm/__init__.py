@@ -53,11 +53,8 @@ from .permtest import (
     PermReport,
     QuadFamilySpec,
     TraceFormSpec,
-    charsum_for_shift,
     evaluate_poly,
     evaluate_poly_all,
-    evaluate_quadspec,
-    evaluate_traceform,
     expand_quadspec,
     expand_traceform,
     family_polynomial,
@@ -75,7 +72,6 @@ from .permtest import (
     perm_quad_ext,
     perm_trace_form,
     quad_family,
-    reduction_at_shift,
     trace_form_spec,
 )
 from .verify import (

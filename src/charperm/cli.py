@@ -16,12 +16,12 @@ import argparse
 import csv
 import json
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from . import linearized as lin
 from . import permtest as pt
 from .charsum import classify_form, s_bruteforce, s_fast
-from .errors import BadParameters, CharpermError
+from .errors import BadParameters, CharpermError, UnknownTheorem
 from .field import DEFAULT_CHARSUM_CAP, DEFAULT_SIZE_CAP, FieldContext, build_context
 from .verify import (
     SWEEPS,
@@ -68,17 +68,18 @@ def _emit(obj) -> None:
 # ---- argument blob parsing -------------------------------------------------
 
 _ARG_KINDS = {
-    "a": "elem", "b": "elem", "u": "elem", "v": "elem",
-    "k": "int", "l": "int", "shift": "int", "j0": "int", "j1": "int",
-    "e": "int",
+    "a": "elem", "b": "elem",
+    "k": "int", "l": "int", "shift": "int",
     "l0": "lin", "l1": "lin", "poly": "lin",
     "monomials": "mono",
     "variant": "str",
 }
 
 
-def _parse_blob(ctx: FieldContext, blob: str) -> Dict[str, object]:
-    """Parse 'key=value' pairs separated by ';', typed by key name."""
+def _parse_blob(ctx: FieldContext, blob: str,
+                keys: Sequence[str]) -> Dict[str, object]:
+    """Parse 'key=value' pairs separated by ';', typed by key name; keys
+    are the ones the op reads, and any other key is a usage error."""
     out: Dict[str, object] = {}
     for part in blob.split(";"):
         part = part.strip()
@@ -87,9 +88,9 @@ def _parse_blob(ctx: FieldContext, blob: str) -> Dict[str, object]:
         if "=" not in part:
             raise ValueError(f"bad argument {part!r}, expected key=value")
         key, value = part.split("=", 1)
-        kind = _ARG_KINDS.get(key)
-        if kind is None:
-            raise ValueError(f"unknown argument key {key!r}")
+        if key not in keys:
+            raise ValueError(f"unknown argument key {key!r}, expected {list(keys)}")
+        kind = _ARG_KINDS[key]
         if kind == "elem":
             out[key] = _elem(ctx, value)
         elif kind == "int":
@@ -165,7 +166,7 @@ def _cmd_eval(args) -> int:
         sweep = SWEEPS.get(op[len("check-"):])
         if sweep is None:
             raise ValueError(f"unknown check op {op!r}")
-        params = _parse_blob(ctx, args.args or "")
+        params = _parse_blob(ctx, args.args or "", sweep.keys)
         missing = [k for k in sweep.keys if k not in params]
         if missing:
             raise ValueError(f"missing argument keys {missing}")
@@ -250,7 +251,9 @@ def _cmd_permtest(args, parser) -> int:
             f = pt.expand_traceform(ctx, spec)
     elif form == "family":
         name, _, rest = args.poly.partition(";")
-        params = _parse_blob(ctx, rest)
+        if name not in pt.FAMILIES:
+            raise UnknownTheorem(f"unknown family {name!r}")
+        params = _parse_blob(ctx, rest, pt.FAMILIES[name].params)
         if method == "structured":
             rep = pt.PermReport(pt.family_predicate(ctx, name, params),
                                 "structured")

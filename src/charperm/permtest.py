@@ -70,31 +70,6 @@ def evaluate_poly(ctx: FieldContext, poly: MonomialPoly, x: int) -> int:
     return r
 
 
-def evaluate_poly_all(ctx: FieldContext, poly: MonomialPoly) -> np.ndarray:
-    """Value table of poly on every field element, in element order (see
-    _poly_values)."""
-    return _poly_values(ctx, poly)(slice(None))
-
-
-def _poly_values(ctx: FieldContext, poly: MonomialPoly) -> Callable[[slice], np.ndarray]:
-    """Block evaluator of poly: values(block) are its values on the inputs
-    of block, a slice of element order.  The terms c * x^(2^j) form one
-    linearized polynomial, whose whole table is built once by linearity
-    (see linearized.evaluate_all) and sliced; each other term is one
-    exp_table lookup over the block (see FieldContext.monomial_vec)."""
-    linear = [(e.bit_length() - 1, c) for c, e in poly.terms if not e & (e - 1)]
-    table = lin.evaluate_all(ctx, lin.linearized(ctx, linear)) if linear else None
-    powers = [(c, e) for c, e in poly.terms if e & (e - 1)]
-
-    def values(block: slice) -> np.ndarray:
-        acc = table[block] if table is not None else None
-        for c, e in powers:
-            term = ctx.monomial_vec(c, e, block)
-            acc = term if acc is None else np.bitwise_xor(term, acc, out=term)
-        return acc if acc is not None else np.zeros_like(ctx.log_table[block])
-    return values
-
-
 def parse_monomial(ctx: FieldContext, text: str) -> MonomialPoly:
     """Parse 'exp:hexcoeff' terms, comma separated.  '' is the zero polynomial."""
     terms = []
@@ -140,9 +115,8 @@ def _bijective_rows(values: np.ndarray) -> np.ndarray:
     exactly when its size entries cover 0 .. size - 1.  The shifts are made
     in the narrowest unsigned dtype of at least size bits, or in uint64 if
     an entry lies outside 0 .. size - 1 (it could wrap into range in a
-    narrower one).  Longer rows: one bincount over all rows, row r shifted
-    by r * size so that its entries land in a bin range of its own; a
-    single row is counted as it stands.
+    narrower one).  Longer rows are sorted and compared with 0 .. size - 1,
+    which holds for any entries, negative or past size.
     """
     size = values.shape[-1]
     if size <= 64:
@@ -150,17 +124,13 @@ def _bijective_rows(values: np.ndarray) -> np.ndarray:
         dt = np.dtype(f"uint{max(8, 1 << (size - 1).bit_length()) if in_range else 64}")
         seen = np.left_shift(dt.type(1), values, dtype=dt, casting="unsafe")
         return np.bitwise_or.reduce(seen, axis=-1) == dt.type((1 << size) - 1)
-    rows = values.reshape(-1, size)
-    if rows.shape[0] > 1:
-        rows = rows + np.arange(0, rows.size, size)[:, None]
-    counts = np.bincount(rows.ravel(), minlength=rows.size)
-    return (counts.reshape(-1, size).max(axis=1) <= 1).reshape(values.shape[:-1])
+    return (np.sort(values, axis=-1) == np.arange(size)).all(axis=-1)
 
 
 # The occupancy scan reads the prefixes _FIRST_BLOCK, 4 * _FIRST_BLOCK, ...
 # of the inputs, one block of new inputs each, while a prefix is at most
-# 1 / _PREFIX_SHARE of the field; it then evaluates the rest in one go.  A
-# map that does not permute repeats a value early (a random map within about
+# 1 / _PREFIX_SHARE of the field; the next block is then the rest.  A map
+# that does not permute repeats a value early (a random map within about
 # sqrt(order) inputs), and a prefix costs a sort of its own size, so only a
 # permutation, or a repeat past the share, pays for the whole field.
 _FIRST_BLOCK = 1024
@@ -170,9 +140,10 @@ _PREFIX_SHARE = 64
 def _first_repeat(prefix: np.ndarray) -> Optional[Tuple[int, int]]:
     """(v1, v2) for the first input v2 of prefix that repeats a value and
     the first input v1 with that value, or None if prefix has no repeat.
-    A sort of the values tells whether there is a repeat; a sort of
-    value * size + input then puts equal values next to each other, their
-    inputs ascending, so v2 is the least input that follows an equal value."""
+    A sort of the values tells whether there is a repeat (so on a whole
+    table of elements, None means a permutation); a sort of value * size +
+    input then puts equal values next to each other, their inputs
+    ascending, so v2 is the least input that follows an equal value."""
     ordered = np.sort(prefix)
     if not (ordered[1:] == ordered[:-1]).any():
         return None
@@ -188,26 +159,21 @@ def _occupancy(ctx: FieldContext, values: Callable[[slice], np.ndarray],
                method: str) -> PermReport:
     """The occupancy test of a map given by its block evaluator: values(block)
     are its values on the inputs of block, a slice of element order, each
-    input asked for once.  The prefixes are searched for a repeat block by
-    block up to the share (see _PREFIX_SHARE); past it, the rest of the
-    inputs comes in one block and _bijective_rows decides on the whole
-    table.  Witness = first collision (v1, v2) (see _first_repeat): the
-    first prefix with a repeat holds the table's first."""
+    input asked for once.  Each growing prefix (see _PREFIX_SHARE) is
+    searched for a repeat by _first_repeat; the last prefix is the whole
+    table, whose order entries are elements, so no repeat there means a
+    permutation.  Witness = first collision (v1, v2): v2 is the least input
+    that repeats an earlier value, so the first prefix that holds it gives
+    the same pair as the whole table."""
     blocks, lo, hi = [], 0, _FIRST_BLOCK
-    while hi <= ctx.order // _PREFIX_SHARE:
+    while True:
+        if hi > ctx.order // _PREFIX_SHARE:
+            hi = ctx.order
         blocks.append(values(slice(lo, hi)))
         witness = _first_repeat(np.concatenate(blocks))
-        if witness is not None:
-            return PermReport(False, method, witness)
+        if witness is not None or hi == ctx.order:
+            return PermReport(witness is None, method, witness)
         lo, hi = hi, 4 * hi
-    table = values(slice(lo, None))
-    if blocks:
-        table = np.concatenate(blocks + [table])
-    if _bijective_rows(table):
-        return PermReport(True, method)
-    while (witness := _first_repeat(table[:hi])) is None:
-        hi *= 4
-    return PermReport(False, method, witness)
 
 
 def report_from_values(ctx: FieldContext, values: np.ndarray,
@@ -226,14 +192,31 @@ def report_from_values(ctx: FieldContext, values: np.ndarray,
 
 
 def _values_in(ctx: FieldContext, f) -> Callable[[slice], np.ndarray]:
-    """Block evaluator of a MonomialPoly or a LinearizedPoly (whose whole
-    table is built once by linearity, and sliced)."""
+    """Block evaluator of a MonomialPoly or a LinearizedPoly: values(block)
+    are the values of f on the inputs of block, a slice of element order.
+    The 2-linear part (a LinearizedPoly, or a MonomialPoly's terms
+    c * x^(2^j)) is one whole table built once by linearity (see
+    linearized.evaluate_all) and sliced; each other term is one exp_table
+    lookup over the block (see FieldContext.monomial_vec)."""
     if isinstance(f, lin.LinearizedPoly):
-        return lin.evaluate_all(ctx, f).__getitem__
-    return _poly_values(ctx, f)
+        table, powers = lin.evaluate_all(ctx, f), []
+    else:
+        linear = [(e.bit_length() - 1, c) for c, e in f.terms if not e & (e - 1)]
+        table = lin.evaluate_all(ctx, lin.linearized(ctx, linear)) if linear else None
+        powers = [(c, e) for c, e in f.terms if e & (e - 1)]
+
+    def values(block: slice) -> np.ndarray:
+        acc = table[block] if table is not None else None
+        for c, e in powers:
+            term = ctx.monomial_vec(c, e, block)
+            acc = term if acc is None else np.bitwise_xor(term, acc, out=term)
+        return acc if acc is not None else np.zeros_like(ctx.log_table[block])
+    return values
 
 
-def _values_of(ctx: FieldContext, f) -> np.ndarray:
+def evaluate_poly_all(ctx: FieldContext, f) -> np.ndarray:
+    """Value table of a MonomialPoly or a LinearizedPoly on every field
+    element, in element order: _values_in on the whole field."""
     return _values_in(ctx, f)(slice(None))
 
 
@@ -251,12 +234,6 @@ def is_perm_bruteforce(ctx: FieldContext, f) -> PermReport:
     return _occupancy(ctx, _values_in(ctx, f), "bruteforce")
 
 
-def charsum_for_shift(ctx: FieldContext, f, u: int) -> int:
-    """Direct sum of chi(u * f(v)) over all v; the per-shift re-check."""
-    values = _values_of(ctx, f)
-    return int(ctx.chi_table[ctx.mul_vec(u, values)].sum(dtype=np.int64))
-
-
 def is_perm_charsum(ctx: FieldContext, f) -> PermReport:
     """Character-sum permutation test.
 
@@ -269,8 +246,8 @@ def is_perm_charsum(ctx: FieldContext, f) -> PermReport:
     if ctx.bits > ctx.charsum_cap:
         raise SizeGuard(
             f"{ctx.bits}-bit field exceeds the character-sum cap {ctx.charsum_cap}")
-    values = _values_of(ctx, f)
-    hist = np.bincount(values, minlength=ctx.order)
+    hist = np.zeros(ctx.order, dtype=np.int64)
+    np.add.at(hist, evaluate_poly_all(ctx, f), 1)
     spectrum = walsh_hadamard(hist)
     sums = spectrum[ctx.chi_index_table]
     bad = sums != 0
@@ -312,13 +289,6 @@ def quad_family(ctx: FieldContext,
     return QuadFamilySpec(parts)
 
 
-def evaluate_quadspec(ctx: FieldContext, spec: QuadFamilySpec, x: int) -> int:
-    r = 0
-    for i, part in enumerate(spec.parts):
-        r ^= lin.evaluate(ctx, part, ctx.pow(x, (1 << (ctx.m * i)) + 1))
-    return r
-
-
 def expand_quadspec(ctx: FieldContext, spec: QuadFamilySpec) -> MonomialPoly:
     """spec as a plain polynomial: L_i contributes c_j * x^(2^j*(q^i+1))."""
     terms = []
@@ -327,18 +297,6 @@ def expand_quadspec(ctx: FieldContext, spec: QuadFamilySpec) -> MonomialPoly:
         for j in part.support():
             terms.append((part.coeffs[j], (1 << j) * base))
     return monomial(ctx, terms)
-
-
-def reduction_at_shift(ctx: FieldContext, spec: QuadFamilySpec,
-                       u: int) -> lin.LinearizedPoly:
-    """The q-linear polynomial whose character sum is sum_v chi(u*f(v)).
-
-    Its coefficient at x^(q^i) is the adjoint of L_i evaluated at u, so the
-    whole family question reduces to quadratic-form sums.
-    """
-    pairs = [(i, lin.evaluate(ctx, lin.adjoint(ctx, part), u))
-             for i, part in enumerate(spec.parts)]
-    return lin.q_linearized(ctx, pairs)
 
 
 # Shifts per s_fast call in is_perm_quadspec: the first block, doubling up
@@ -475,18 +433,15 @@ def trace_form_spec(ctx: FieldContext, l0: lin.LinearizedPoly,
     return TraceFormSpec(l0, l1, shift)
 
 
-def evaluate_traceform(ctx: FieldContext, spec: TraceFormSpec, x: int) -> int:
-    r = lin.evaluate(ctx, spec.l0, ctx.frobenius(x, spec.shift))
-    return r ^ ctx.mul(lin.evaluate(ctx, spec.l1, x), ctx.trace_to(x, ctx.m))
-
-
 def expand_traceform(ctx: FieldContext, spec: TraceFormSpec) -> MonomialPoly:
     """spec as a plain polynomial.
 
-    L0(x^(2^shift)) shifts each 2-power exponent; the product L1(x)*Tr(x)
-    multiplies out to exponents 2^j + q^i.
+    L0(x^(2^shift)) shifts each 2-power exponent, taken modulo bits as
+    x^(2^bits) = x; the product L1(x)*Tr(x) multiplies out to exponents
+    2^j + q^i.
     """
-    terms = [(spec.l0.coeffs[i], 1 << (i + spec.shift)) for i in spec.l0.support()]
+    terms = [(spec.l0.coeffs[i], 1 << ((i + spec.shift) % ctx.bits))
+             for i in spec.l0.support()]
     for j in spec.l1.support():
         for i in range(ctx.n):
             terms.append((spec.l1.coeffs[j], (1 << j) + (1 << (ctx.m * i))))
@@ -526,8 +481,9 @@ def _trace_form_ok(ctx: FieldContext, x_tab: np.ndarray, y_tab: np.ndarray,
 
 def monomial_trace_poly(ctx: FieldContext, a: int, k: int,
                         shift: int) -> MonomialPoly:
-    """a * x^(2^shift * q^k) + x * Tr(x) as a plain polynomial."""
-    terms = [(a, (1 << shift) * (1 << (ctx.m * k)))]
+    """a * x^(2^shift * q^k) + x * Tr(x) as a plain polynomial; the
+    exponent of 2 is taken modulo bits, as x^(2^bits) = x."""
+    terms = [(a, 1 << ((shift + ctx.m * k) % ctx.bits))]
     terms += [(1, 1 + (1 << (ctx.m * i))) for i in range(ctx.n)]
     return monomial(ctx, terms)
 
@@ -537,13 +493,15 @@ def perm_monomial_trace(ctx: FieldContext, a: int, k: int, shift: int) -> bool:
 
     Closed form: n odd, gcd(2^(shift + m*k) - 1, (q^n-1)/(q-1)) = 1, and a
     a nonzero subfield element with a^((q-1)/(2^d-1)) != 1 for
-    d = gcd(|shift - 1|, m).
+    d = gcd(|shift - 1|, m).  (q^n-1)/(q-1) divides 2^bits - 1, so the gcd
+    is taken with shift + m*k reduced modulo bits (a residue of 0 gives
+    2^0 - 1 = 0, whose gcd is (q^n-1)/(q-1), as for any multiple of bits).
     """
     if k < 0 or shift < 0:
         raise BadParameters(f"k and shift must be nonnegative, got k={k} shift={shift}")
     if ctx.n % 2 == 0:
         return False
-    if math.gcd((1 << (shift + ctx.m * k)) - 1,
+    if math.gcd((1 << ((shift + ctx.m * k) % ctx.bits)) - 1,
                 ctx.group_order // (ctx.q - 1)) != 1:
         return False
     if a == 0 or not ctx.in_subfield(a, ctx.m):

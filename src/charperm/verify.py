@@ -373,7 +373,7 @@ def _family_cases(ctx: FieldContext, name: str, p: Params, fn) -> np.ndarray:
 def _poly_occupancy(ctx, name, params) -> bool:
     """Occupancy of the family's own polynomial, one case at a time."""
     f = pt.family_polynomial(ctx, name, params)
-    return bool(pt._bijective_rows(pt.evaluate_poly_all(ctx, f)))
+    return pt.is_perm_bruteforce(ctx, f).is_permutation
 
 
 def _tu_brute(ctx, p):
@@ -704,7 +704,7 @@ def run_search(ctx: FieldContext, template: str,
         params = dict(fixed_params)
         params.update(zip(tpl.axes, combo))
         f = tpl.build(ctx, params)
-        if not pt._bijective_rows(pt.evaluate_poly_all(ctx, f)):
+        if not pt.is_perm_bruteforce(ctx, f).is_permutation:
             continue
         try:
             certified = tpl.criteria(ctx, params)

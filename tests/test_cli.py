@@ -68,8 +68,8 @@ def test_eval_arithmetic(capsys):
     ("2:3", ("--op", "pow", "--elem=-40", "--exp", "3")),
     ("3:2", ("--op", "check-thm4", "--args", "a=-1;b=3")),
     ("3:2", ("--op", "check-thm4", "--args", "a=1;b=40")),
-    ("2:3", ("--op", "check-family:tu", "--args", "a=1;u=40")),
-    ("2:3", ("--op", "check-family:tu", "--args", "a=1;v=-2")),
+    ("2:3", ("--op", "check-family:abnorm", "--args", "a=1;b=40")),
+    ("2:3", ("--op", "check-family:abnorm", "--args", "a=1;b=-2")),
 ])
 def test_eval_rejects_out_of_field_elements(capsys, field, argv):
     code, out, err = run_cli(capsys, "eval", "--field", field, *argv)
@@ -82,7 +82,7 @@ def test_eval_rejects_out_of_field_elements(capsys, field, argv):
     ("2:3", ("--op", "inv", "--elem", "3f"), "20\n"),
     ("2:3", ("--op", "pow", "--elem", "3f", "--exp", "63"), "1\n"),
     ("3:2", ("--op", "check-thm4", "--args", "a=3f;b=3f"), None),
-    ("2:3", ("--op", "check-family:tu", "--args", "a=1;u=3f;v=3f"), None),
+    ("2:3", ("--op", "check-family:abnorm", "--args", "a=3f;b=3f"), None),
 ])
 def test_eval_accepts_largest_element(capsys, field, argv, want):
     code, out, _ = run_cli(capsys, "eval", "--field", field, *argv)
@@ -505,12 +505,109 @@ def test_replay_shows_the_sum_its_rows_show(capsys):
 
 
 def test_replay_rejects_unknown_campaigns_and_missing_keys(capsys):
+    # and keys its campaign does not read: another campaign's, or no one's
     for op, blob in (("check-thm99", "a=1"), ("check-thm5", "a=1;b=1"),
-                     ("check-family:q4", "a=1")):
+                     ("check-family:q4", "a=1"), ("check-thm5", "a=1;b=1;k=1;u=3"),
+                     ("check-thm5", "a=1;b=1;k=1;j0=9"), ("check-family:tu", "a=1;b=1"),
+                     ("check-family:tu", "a=1;v=3")):
         code, out, err = run_cli(capsys, "eval", "--field", "2:3", "--op", op,
                                  "--args", blob)
         assert (code, out) == (2, "")
         assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+def test_permtest_family_takes_only_its_parameters(capsys):
+    for poly in ("tu;a=1;e=2", "tu;a=1;b=1"):
+        code, out, err = run_cli(capsys, "permtest", "--field", "2:3", "--form",
+                                 "family", "--poly", poly)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: unknown argument key") and err.count("\n") == 1
+    code, out, err = run_cli(capsys, "permtest", "--field", "2:3", "--form", "family",
+                             "--poly", "nope;a=1")
+    assert (code, out) == (1, "") and err.startswith("error: unknown family")
+
+
+@pytest.mark.parametrize("field", ["1:3", "2:3"])
+def test_huge_exponents_match_their_residues(capsys, field):
+    # 2-power exponents act modulo bits (x^(2^bits) = x); 10^12 must not
+    # build a 10^12-bit integer on the way
+    ctx = build_context(*map(int, field.split(":")))
+    big, rest = 10 ** 12, 10 ** 12 % ctx.bits
+    for argv, small in (
+            (("permtest", "--form", "traceform", "--poly", f"0:1|0:1|{big}"),
+             ("permtest", "--form", "traceform", "--poly", f"0:1|0:1|{rest}")),
+            (("permtest", "--form", "traceform", "--poly", f"0:1||{big}"),
+             ("permtest", "--form", "traceform", "--poly", f"0:1||{rest}")),
+            (("eval", "--op", "check-corollary", "--args", f"a=1;k={big};l={big}"),
+             ("eval", "--op", "check-corollary", "--args",
+              f"a=1;k={big % ctx.n};l={rest}"))):
+        got = run_cli(capsys, argv[0], "--field", field, *argv[1:])
+        want = run_cli(capsys, small[0], "--field", field, *small[1:])
+        assert got == want and got[0] == 0, argv
+    assert cp.monomial_trace_poly(ctx, 1, big, big) == cp.monomial_trace_poly(
+        ctx, 1, big % ctx.n, rest)
+    for a in range(ctx.order):
+        assert (cp.perm_monomial_trace(ctx, a, big, big)
+                == cp.perm_monomial_trace(ctx, a, big % ctx.n, rest))
+
+
+# Fields of at most 6 bits for the replay fuzz; each check op meets fields
+# it runs on and fields it refuses
+REPLAY_FUZZ_FIELDS = ("1:1", "1:2", "2:2", "1:3", "3:2", "2:3", "1:5", "1:6")
+_HUGE = 10 ** 12
+
+
+def _fuzz_value(ctx, key):
+    """A strategy for one --args value of key: in range, out of range,
+    negative, 10^12 or malformed."""
+    malformed = st.sampled_from(("", "x", "1_0", " 3", "0x", "--", ":", ",")) | st.text(
+        max_size=4)
+    elem = (st.integers(0, ctx.order - 1) | st.integers(ctx.order, 4 * ctx.order)
+            | st.integers(-ctx.order, -1) | st.just(_HUGE)).map(lambda v: format(v, "x"))
+    if key in ("a", "b"):
+        return elem | malformed
+    if key in ("k", "l", "shift"):
+        return st.integers(-3, 2 * ctx.bits + 2).map(str) | st.just(str(_HUGE)) | malformed
+    if key == "variant":
+        return st.sampled_from(("binomial", "qk")) | malformed
+    first = (st.integers(0, ctx.bits - 1) if key != "monomials" else st.integers(1, ctx.order))
+    first = (first | st.integers(-2, 4 * ctx.bits) | st.just(_HUGE)).map(str)
+    term = st.tuples(first, elem).map(":".join) | malformed
+    return st.lists(term, max_size=3).map(",".join)
+
+
+def test_replay_fuzzed_args_exit_cleanly():
+    contexts = {f: build_context(*map(int, f.split(":"))) for f in REPLAY_FUZZ_FIELDS}
+    other_keys = ("u", "v", "e", "j0", "j1", "zz", "a", "b", "k", "l", "shift",
+                  "l0", "l1", "poly", "monomials", "variant")
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(field=st.sampled_from(REPLAY_FUZZ_FIELDS), cid=st.sampled_from(sorted(cp.SWEEPS)),
+           data=st.data())
+    def check(field, cid, data):
+        ctx = contexts[field]
+        keys = cp.SWEEPS[cid].keys
+        # keys the op does not read come first: they exit 2 before any value
+        extra = data.draw(st.lists(st.sampled_from(other_keys).filter(
+            lambda k: k not in keys), max_size=2), label="extra keys")
+        parts = [f"{key}={data.draw(_fuzz_value(ctx, key), label=key)}"
+                 for key in extra + [k for k in keys
+                                     if data.draw(st.integers(0, 9), label=f"has {k}")]]
+        if data.draw(st.integers(0, 19), label="bare") == 0:
+            parts.append(data.draw(st.text(max_size=4), label="bare part"))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["eval", "--field", field, "--op", f"check-{cid}",
+                         "--args", ";".join(parts)])
+        assert code in (0, 1, 2)
+        if code:
+            assert out.getvalue() == "" and err.getvalue().count("\n") == 1, err.getvalue()
+        else:
+            assert set(json.loads(out.getvalue())) <= {"structured", "brute", "s", "agree"}
+        if extra:
+            assert code == 2
+
+    check()
 
 
 def test_verify_all_stdout_is_byte_identical(capsys):

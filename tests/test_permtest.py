@@ -10,11 +10,8 @@ import pytest
 from charperm import (
     FAMILIES,
     build_context,
-    charsum_for_shift,
     evaluate_poly,
     evaluate_poly_all,
-    evaluate_quadspec,
-    evaluate_traceform,
     expand_quadspec,
     expand_traceform,
     family_polynomial,
@@ -32,7 +29,6 @@ from charperm import (
     perm_quad_ext,
     perm_trace_form,
     quad_family,
-    reduction_at_shift,
     s_bruteforce,
     trace_form_spec,
 )
@@ -136,10 +132,10 @@ def test_bijective_rows_match_report_from_values():
 
 
 def _small_rows(size, dtype):
-    """Rows of size entries for the shift path of _bijective_rows: a
-    permutation, a repeat, and entries outside 0 .. size - 1 (size itself,
-    the bit widths of the shift dtypes, and values that wrap onto the
-    missing entry modulo 2^8, 2^16 or 2^32, from above or below zero)."""
+    """Rows of size entries for _bijective_rows: a permutation, a repeat,
+    and entries outside 0 .. size - 1 (size itself, the bit widths of the
+    shift dtypes, and values that wrap onto the missing entry modulo 2^8,
+    2^16 or 2^32, from above or below zero)."""
     rng = np.random.default_rng(size)
     perm = rng.permutation(size)
     rows = [perm]
@@ -158,8 +154,10 @@ def _small_rows(size, dtype):
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint8, np.uint16])
 def test_bijective_rows_small_rows_match_sorting(dtype):
-    # every row length of the shift path, single rows and (2, 3, size) stacks
-    for size in range(65):
+    # every row length of the shift path and past it, up to 130, and 1024
+    # (as far as dtype holds a permutation): single rows and (2, 3, size)
+    # stacks
+    for size in [s for s in list(range(131)) + [1024] if s <= np.iinfo(dtype).max + 1]:
         rows = [np.asarray(r).astype(dtype) for r in _small_rows(size, dtype)]
         want = [np.array_equal(np.sort(r), np.arange(size)) for r in rows]
         assert want[0] and not any(want[1:])
@@ -339,6 +337,12 @@ def test_cube_on_gf4_and_gf8(gf4, gf8):
     assert is_perm_charsum(gf8, cube8).is_permutation
 
 
+def _charsum_for_shift(ctx, f, u):
+    """Direct sum of chi(u * f(v)) over all v; the per-shift re-check."""
+    values = evaluate_poly_all(ctx, f)
+    return int(ctx.chi_table[ctx.mul_vec(u, values)].sum(dtype=np.int64))
+
+
 def test_charsum_witness_is_failing_shift(gf4):
     p = monomial(gf4, [(1, 2), (1, 1)])  # x^2 + x kills {0, 1}
     rep = is_perm_charsum(gf4, p)
@@ -346,7 +350,7 @@ def test_charsum_witness_is_failing_shift(gf4):
     assert rep.method == "charsum"
     u = rep.witness
     assert u != 0
-    assert charsum_for_shift(gf4, p, u) != 0
+    assert _charsum_for_shift(gf4, p, u) != 0
 
 
 def test_two_routes_agree_on_seeded_polys(gf16):
@@ -373,6 +377,22 @@ def test_charsum_cap(gf4):
 
 # ---- quadratic part families ----------------------------------------------
 
+def _evaluate_quadspec(ctx, spec, x):
+    """sum_i L_i(x^(q^i+1)), one scalar term at a time."""
+    r = 0
+    for i, part in enumerate(spec.parts):
+        r ^= lin.evaluate(ctx, part, ctx.pow(x, (1 << (ctx.m * i)) + 1))
+    return r
+
+
+def _reduction_at_shift(ctx, spec, u):
+    """The q-linear polynomial whose character sum is sum_v chi(u*f(v)):
+    its coefficient at x^(q^i) is the adjoint of L_i evaluated at u."""
+    pairs = [(i, lin.evaluate(ctx, lin.adjoint(ctx, part), u))
+             for i, part in enumerate(spec.parts)]
+    return lin.q_linearized(ctx, pairs)
+
+
 def test_quad_family_shapes(gf8):
     spec = quad_family(gf8, {1: lin.identity(gf8)})
     assert len(spec.parts) == 3
@@ -390,7 +410,7 @@ def test_expand_quadspec_exponents(gf4):
     # x^2 substituted into x^{q+1} gives exponent 2 * 3 = 6, folded mod 3
     f = expand_quadspec(gf4, spec2)
     for x in range(4):
-        assert evaluate_poly(gf4, f, x) == evaluate_quadspec(gf4, spec2, x)
+        assert evaluate_poly(gf4, f, x) == _evaluate_quadspec(gf4, spec2, x)
 
 
 def test_quadspec_expansion_matches_direct(gf64_tower):
@@ -403,7 +423,7 @@ def test_quadspec_expansion_matches_direct(gf64_tower):
         spec = quad_family(ctx, parts)
         f = expand_quadspec(ctx, spec)
         for x in range(64):
-            assert evaluate_poly(ctx, f, x) == evaluate_quadspec(ctx, spec, x)
+            assert evaluate_poly(ctx, f, x) == _evaluate_quadspec(ctx, spec, x)
 
 
 def test_reduction_at_shift_is_adjoint_row(gf16_tower):
@@ -413,7 +433,7 @@ def test_reduction_at_shift_is_adjoint_row(gf16_tower):
              for _ in range(2)]
     spec = quad_family(ctx, parts)
     for u in range(1, 16):
-        ell = reduction_at_shift(ctx, spec, u)
+        ell = _reduction_at_shift(ctx, spec, u)
         assert ell.q_linear
         for i, part in enumerate(spec.parts):
             expected = lin.evaluate(ctx, lin.adjoint(ctx, part), u)
@@ -431,14 +451,14 @@ def test_quadspec_permtest_vs_bruteforce(gf16_tower):
         brute = is_perm_bruteforce(ctx, expand_quadspec(ctx, spec))
         assert fast.is_permutation == brute.is_permutation
         if not fast.is_permutation:
-            ell = reduction_at_shift(ctx, spec, fast.witness)
+            ell = _reduction_at_shift(ctx, spec, fast.witness)
             assert s_bruteforce(ctx, ell) != 0
 
 
 def _first_failing_shift(ctx, spec):
     """is_perm_quadspec's witness, one shift at a time by the full sum."""
     for u in range(1, ctx.order):
-        if s_bruteforce(ctx, reduction_at_shift(ctx, spec, u)) != 0:
+        if s_bruteforce(ctx, _reduction_at_shift(ctx, spec, u)) != 0:
             return u
     return None
 
@@ -739,6 +759,12 @@ def test_gold_substitution_guard_is_a_typed_error():
 
 # ---- trace-assembled forms -------------------------------------------------
 
+def _evaluate_traceform(ctx, spec, x):
+    """L0(x^(2^shift)) + L1(x) * Tr(x) at one x."""
+    r = lin.evaluate(ctx, spec.l0, ctx.frobenius(x, spec.shift))
+    return r ^ ctx.mul(lin.evaluate(ctx, spec.l1, x), ctx.trace_to(x, ctx.m))
+
+
 def test_traceform_expansion_matches_direct(gf64_tower):
     ctx = gf64_tower
     rng = random.Random(8)
@@ -749,7 +775,7 @@ def test_traceform_expansion_matches_direct(gf64_tower):
             spec = trace_form_spec(ctx, l0, l1, shift)
             f = expand_traceform(ctx, spec)
             for x in range(0, 64, 5):
-                assert evaluate_poly(ctx, f, x) == evaluate_traceform(ctx, spec, x)
+                assert evaluate_poly(ctx, f, x) == _evaluate_traceform(ctx, spec, x)
 
 
 def test_traceform_requires_q_linear(gf64_tower):
