@@ -53,7 +53,6 @@ from .permtest import (
     PermReport,
     QuadFamilySpec,
     TraceFormSpec,
-    evaluate_poly,
     evaluate_poly_all,
     expand_quadspec,
     expand_traceform,

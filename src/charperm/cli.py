@@ -69,7 +69,7 @@ def _emit(obj) -> None:
 
 _ARG_KINDS = {
     "a": "elem", "b": "elem",
-    "k": "int", "l": "int", "shift": "int",
+    "k": "int", "l": "int", "shift": "int", "j0": "int", "j1": "int",
     "l0": "lin", "l1": "lin", "poly": "lin",
     "monomials": "mono",
     "variant": "str",
@@ -271,11 +271,7 @@ def _cmd_permtest(args, parser) -> int:
 def _cmd_search(args) -> int:
     ctx = _context_from(args)
     tpl = TEMPLATES.get(args.template)
-    fixed = {}
-    if args.params:
-        for key, value in ((p.split("=", 1) + [""])[:2]
-                           for p in args.params.split(";") if p):
-            fixed[key] = int(value, 10)
+    fixed = _parse_blob(ctx, args.params or "", tpl.fixed) if tpl else {}
     coeffs: Optional[List[int]] = None
     if args.coeffs is not None:
         coeffs = [_elem(ctx, c) for c in args.coeffs.split(",") if c.strip()]

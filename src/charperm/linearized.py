@@ -68,7 +68,7 @@ def linearized_rows(ctx: FieldContext, pairs) -> np.ndarray:
     coefficient is a scalar or an array, and the stack has their broadcast
     shape, with one last axis of length bits (see evaluate_all).  The
     coefficients are not checked."""
-    shape = np.broadcast_shapes(*(np.shape(c) for _, c in pairs))
+    shape = np.broadcast_shapes(*(np.shape(c) for _, c in pairs if not isinstance(c, int)))
     rows = np.zeros(shape + (ctx.bits,), dtype=np.int64)
     for i, c in pairs:
         rows[..., i % ctx.bits] ^= c
@@ -105,6 +105,15 @@ def evaluate(ctx: FieldContext, poly: LinearizedPoly, x: int) -> int:
 def _columns(ctx: FieldContext, rows: np.ndarray) -> np.ndarray:
     """Indices i at which some row has a nonzero coefficient."""
     return np.flatnonzero(rows.reshape(-1, ctx.bits).any(axis=0))
+
+
+def pairs(ctx: FieldContext, poly) -> List[Tuple[int, object]]:
+    """The (index, coefficient) pairs of poly's nonzero terms, the inverse
+    of linearized and linearized_rows: ints for a LinearizedPoly, and for a
+    stack of coefficient rows each nonzero column, an array over the stack."""
+    if isinstance(poly, LinearizedPoly):
+        return [(i, poly.coeffs[i]) for i in poly.support()]
+    return [(int(i), poly[..., i]) for i in _columns(ctx, poly)]
 
 
 def _q_linear_rows(ctx: FieldContext, rows: np.ndarray) -> np.ndarray:

@@ -63,13 +63,6 @@ def monomial(ctx: FieldContext, terms: Iterable[Tuple[int, int]]) -> MonomialPol
     return MonomialPoly(tuple((c, e) for e, c in kept))
 
 
-def evaluate_poly(ctx: FieldContext, poly: MonomialPoly, x: int) -> int:
-    r = 0
-    for c, e in poly.terms:
-        r ^= ctx.mul(c, ctx.pow(x, e))
-    return r
-
-
 def parse_monomial(ctx: FieldContext, text: str) -> MonomialPoly:
     """Parse 'exp:hexcoeff' terms, comma separated.  '' is the zero polynomial."""
     terms = []
@@ -192,31 +185,54 @@ def report_from_values(ctx: FieldContext, values: np.ndarray,
 
 
 def _values_in(ctx: FieldContext, f) -> Callable[[slice], np.ndarray]:
-    """Block evaluator of a MonomialPoly or a LinearizedPoly: values(block)
-    are the values of f on the inputs of block, a slice of element order.
-    The 2-linear part (a LinearizedPoly, or a MonomialPoly's terms
-    c * x^(2^j)) is one whole table built once by linearity (see
-    linearized.evaluate_all) and sliced; each other term is one exp_table
+    """Block evaluator of f: values(block) are the values of f on the
+    inputs of block, a slice of element order.  f is a LinearizedPoly, a
+    MonomialPoly or a list of (c, e) terms c * x^e, each c an element or an
+    array of them (a batch: the coefficients broadcast against each other,
+    and the values carry their shape before the input axis).  The 2-linear
+    part (a LinearizedPoly, or the terms c * x^(2^j)) is one table per
+    coefficient shape, built once by linearity (see linearized.evaluate_all)
+    and sliced, so that a batch of one shape does not widen to the product
+    of all of them before the values do; each other term is one exp_table
     lookup over the block (see FieldContext.monomial_vec)."""
     if isinstance(f, lin.LinearizedPoly):
-        table, powers = lin.evaluate_all(ctx, f), []
+        tables, powers = [lin.evaluate_all(ctx, f)], []
     else:
-        linear = [(e.bit_length() - 1, c) for c, e in f.terms if not e & (e - 1)]
-        table = lin.evaluate_all(ctx, lin.linearized(ctx, linear)) if linear else None
-        powers = [(c, e) for c, e in f.terms if e & (e - 1)]
+        linear: Dict[tuple, list] = {}
+        powers = []
+        for c, e in f.terms if isinstance(f, MonomialPoly) else f:
+            batch = not isinstance(c, int)
+            if e & (e - 1):
+                powers.append((np.asarray(c)[..., None] if batch else c, e))
+            else:
+                linear.setdefault(np.shape(c) if batch else (), []).append(
+                    (e.bit_length() - 1, c))
+        groups = [pairs for shape, pairs in linear.items() if shape] or [[]]
+        groups[0] += linear.get((), [])     # scalar terms ride along with a batch
+        tables = [lin.evaluate_all(ctx, lin.linearized_rows(ctx, pairs))
+                  for pairs in groups if pairs]
 
     def values(block: slice) -> np.ndarray:
-        acc = table[block] if table is not None else None
+        acc = None
         for c, e in powers:
             term = ctx.monomial_vec(c, e, block)
-            acc = term if acc is None else np.bitwise_xor(term, acc, out=term)
+            acc = term if acc is None else _xor(acc, term)
+        for table in tables:
+            acc = table[..., block] if acc is None else _xor(acc, table[..., block])
         return acc if acc is not None else np.zeros_like(ctx.log_table[block])
     return values
 
 
+def _xor(acc: np.ndarray, part: np.ndarray) -> np.ndarray:
+    """acc ^ part, written into acc when acc is a fresh term (never a view
+    of a table) that already has the shape of the sum."""
+    own = acc.flags.owndata and np.broadcast(acc, part).shape == acc.shape
+    return np.bitwise_xor(acc, part, out=acc if own else None)
+
+
 def evaluate_poly_all(ctx: FieldContext, f) -> np.ndarray:
-    """Value table of a MonomialPoly or a LinearizedPoly on every field
-    element, in element order: _values_in on the whole field."""
+    """Value table of f (see _values_in) on every field element, in element
+    order along the last axis: _values_in on the whole field."""
     return _values_in(ctx, f)(slice(None))
 
 
@@ -365,12 +381,15 @@ def _quad_ext_ok(ctx: FieldContext, v0: np.ndarray, v1: np.ndarray) -> np.ndarra
             & (np.count_nonzero(v0, axis=-1) == ctx.order - 1))
 
 
+def gold_terms(ctx: FieldContext, k: int, l0) -> list:
+    """Terms of x^(q^k+1) + L0(x^2), L0 given by its (index, coefficient)
+    pairs (see linearized.pairs), each coefficient an element or a batch."""
+    return [(1, (1 << (ctx.m * k)) + 1)] + [(c, 1 << (j + 1)) for j, c in l0]
+
+
 def gold_poly(ctx: FieldContext, k: int, l0: lin.LinearizedPoly) -> MonomialPoly:
     """x^(q^k+1) + L0(x^2) as a plain polynomial."""
-    terms = [(1, (1 << (ctx.m * k)) + 1)]
-    for j in l0.support():
-        terms.append((l0.coeffs[j], 1 << (j + 1)))
-    return monomial(ctx, terms)
+    return monomial(ctx, gold_terms(ctx, k, lin.pairs(ctx, l0)))
 
 
 def perm_gold_linearized(ctx: FieldContext, k: int,
@@ -433,19 +452,20 @@ def trace_form_spec(ctx: FieldContext, l0: lin.LinearizedPoly,
     return TraceFormSpec(l0, l1, shift)
 
 
-def expand_traceform(ctx: FieldContext, spec: TraceFormSpec) -> MonomialPoly:
-    """spec as a plain polynomial.
+def traceform_terms(ctx: FieldContext, l0, l1, shift: int) -> list:
+    """Terms of L0(x^(2^shift)) + L1(x) * Tr(x), L0 and L1 given by their
+    (index, coefficient) pairs (see linearized.pairs), each coefficient an
+    element or a batch.  L0(x^(2^shift)) shifts each 2-power exponent, taken
+    modulo bits as x^(2^bits) = x; the product L1(x)*Tr(x) multiplies out to
+    exponents 2^j + q^i."""
+    terms = [(c, 1 << ((i + shift) % ctx.bits)) for i, c in l0]
+    return terms + [(c, (1 << j) + (1 << (ctx.m * i))) for j, c in l1 for i in range(ctx.n)]
 
-    L0(x^(2^shift)) shifts each 2-power exponent, taken modulo bits as
-    x^(2^bits) = x; the product L1(x)*Tr(x) multiplies out to exponents
-    2^j + q^i.
-    """
-    terms = [(spec.l0.coeffs[i], 1 << ((i + spec.shift) % ctx.bits))
-             for i in spec.l0.support()]
-    for j in spec.l1.support():
-        for i in range(ctx.n):
-            terms.append((spec.l1.coeffs[j], (1 << j) + (1 << (ctx.m * i))))
-    return monomial(ctx, terms)
+
+def expand_traceform(ctx: FieldContext, spec: TraceFormSpec) -> MonomialPoly:
+    """spec as a plain polynomial (see traceform_terms)."""
+    return monomial(ctx, traceform_terms(ctx, lin.pairs(ctx, spec.l0),
+                                         lin.pairs(ctx, spec.l1), spec.shift))
 
 
 def perm_trace_form(ctx: FieldContext, spec: TraceFormSpec) -> bool:
@@ -479,13 +499,17 @@ def _trace_form_ok(ctx: FieldContext, x_tab: np.ndarray, y_tab: np.ndarray,
     return np.all(ok[..., 1:], axis=-1)
 
 
+def monomial_trace_terms(ctx: FieldContext, a, k: int, shift: int) -> list:
+    """Terms of a * x^(2^shift * q^k) + x * Tr(x), a an element or a batch:
+    the trace form with L0 = a * x^(q^k) and L1 = x (see traceform_terms)."""
+    return traceform_terms(ctx, [(ctx.m * k, a)], [(0, 1)], shift)
+
+
 def monomial_trace_poly(ctx: FieldContext, a: int, k: int,
                         shift: int) -> MonomialPoly:
     """a * x^(2^shift * q^k) + x * Tr(x) as a plain polynomial; the
     exponent of 2 is taken modulo bits, as x^(2^bits) = x."""
-    terms = [(a, 1 << ((shift + ctx.m * k) % ctx.bits))]
-    terms += [(1, 1 + (1 << (ctx.m * i))) for i in range(ctx.n)]
-    return monomial(ctx, terms)
+    return monomial(ctx, monomial_trace_terms(ctx, a, k, shift))
 
 
 def perm_monomial_trace(ctx: FieldContext, a: int, k: int, shift: int) -> bool:
@@ -517,7 +541,11 @@ class Family:
     """A named coefficient family with a printed permutation condition.
 
     exact means the condition is equivalent to permutation status; otherwise
-    it is sufficient only.  predicate and polynomial both take (ctx, params).
+    it is sufficient only.  predicate(ctx, params) is the condition for one
+    case.  terms(ctx, params) are the map's (c, e) terms, where a parameter
+    may be a batch (an array) and so may a coefficient: family_polynomial
+    folds them into a MonomialPoly, and the family's verify campaign takes
+    their occupancy over a whole batch (see evaluate_poly_all).
     """
 
     name: str
@@ -525,7 +553,7 @@ class Family:
     params: Tuple[str, ...]
     summary: str
     predicate: Callable[[FieldContext, Mapping[str, int]], bool]
-    polynomial: Callable[[FieldContext, Mapping[str, int]], MonomialPoly]
+    terms: Callable[[FieldContext, Mapping[str, object]], list]
 
 
 def _need_n(ctx: FieldContext, n: int, family: str):
@@ -539,10 +567,10 @@ def _tu_predicate(ctx, params):
     return a != 0 and ctx.in_subfield(a, ctx.m)
 
 
-def _tu_polynomial(ctx, params):
+def _tu_terms(ctx, params):
     _need_n(ctx, 3, "tu")
     q = ctx.q
-    return monomial(ctx, [(1, q * q + 1), (1, q + 1), (params["a"], 1)])
+    return [(1, q * q + 1), (1, q + 1), (params["a"], 1)]
 
 
 def _abnorm_predicate(ctx, params):
@@ -551,10 +579,10 @@ def _abnorm_predicate(ctx, params):
     return ctx.norm_to(a, ctx.m) ^ ctx.norm_to(b, ctx.m) == ctx.mul(a, b)
 
 
-def _abnorm_polynomial(ctx, params):
+def _abnorm_terms(ctx, params):
     _need_n(ctx, 3, "abnorm")
     q = ctx.q
-    return monomial(ctx, [(1, q + 1), (params["a"], 2 * q), (params["b"], 2)])
+    return [(1, q + 1), (params["a"], 2 * q), (params["b"], 2)]
 
 
 def _q4_check(ctx: FieldContext):
@@ -578,28 +606,31 @@ def _q4_predicate(ctx, params):
     return ctx.in_subfield(t, 2) and t not in (0, 1)
 
 
-def _q4_polynomial(ctx, params):
+def _q4_terms(ctx, params):
     _q4_check(ctx)
     a = params["a"]
     if _q4_variant(params) == "binomial":
-        return monomial(ctx, [(1, (1 << ctx.n) + 2), (a, 1)])
+        return [(1, (1 << ctx.n) + 2), (a, 1)]
     k = (ctx.n - 1) // 2
     q = ctx.q
-    return monomial(ctx, [(1, q ** k + 1), (a, 2 * q ** (ctx.n - 1))])
+    return [(1, q ** k + 1), (a, 2 * q ** (ctx.n - 1))]
 
 
-def _trform_check(ctx: FieldContext, params):
+def _coprime_k_check(ctx: FieldContext, params, family: str):
+    """(a, k) of the trform and aqk families: a != 0 (every a of a batch),
+    0 < k < n and gcd(k, n) = 1."""
     a, k = params["a"], params["k"]
-    if a == 0:
-        raise BadParameters("family trform needs a != 0")
+    zero = a == 0 if isinstance(a, int) else not np.all(a)
+    if zero:
+        raise BadParameters(f"family {family} needs a != 0")
     if not 0 < k < ctx.n or math.gcd(k, ctx.n) != 1:
         raise BadParameters(
-            f"family trform needs 0 < k < n with gcd(k, n) = 1, got k={k} n={ctx.n}")
+            f"family {family} needs 0 < k < n with gcd(k, n) = 1, got k={k} n={ctx.n}")
     return a, k
 
 
 def _trform_predicate(ctx, params):
-    a, _ = _trform_check(ctx, params)
+    a, _ = _coprime_k_check(ctx, params, "trform")
     if ctx.trace_to(ctx.inv(a), ctx.m) == 0:
         return False
     na = ctx.norm_to(a, ctx.m)
@@ -607,35 +638,22 @@ def _trform_predicate(ctx, params):
                for c in ctx.subfield_elements(ctx.m)[1:])
 
 
-def _trform_polynomial(ctx, params):
-    a, k = _trform_check(ctx, params)
-    l0 = lin.q_linearized(ctx, [(ctx.n - k, ctx.frobenius(a, ctx.m * (ctx.n - k))),
-                                (0, a)])
-    spec = trace_form_spec(ctx, l0, lin.identity(ctx), 0)
-    return expand_traceform(ctx, spec)
-
-
-def _aqk_check(ctx: FieldContext, params):
-    a, k = params["a"], params["k"]
-    if a == 0:
-        raise BadParameters("family aqk needs a != 0")
-    if not 0 < k < ctx.n or math.gcd(k, ctx.n) != 1:
-        raise BadParameters(
-            f"family aqk needs 0 < k < n with gcd(k, n) = 1, got k={k} n={ctx.n}")
-    return a, k
+def _trform_terms(ctx, params):
+    a, k = _coprime_k_check(ctx, params, "trform")
+    j = ctx.m * (ctx.n - k)
+    aq = ctx.frobenius(a, j) if isinstance(a, int) else ctx.frob_table(j)[a]
+    return traceform_terms(ctx, [(j, aq), (0, a)], [(0, 1)], 0)
 
 
 def _aqk_predicate(ctx, params):
-    a, _ = _aqk_check(ctx, params)
+    a, _ = _coprime_k_check(ctx, params, "aqk")
     return (ctx.in_subfield(a, ctx.m) and ctx.n % 2 == 1
             and math.gcd(ctx.n, ctx.q - 1) == 1)
 
 
-def _aqk_polynomial(ctx, params):
-    a, k = _aqk_check(ctx, params)
-    l0 = lin.q_linearized(ctx, [(k, a), (0, a)])
-    spec = trace_form_spec(ctx, l0, lin.identity(ctx), 0)
-    return expand_traceform(ctx, spec)
+def _aqk_terms(ctx, params):
+    a, k = _coprime_k_check(ctx, params, "aqk")
+    return traceform_terms(ctx, [(ctx.m * k, a), (0, a)], [(0, 1)], 0)
 
 
 FAMILIES: Dict[str, Family] = {
@@ -643,27 +661,27 @@ FAMILIES: Dict[str, Family] = {
         "tu", False, ("a",),
         "x^(q^2+1) + x^(q+1) + a*x over a cubic extension; permutes for "
         "nonzero a in F_q",
-        _tu_predicate, _tu_polynomial),
+        _tu_predicate, _tu_terms),
     "abnorm": Family(
         "abnorm", True, ("a", "b"),
         "x^(q+1) + a*x^(2q) + b*x^2 over a cubic extension; permutes iff "
         "N(a) + N(b) = a*b",
-        _abnorm_predicate, _abnorm_polynomial),
+        _abnorm_predicate, _abnorm_terms),
     "q4": Family(
         "q4", False, ("a", "variant"),
         "x^(2^n+2) + a*x (or x^(q^k+1) + a*x^(2q^(n-1))) over F_4 towers of "
         "odd degree; permutes when a^(2^n-1) lies in F_4 but not F_2",
-        _q4_predicate, _q4_polynomial),
+        _q4_predicate, _q4_terms),
     "trform": Family(
         "trform", True, ("a", "k"),
         "(a*x)^(q^(n-k)) + a*x + x*Tr(x); permutes iff Tr(1/a) != 0 and "
         "N(a+c) != N(a) for every nonzero c in F_q",
-        _trform_predicate, _trform_polynomial),
+        _trform_predicate, _trform_terms),
     "aqk": Family(
         "aqk", True, ("a", "k"),
         "a*x^(q^k) + a*x + x*Tr(x); permutes iff a is a nonzero subfield "
         "element, n is odd and gcd(n, q-1) = 1",
-        _aqk_predicate, _aqk_polynomial),
+        _aqk_predicate, _aqk_terms),
 }
 
 
@@ -689,5 +707,5 @@ def family_predicate(ctx: FieldContext, family: str,
 
 def family_polynomial(ctx: FieldContext, family: str,
                       params: Mapping[str, int]) -> MonomialPoly:
-    """The actual polynomial a named family describes, for oracle checks."""
-    return _get_family(family, params).polynomial(ctx, params)
+    """The actual polynomial a named family describes: its terms, folded."""
+    return monomial(ctx, _get_family(family, params).terms(ctx, params))

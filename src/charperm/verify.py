@@ -181,11 +181,6 @@ def _each(ctx: FieldContext, fn, *args) -> np.ndarray:
     return np.array(list(map(fn, itertools.repeat(ctx, size), *cols))).reshape(shape)
 
 
-def _scaled(ctx: FieldContext, a, values: np.ndarray) -> np.ndarray:
-    """a * values, one row for each a of a batch (or the one row of a scalar)."""
-    return ctx.mul_elementwise(np.asarray(a)[..., None], values)
-
-
 def _a_grid(ctx: FieldContext, first: int = 0, **fixed) -> List[Params]:
     """Every coefficient a from first on, in blocks, with fixed parameters."""
     a = ctx.elements[first:]
@@ -247,6 +242,10 @@ def _thm6_grid(ctx, seed, budget):
 
 
 def _thm6(ctx, p):
+    # The one occupancy oracle not built from a term list (see
+    # permtest.evaluate_poly_all): it reuses the structured side's tables
+    # v0 and v1, where the terms of L1(x^(q+1)) would cost bits lookups per
+    # case over about 2M cases.
     v0 = lin.evaluate_all(ctx, p["l0"])
     v1 = lin.evaluate_all(ctx, p["l1"])
     structured = pt._quad_ext_ok(ctx, v0, v1)
@@ -273,9 +272,8 @@ def _thm7_grid(ctx, seed, budget):
 def _thm7(ctx, p):
     k, l0 = p["k"], p["l0"]
     structured = pt._gold_ok(ctx, k, lin.evaluate_all(ctx, lin.adjoint(ctx, l0)))
-    gold = ctx.monomial_vec(1, (1 << (ctx.m * k)) + 1)
-    brute = pt._bijective_rows(gold ^ lin.evaluate_all(ctx, l0)[..., ctx.frob_table(1)])
-    return structured, brute, None
+    values = pt.evaluate_poly_all(ctx, pt.gold_terms(ctx, k, lin.pairs(ctx, l0)))
+    return structured, pt._bijective_rows(values), None
 
 
 # ---- trace-form criterion --------------------------------------------------
@@ -284,13 +282,15 @@ _TRACEFORM_SHIFTS = (0, 1, 2)
 
 
 def _thm_tr_grid(ctx, seed, budget):
-    # monomial parts a0 * x^(q^j0) and a1 * x^(q^j1), every (a0, a1) at once
+    # monomial parts a0 * x^(q^j0) and a1 * x^(q^j1): blocks of a0 against
+    # every a1, each case an order-entry value table
     e = ctx.elements
-    return [{"l0": lin.linearized_rows(ctx, [(ctx.m * j0, e[:, None])]),
-             "l1": lin.linearized_rows(ctx, [(ctx.m * j1, e)]),
-             "shift": shift}
+    l1 = [lin.linearized_rows(ctx, [(ctx.m * j1, e)]) for j1 in range(ctx.n)]
+    return [{"l0": lin.linearized_rows(ctx, [(ctx.m * j0, e[sl, None])]),
+             "l1": l1[j1], "shift": shift}
             for shift in _TRACEFORM_SHIFTS
-            for j0 in range(ctx.n) for j1 in range(ctx.n)]
+            for j0 in range(ctx.n) for j1 in range(ctx.n)
+            for sl in _blocks(ctx.order, _CELLS // ctx.order ** 2)]
 
 
 def _thm_tr(ctx, p):
@@ -300,9 +300,8 @@ def _thm_tr(ctx, p):
         raise BadParameters("thm_tr needs q-linear L0 and L1 and shift >= 0")
     structured = pt._trace_form_ok(ctx, lin.evaluate_all(ctx, lin.adjoint(ctx, l1)),
                                    lin.evaluate_all(ctx, lin.adjoint(ctx, l0)), shift)
-    vals = (lin.evaluate_all(ctx, l0)[..., ctx.frob_table(shift)]
-            ^ ctx.mul_elementwise(lin.evaluate_all(ctx, l1), ctx.trace_table(ctx.m)))
-    return structured, pt._bijective_rows(vals), None
+    terms = pt.traceform_terms(ctx, lin.pairs(ctx, l0), lin.pairs(ctx, l1), shift)
+    return structured, pt._bijective_rows(pt.evaluate_poly_all(ctx, terms)), None
 
 
 # ---- monomial-plus-trace corollary -----------------------------------------
@@ -313,9 +312,8 @@ _COROLLARY_SHIFTS = (0, 1, 2, 3)
 def _corollary(ctx, p):
     a, k, l = p["a"], p["k"], p["l"]
     structured = _each(ctx, pt.perm_monomial_trace, a, k, l)
-    x_tr = ctx.mul_elementwise(ctx.elements, ctx.trace_table(ctx.m))
-    vals = _scaled(ctx, a, ctx.frob_table(l + ctx.m * k)) ^ x_tr
-    return structured, pt._bijective_rows(vals), None
+    values = pt.evaluate_poly_all(ctx, pt.monomial_trace_terms(ctx, a, k, l))
+    return structured, pt._bijective_rows(values), None
 
 
 # ---- bilinear character sum ------------------------------------------------
@@ -363,43 +361,17 @@ def _thm1(ctx, p):
 
 # ---- named families --------------------------------------------------------
 
-def _family_cases(ctx: FieldContext, name: str, p: Params, fn) -> np.ndarray:
-    """fn(ctx, name, case params) for every case of a family batch."""
-    keys = pt.FAMILIES[name].params
-    return _each(ctx, lambda ctx, *case: fn(ctx, name, dict(zip(keys, case))),
-                 *(p[key] for key in keys))
-
-
-def _poly_occupancy(ctx, name, params) -> bool:
-    """Occupancy of the family's own polynomial, one case at a time."""
-    f = pt.family_polynomial(ctx, name, params)
-    return pt.is_perm_bruteforce(ctx, f).is_permutation
-
-
-def _tu_brute(ctx, p):
-    q = ctx.q
-    base = ctx.monomial_vec(1, q * q + 1) ^ ctx.monomial_vec(1, q + 1)
-    return pt._bijective_rows(base ^ _scaled(ctx, p["a"], ctx.elements))
-
-
-def _abnorm_brute(ctx, p):
-    base = (ctx.monomial_vec(1, ctx.q + 1)
-            ^ _scaled(ctx, p["a"], ctx.frob_table(ctx.m + 1)))
-    return pt._bijective_rows(base ^ _scaled(ctx, p["b"], ctx.frob_table(1)))
-
-
-def _aqk_brute(ctx, p):
-    tk = ctx.frob_table(ctx.m * p["k"]) ^ ctx.elements
-    x_tr = ctx.mul_elementwise(ctx.elements, ctx.trace_table(ctx.m))
-    return pt._bijective_rows(_scaled(ctx, p["a"], tk) ^ x_tr)
-
-
-def _family_sweep(name: str, fields, grid, brute) -> SweepDef:
-    """A named family's campaign: family_predicate against brute(ctx, p)."""
-    def verdicts(ctx, p):
-        return _family_cases(ctx, name, p, pt.family_predicate), brute(ctx, p), None
-
+def _family_sweep(name: str, fields, grid) -> SweepDef:
+    """A named family's campaign: family_predicate, case by case, against
+    the occupancy of the family's terms, the ones family_polynomial folds."""
     fam = pt.FAMILIES[name]
+
+    def verdicts(ctx, p):
+        structured = _each(ctx, lambda ctx, *case: pt.family_predicate(
+            ctx, name, dict(zip(fam.params, case))), *(p[key] for key in fam.params))
+        brute = pt._bijective_rows(pt.evaluate_poly_all(ctx, fam.terms(ctx, p)))
+        return structured, brute, None
+
     return SweepDef(f"family:{name}", fam.summary, fields, 0, fam.exact,
                     fam.params, grid, verdicts)
 
@@ -447,25 +419,22 @@ SWEEPS: Dict[str, SweepDef] = {sweep.campaign_id: sweep for sweep in (
         ("monomials",), _thm1_grid, _thm1),
     _family_sweep(
         "tu", ((1, 3), (2, 3), (3, 3)),
-        lambda ctx, seed, budget: _a_grid(ctx), _tu_brute),
+        lambda ctx, seed, budget: _a_grid(ctx)),
     _family_sweep(
         "abnorm", ((1, 3), (2, 3)),
-        lambda ctx, seed, budget: _ab_grid(ctx), _abnorm_brute),
+        lambda ctx, seed, budget: _ab_grid(ctx)),
     _family_sweep(
         "q4", ((2, 3),),
         lambda ctx, seed, budget: [unit for v in ("binomial", "qk")
-                                   for unit in _a_grid(ctx, variant=v)],
-        lambda ctx, p: _family_cases(ctx, "q4", p, _poly_occupancy)),
+                                   for unit in _a_grid(ctx, variant=v)]),
     _family_sweep(
         "trform", ((1, 3), (2, 3)),
         lambda ctx, seed, budget: [unit for k in coprime_ks(ctx.n)
-                                   for unit in _a_grid(ctx, 1, k=k)],
-        lambda ctx, p: _family_cases(ctx, "trform", p, _poly_occupancy)),
+                                   for unit in _a_grid(ctx, 1, k=k)]),
     _family_sweep(
         "aqk", ((1, 3), (2, 3), (2, 5)),
         lambda ctx, seed, budget: [unit for k in coprime_ks(ctx.n)
-                                   for unit in _a_grid(ctx, 1, k=k)],
-        _aqk_brute),
+                                   for unit in _a_grid(ctx, 1, k=k)]),
 )}
 
 

@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import charperm as cp
-from charperm import build_context, gf2
+from charperm import build_context, gf2, run_search
 from charperm import linearized as lin
 from charperm.cli import main
+from test_permtest import evaluate_poly
 
 
 def run_cli(capsys, *argv):
@@ -151,7 +152,7 @@ def _occupancy_by_scalars(ctx, f):
     and the first input with that value."""
     first = {}
     for x in range(ctx.order):
-        y = cp.evaluate_poly(ctx, f, x)
+        y = evaluate_poly(ctx, f, x)
         if y in first:
             return False, [format(first[y], "x"), format(x, "x")]
         first[y] = x
@@ -304,6 +305,24 @@ def test_search_csv_rows(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 3
     assert rows[0]["matched_criteria"] == "thm6"
+
+
+def test_search_params_take_only_the_template_fixed_keys(capsys):
+    # a key that the template does not read is a usage error, not ignored
+    for params in ("zz=1;j0=5", "j0=5", "k=1", "k"):
+        code, out, err = run_cli(capsys, "search", "--field", "1:2", "--template",
+                                 "binomial", "--params", params)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("usage error:")
+    code, out, _ = run_cli(capsys, "search", "--field", "1:3", "--template",
+                           "traceform", "--params", "j0=0;j1=0;l=1")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert rows == run_search(build_context(1, 3), "traceform",
+                              {"j0": 0, "j1": 0, "l": 1})
+    code, _, err = run_cli(capsys, "search", "--field", "1:3", "--template",
+                           "trform", "--params", "k=1;j1=0")
+    assert code == 2 and "'j1'" in err
 
 
 def test_verify_json_and_stderr(capsys):

@@ -10,7 +10,6 @@ import pytest
 from charperm import (
     FAMILIES,
     build_context,
-    evaluate_poly,
     evaluate_poly_all,
     expand_quadspec,
     expand_traceform,
@@ -50,6 +49,15 @@ OMEGA = 0b10
 
 
 # ---- sparse polynomials ----------------------------------------------------
+
+def evaluate_poly(ctx, poly, x):
+    """The reference value of a MonomialPoly at one x: each term by scalar
+    mul and pow."""
+    r = 0
+    for c, e in poly.terms:
+        r ^= ctx.mul(c, ctx.pow(x, e))
+    return r
+
 
 def test_monomial_folds_exponents(gf4):
     # exponents act modulo the multiplicative order away from zero
@@ -995,3 +1003,89 @@ def test_family_missing_params(gf8):
         family_predicate(gf8, "tu", {})
     with pytest.raises(BadParameters):
         family_predicate(gf8, "trform", {"a": 1})
+
+
+# ---- term lists: batched terms against the plain polynomials ---------------
+
+SMALL_FIELDS = [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 2), (2, 3), (3, 2)]
+
+
+def _rows_of(ctx, rng, count, q_linear=False):
+    """count seeded coefficient rows, at multiples of m only if q_linear."""
+    rows = rng.integers(0, ctx.order, size=(count, ctx.bits))
+    if q_linear:
+        rows[:, np.arange(ctx.bits) % ctx.m != 0] = 0
+    return rows
+
+
+def _lin(ctx, row):
+    return lin.linearized(ctx, enumerate(row.tolist()))
+
+
+def _assert_rows_match(ctx, terms, polys):
+    """Row r of the batched values of terms is the value table of polys[r]
+    (polys may be nested lists, one level per batch axis)."""
+    values = pt.evaluate_poly_all(ctx, terms)
+    want = np.array([[evaluate_poly_all(ctx, f) for f in row] if isinstance(row, list)
+                     else evaluate_poly_all(ctx, row) for row in polys])
+    assert values.shape == want.shape
+    assert np.array_equal(values, want)
+
+
+def _family_extras(fam, n):
+    """The scalar parameters of a family's campaign units."""
+    if "k" in fam.params:
+        return [{"k": k} for k in range(1, n)]
+    if "variant" in fam.params:
+        return [{"variant": v} for v in ("binomial", "qk")]
+    return [{}]
+
+
+@pytest.mark.parametrize("m,n", SMALL_FIELDS, ids=lambda v: str(v))
+def test_family_terms_match_family_polynomial(m, n):
+    ctx = build_context(m, n)
+    rng = np.random.default_rng(ctx.bits * 8 + n)
+    a, b = rng.integers(1, ctx.order, size=(2, 12))
+    checked = 0
+    for name, fam in FAMILIES.items():
+        for extra in _family_extras(fam, n):
+            try:
+                terms = fam.terms(ctx, {"a": a, "b": b, **extra})
+            except BadParameters:       # the family does not live on this field
+                continue
+            polys = [family_polynomial(ctx, name, {**extra, "a": int(x), "b": int(y)})
+                     for x, y in zip(a, b)]
+            _assert_rows_match(ctx, terms, polys)
+            checked += 1
+    # on 2:3 every family applies: tu, abnorm, q4 twice, trform and aqk for k = 1, 2
+    assert checked == 8 if (m, n) == (2, 3) else checked >= 1
+
+
+@pytest.mark.parametrize("m,n", SMALL_FIELDS, ids=lambda v: str(v))
+def test_gold_and_monomial_trace_terms_match_their_polynomials(m, n):
+    ctx = build_context(m, n)
+    rng = np.random.default_rng(ctx.bits * 8 + n)
+    rows = _rows_of(ctx, rng, 10)
+    for k in gold_ks(n):
+        _assert_rows_match(ctx, pt.gold_terms(ctx, k, lin.pairs(ctx, rows)),
+                           [gold_poly(ctx, k, _lin(ctx, row)) for row in rows])
+    a = rng.integers(0, ctx.order, size=10)
+    for k in range(n + 1):
+        for shift in range(4):
+            _assert_rows_match(ctx, pt.monomial_trace_terms(ctx, a, k, shift),
+                               [monomial_trace_poly(ctx, int(x), k, shift) for x in a])
+
+
+@pytest.mark.parametrize("m,n", SMALL_FIELDS, ids=lambda v: str(v))
+def test_traceform_terms_match_expand_traceform(m, n):
+    # L0 rows along one batch axis and L1 rows along another, as thm_tr
+    # pairs them: the values have both axes
+    ctx = build_context(m, n)
+    rng = np.random.default_rng(ctx.bits * 8 + n)
+    l0, l1 = _rows_of(ctx, rng, 4, True), _rows_of(ctx, rng, 5, True)
+    for shift in range(3):
+        terms = pt.traceform_terms(ctx, lin.pairs(ctx, l0[:, None]), lin.pairs(ctx, l1),
+                                   shift)
+        _assert_rows_match(ctx, terms, [
+            [expand_traceform(ctx, trace_form_spec(ctx, _lin(ctx, r0), _lin(ctx, r1), shift))
+             for r1 in l1] for r0 in l0])

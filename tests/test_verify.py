@@ -1,5 +1,6 @@
 """Oracle-equivalence campaigns, coefficient searches, determinism."""
 
+import math
 import random
 from types import SimpleNamespace
 
@@ -117,6 +118,21 @@ def test_thm6_square_blocks_pair_every_support2_row_once(field):
     got, old = np.concatenate(got), np.concatenate(old)
     assert got.size == len(polys) ** 2
     assert np.array_equal(np.sort(got), np.sort(old))
+
+
+@pytest.mark.parametrize("field", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
+def test_thm_tr_grid_blocks_stay_within_cells(field):
+    # each case is an order-entry value table; a unit holds blocks of a0
+    # against every a1, at least one a0, so at most max(_CELLS, order^2)
+    # entries, and the units together hold every (shift, j0, j1, a0, a1)
+    ctx = build_context(*field)
+    units = verify._thm_tr_grid(ctx, 0, 0)
+    cases = 0
+    for p in units:
+        shape = np.broadcast_shapes(p["l0"].shape[:-1], p["l1"].shape[:-1])
+        assert math.prod(shape) * ctx.order <= max(verify._CELLS, ctx.order ** 2)
+        cases += math.prod(shape)
+    assert cases == len(verify._TRACEFORM_SHIFTS) * ctx.n ** 2 * ctx.order ** 2
 
 
 def test_thm6_wrong_degree():
