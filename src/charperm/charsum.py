@@ -68,7 +68,8 @@ def s_bruteforce(ctx: FieldContext, poly):
     v * w is the bit parity of chi_index_table[v] & w.  So chi(v * L(v))
     is read off the value table by an AND and a popcount, in element order
     with no lookup per element, and S(L) is order minus twice the number
-    of odd parities.
+    of odd parities, counted by a popcount of the parities packed 8 to a
+    byte (a sum over the parities would widen each to int64).
 
     For a stack of coefficient rows (..., bits) it is the int64 array of
     the rows' sums, one value table per row; for one polynomial an int.
@@ -79,7 +80,8 @@ def s_bruteforce(ctx: FieldContext, poly):
     np.bitwise_and(values, ctx.chi_index_table, out=values)
     odd = np.bitwise_count(values)
     odd &= 1
-    total = ctx.order - 2 * odd.sum(axis=-1, dtype=np.int64)
+    packed = np.packbits(odd, axis=-1)
+    total = ctx.order - 2 * np.bitwise_count(packed).sum(axis=-1, dtype=np.int64)
     return int(total) if isinstance(poly, LinearizedPoly) else total
 
 

@@ -520,21 +520,31 @@ _CHUNK = 1 << 16
 _TABLE_BITS = 16
 
 
-def _linear_table(images) -> np.ndarray:
+def _linear_table(images, out: np.ndarray | None = None, filled: int = 0) -> np.ndarray:
     """Table of the GF(2)-linear map sending unit vector 1 << j to images[j].
 
     Entry v is the xor of images[j] over the set bits j of v.  Built by
     doubling into one int32 array: out[L:2L] = out[:L] ^ images[j] for
     L = 2^j, so the cost is one vector xor per image and no scalar call per
-    element.  images may also be an array (..., k); the result then has one
-    table of 2^k entries per row, along the last axis.
+    element, and the prefix out[:2^j] is complete after j steps.  images
+    may also be an array (..., k); the result then has one table of 2^k
+    entries per row, along the last axis.
+
+    out, when given, is the prefix to complete, out[..., :2^b] of such a
+    table (a view into it), whose first filled entries (0 or a power of
+    two at most 2^b) are in place: the doubling resumes there, so a reader
+    can build a table in steps, each as far as it reads.
     """
     images = np.asarray(images, dtype=np.int32)
-    out = np.empty(images.shape[:-1] + (1 << images.shape[-1],), dtype=np.int32)
-    out[..., 0] = 0
-    for j in range(images.shape[-1]):
-        half = 1 << j
-        np.bitwise_xor(out[..., :half], images[..., j, None], out=out[..., half:2 * half])
+    if out is None:
+        out = np.empty(images.shape[:-1] + (1 << images.shape[-1],), dtype=np.int32)
+    if not filled:
+        out[..., 0] = 0
+        filled = 1
+    while filled < out.shape[-1]:
+        np.bitwise_xor(out[..., :filled], images[..., filled.bit_length() - 1, None],
+                       out=out[..., filled:2 * filled])
+        filled *= 2
     return out
 
 

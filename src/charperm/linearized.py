@@ -9,7 +9,7 @@ that condition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Tuple, Union
+from typing import Callable, Dict, Iterable, List, NamedTuple, Tuple, Union
 
 import numpy as np
 
@@ -121,13 +121,10 @@ def _q_linear_rows(ctx: FieldContext, rows: np.ndarray) -> np.ndarray:
     return ~rows[..., np.arange(ctx.bits) % ctx.m != 0].any(axis=-1)
 
 
-def _evaluate_at(ctx: FieldContext, rows: np.ndarray, points=None) -> np.ndarray:
-    """Every row of a stack evaluated at points, one value per point along
-    a new last axis: at an int array that broadcasts against rows[..., :1],
-    or at every element when points is None.  A whole table is built by
-    linearity from the row's images of the bits unit vectors."""
-    if points is None:
-        return _linear_table(_evaluate_at(ctx, rows, 1 << np.arange(ctx.bits)))
+def _evaluate_at(ctx: FieldContext, rows: np.ndarray, points) -> np.ndarray:
+    """Every row of a stack evaluated at points, an int array that
+    broadcasts against rows[..., :1], one value per point along a new last
+    axis."""
     out = np.zeros(np.broadcast_shapes(rows.shape[:-1] + (1,), np.shape(points)),
                    dtype=np.int32)
     for i in _columns(ctx, rows):
@@ -135,17 +132,45 @@ def _evaluate_at(ctx: FieldContext, rows: np.ndarray, points=None) -> np.ndarray
     return out
 
 
+def evaluate_blocks(ctx: FieldContext, poly) -> Callable[[slice], np.ndarray]:
+    """Block evaluator of L: values(block) are L(v) for the inputs v of
+    block, a slice of element order, as int32 along the last axis; for a
+    stack of coefficient rows (see evaluate_all), one row of values per
+    polynomial.  The values are views of one value table, which later
+    reads return again, so they are not to be written.
+
+    L is GF(2)-linear, so the table is built from its bits values at the
+    unit vectors by doubling (see field._linear_table), and only as far as
+    the reads need: up to the least power of two past the highest input
+    read so far, continued from there by a later read.  A scan that stops
+    at its first failing block of a 2^20-element field then writes a few
+    thousand entries, not 2^20.
+    """
+    rows = np.asarray(getattr(poly, "coeffs", poly), dtype=np.int64)
+    images = _evaluate_at(ctx, rows, 1 << np.arange(ctx.bits))
+    table = np.empty(images.shape[:-1] + (ctx.order,), dtype=np.int32)
+    filled = 0
+
+    def values(block: slice) -> np.ndarray:
+        nonlocal filled
+        inputs = range(*block.indices(ctx.order))
+        size = 1 << max(inputs[0], inputs[-1]).bit_length() if inputs else 0
+        if size > filled:
+            _linear_table(images, table[..., :size], filled)
+            filled = size
+        return table[..., block]
+    return values
+
+
 def evaluate_all(ctx: FieldContext, poly) -> np.ndarray:
-    """L(v) for every field element v, as an int32 array indexed by v.
+    """L(v) for every field element v, as an int32 array indexed by v: the
+    block evaluator of L (see evaluate_blocks) read on the whole field.
 
     poly may also be a stack of coefficient rows (..., bits), rows[..., i]
     multiplying x^(2^i); the result then has one value table per row, along
-    a new last axis.  L is GF(2)-linear, so each table is built from the
-    row's bits values at the unit vectors (see field._linear_table), one
-    vector xor per unit vector.
+    a new last axis.
     """
-    rows = np.asarray(getattr(poly, "coeffs", poly), dtype=np.int64)
-    return _evaluate_at(ctx, rows)
+    return evaluate_blocks(ctx, poly)(slice(None))
 
 
 def adjoint(ctx: FieldContext, poly):

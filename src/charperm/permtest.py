@@ -191,12 +191,13 @@ def _values_in(ctx: FieldContext, f) -> Callable[[slice], np.ndarray]:
     array of them (a batch: the coefficients broadcast against each other,
     and the values carry their shape before the input axis).  The 2-linear
     part (a LinearizedPoly, or the terms c * x^(2^j)) is one table per
-    coefficient shape, built once by linearity (see linearized.evaluate_all)
-    and sliced, so that a batch of one shape does not widen to the product
-    of all of them before the values do; each other term is one exp_table
-    lookup over the block (see FieldContext.monomial_vec)."""
+    coefficient shape, built by linearity only as far as the blocks read
+    (see linearized.evaluate_blocks), so that a batch of one shape does not
+    widen to the product of all of them before the values do; each other
+    term is one exp_table lookup over the block (see
+    FieldContext.monomial_vec)."""
     if isinstance(f, lin.LinearizedPoly):
-        tables, powers = [lin.evaluate_all(ctx, f)], []
+        tables, powers = [lin.evaluate_blocks(ctx, f)], []
     else:
         linear: Dict[tuple, list] = {}
         powers = []
@@ -209,7 +210,7 @@ def _values_in(ctx: FieldContext, f) -> Callable[[slice], np.ndarray]:
                     (e.bit_length() - 1, c))
         groups = [pairs for shape, pairs in linear.items() if shape] or [[]]
         groups[0] += linear.get((), [])     # scalar terms ride along with a batch
-        tables = [lin.evaluate_all(ctx, lin.linearized_rows(ctx, pairs))
+        tables = [lin.evaluate_blocks(ctx, lin.linearized_rows(ctx, pairs))
                   for pairs in groups if pairs]
 
     def values(block: slice) -> np.ndarray:
@@ -218,7 +219,7 @@ def _values_in(ctx: FieldContext, f) -> Callable[[slice], np.ndarray]:
             term = ctx.monomial_vec(c, e, block)
             acc = term if acc is None else _xor(acc, term)
         for table in tables:
-            acc = table[..., block] if acc is None else _xor(acc, table[..., block])
+            acc = table(block) if acc is None else _xor(acc, table(block))
         return acc if acc is not None else np.zeros_like(ctx.log_table[block])
     return values
 
@@ -400,19 +401,23 @@ def perm_gold_linearized(ctx: FieldContext, k: int,
     polynomial.  Holds iff the relative trace of adjoint(L0)(u^(q^k+1)) *
     u^-2 avoids 1 for every u != 0 (tested by substitution, see _gold_ok,
     in blocks that stop at the first u that fails, so only a permutation
-    pays for the whole field).
+    pays for the whole field, and the table of adjoint(L0) is built only
+    as far as the blocks read).
     """
-    return bool(_gold_ok(ctx, k, lin.evaluate_all(ctx, lin.adjoint(ctx, l0))))
+    return bool(_gold_ok(ctx, k, lin.evaluate_blocks(ctx, lin.adjoint(ctx, l0))))
 
 
-def _gold_ok(ctx: FieldContext, k: int, adj: np.ndarray) -> np.ndarray:
-    """perm_gold_linearized on value tables (..., order) of adjoint(L0).  As
-    gcd(q^k+1, q^n-1) divides gcd(q^2k-1, q^n-1) = q-1 (n odd, gcd(k, n) = 1)
+def _gold_ok(ctx: FieldContext, k: int,
+             adj: Callable[[slice], np.ndarray]) -> np.ndarray:
+    """perm_gold_linearized on the block evaluator adj of adjoint(L0) (see
+    linearized.evaluate_blocks), decided per row of its values (..., block).
+    As gcd(q^k+1, q^n-1) divides gcd(q^2k-1, q^n-1) = q-1 (n odd, gcd(k, n) = 1)
     and q^k+1 = 2 mod the odd q-1, it is 1: w = u^(q^k+1) runs over F* once, and
     with u^-2 = w^c, c = -2/(q^k+1) mod q^n-1, the test is Tr(adj(w) w^c) != 1.
     It is made on the blocks of w of the occupancy scan, [1, _FIRST_BLOCK),
-    then up to 4 times the last bound, and stops once every table has
-    failed; a field of at most _FIRST_BLOCK elements is one block."""
+    then up to 4 times the last bound, and stops, reading no further, once
+    every row has failed; a field of at most _FIRST_BLOCK elements is one
+    block."""
     if ctx.n % 2 == 0 or not 0 < 2 * k < ctx.n or math.gcd(k, ctx.n) != 1:
         raise BadParameters(
             f"needs n odd, 0 < 2k < n and gcd(k, n) = 1, got n={ctx.n} k={k}")
@@ -421,13 +426,12 @@ def _gold_ok(ctx: FieldContext, k: int, adj: np.ndarray) -> np.ndarray:
         raise InvariantViolation(f"gcd(q^k+1, q^n-1) != 1 for n={ctx.n} k={k}")
     c = -2 * pow(gold, -1, go) % go
     trace = ctx.trace_table(ctx.m)
-    ok = np.ones(adj.shape[:-1], dtype=bool)
-    lo, hi = 1, _FIRST_BLOCK
-    while lo < ctx.order and ok.any():
+    ok, lo, hi = True, 1, _FIRST_BLOCK
+    while lo < ctx.order and np.any(ok):
         block = slice(lo, hi)
-        ok &= np.all(trace[ctx.monomial_vec(adj[..., block], c, block)] != 1, axis=-1)
+        ok = ok & np.all(trace[ctx.monomial_vec(adj(block), c, block)] != 1, axis=-1)
         lo, hi = hi, 4 * hi
-    return ok[()]
+    return ok
 
 
 @dataclass(frozen=True)

@@ -271,7 +271,7 @@ def _thm7_grid(ctx, seed, budget):
 
 def _thm7(ctx, p):
     k, l0 = p["k"], p["l0"]
-    structured = pt._gold_ok(ctx, k, lin.evaluate_all(ctx, lin.adjoint(ctx, l0)))
+    structured = pt._gold_ok(ctx, k, lin.evaluate_blocks(ctx, lin.adjoint(ctx, l0)))
     values = pt.evaluate_poly_all(ctx, pt.gold_terms(ctx, k, lin.pairs(ctx, l0)))
     return structured, pt._bijective_rows(values), None
 

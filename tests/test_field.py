@@ -540,6 +540,43 @@ def test_scalar_ops_match_oracle_9_to_24_bits():
     _check_scalar_ops(WIDE_FIELDS, build_context, 160)
 
 
+def _check_field_axioms(fields, max_examples):
+    """The field axioms on drawn elements of the given fields: mul is
+    associative and distributes over xor, mul_elementwise is mul, x^(order-1)
+    is 1 for x != 0 both by pow and as the product of the conjugates
+    x^(2^i), inv inverts, and frobenius is additive."""
+    contexts = {}
+
+    @settings(max_examples=max_examples, deadline=None, derandomize=True, database=None)
+    @given(field=st.sampled_from(fields), data=st.data())
+    def check(field, data):
+        if field not in contexts:
+            contexts[field] = build_context(*field)
+        ctx = contexts[field]
+        a, b, c = (data.draw(st.integers(0, ctx.order - 1), label=v) for v in "abc")
+        k = data.draw(st.integers(-ctx.bits, 2 * ctx.bits), label="k")
+        mul = ctx.mul
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, b ^ c) == mul(a, b) ^ mul(a, c)
+        assert ctx.mul_elementwise(np.array([a, b, c]), np.array([b, c, a])).tolist() \
+            == [mul(a, b), mul(b, c), mul(c, a)]
+        assert ctx.frobenius(a ^ b, k) == ctx.frobenius(a, k) ^ ctx.frobenius(b, k)
+        if a:
+            assert ctx.pow(a, ctx.order - 1) == 1
+            norm = 1
+            for i in range(ctx.bits):
+                norm = mul(norm, ctx.frobenius(a, i))
+            assert norm == 1
+            assert mul(a, ctx.inv(a)) == 1
+
+    check()
+
+
+def test_field_axioms_to_8_bits_and_on_4_5():
+    _check_field_axioms([(m, n) for m in range(1, 9) for n in range(1, 9) if m * n <= 8], 300)
+    _check_field_axioms([(4, 5)], 20)
+
+
 def _bit_serial_disabled(*_):
     raise AssertionError("a scalar operation took the bit-serial route")
 

@@ -246,11 +246,29 @@ def test_add(gf16):
             lin.evaluate(gf16, f, x) ^ lin.evaluate(gf16, g, x))
 
 
-def test_parse_format_roundtrip(gf64_tower):
-    ctx = gf64_tower
-    for text in ("", "0:1", "0:3a,2:1f", "1:2,5:3f"):
-        p = lin.parse_linearized(ctx, text)
+FIELDS_TO_8_BITS = [(m, n) for m in range(1, 9) for n in range(1, 9) if m * n <= 8]
+
+
+def test_parse_format_roundtrip():
+    # drawn supports, indices taken past bits (and below 0) to be folded;
+    # a parsed text is the polynomial its pairs build, and formatting then
+    # parsing gives it back
+    contexts = {}
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(field=st.sampled_from(FIELDS_TO_8_BITS), data=st.data())
+    def check(field, data):
+        if field not in contexts:
+            contexts[field] = build_context(*field)
+        ctx = contexts[field]
+        pairs = data.draw(st.lists(st.tuples(st.integers(-ctx.bits, 3 * ctx.bits),
+                                             st.integers(0, ctx.order - 1)), max_size=8),
+                          label="pairs")
+        p = lin.parse_linearized(ctx, ",".join(f"{i}:{c:x}" for i, c in pairs))
+        assert p == lin.linearized(ctx, pairs)
         assert lin.parse_linearized(ctx, lin.format_linearized(p)) == p
+
+    check()
 
 
 def test_parse_rejects_garbage(gf64_tower):

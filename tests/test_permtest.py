@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charperm import (
     FAMILIES,
@@ -111,10 +113,33 @@ def test_evaluate_poly_all_mixes_linear_and_other_terms(m, n):
         assert [int(table[x]) for x in points] == [evaluate_poly(ctx, p, x) for x in points]
 
 
+FIELDS_TO_8_BITS = [(m, n) for m in range(1, 9) for n in range(1, 9) if m * n <= 8]
+
+
 def test_parse_format_roundtrip(gf64_tower):
-    for text in ("3:1", "1:2,5:3f", "21:1"):
-        p = parse_monomial(gf64_tower, text)
-        assert parse_monomial(gf64_tower, format_monomial(p)) == p
+    # drawn terms with exponents up to 3 * order, folded and merged by the
+    # parser as monomial folds them; formatting then parsing gives the
+    # polynomial back, and a nonpositive exponent is refused
+    contexts = {}
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(field=st.sampled_from(FIELDS_TO_8_BITS), data=st.data())
+    def check(field, data):
+        if field not in contexts:
+            contexts[field] = build_context(*field)
+        ctx = contexts[field]
+        elem = st.integers(0, ctx.order - 1)
+        terms = data.draw(st.lists(st.tuples(elem, st.integers(1, 3 * ctx.order)),
+                                   max_size=8), label="terms")
+        text = ",".join(f"{e}:{c:x}" for c, e in terms)
+        p = parse_monomial(ctx, text)
+        assert p == monomial(ctx, terms)
+        assert parse_monomial(ctx, format_monomial(p)) == p
+        bad = data.draw(st.integers(-3 * ctx.order, 0), label="nonpositive")
+        with pytest.raises(BadParameters):
+            parse_monomial(ctx, f"{text},{bad}:1")
+
+    check()
     with pytest.raises(ValueError):
         parse_monomial(gf64_tower, "oops")
 
@@ -601,6 +626,11 @@ def test_gold_rejects(gf8, gf16):
         perm_gold_linearized(gf16, 1, lin.zero(gf16))  # n even
 
 
+def _reads(table):
+    """A value table (..., order) as the block evaluator that _gold_ok reads."""
+    return lambda block: table[..., block]
+
+
 def _gold_ok_by_gather(ctx, k, adj):
     """The Gold criterion as first written, the oracle of the substitution
     in _gold_ok: adjoint(L0) read at u^(q^k+1), times u^-2, for every u != 0."""
@@ -629,15 +659,15 @@ def test_gold_substitution_matches_the_gather(m, n):
     tables = np.concatenate([lin.evaluate_all(ctx, lin.adjoint(ctx, rows)),
                              rng.integers(0, ctx.order, (4, ctx.order))])
     for k in gold_ks(n):
-        got = pt._gold_ok(ctx, k, tables)
+        got = pt._gold_ok(ctx, k, _reads(tables))
         assert got.tolist() == _gold_ok_by_gather(ctx, k, tables).tolist()
         # a (2, 3, order) stack and single tables, passing ones first
         pick = np.resize(np.concatenate([np.flatnonzero(got)[:3],
                                          np.flatnonzero(~got)[:3]]), 6)
         stack = tables[pick].reshape(2, 3, ctx.order)
-        assert pt._gold_ok(ctx, k, stack).tolist() == got[pick].reshape(2, 3).tolist()
+        assert pt._gold_ok(ctx, k, _reads(stack)).tolist() == got[pick].reshape(2, 3).tolist()
         for i in pick:
-            assert pt._gold_ok(ctx, k, tables[i]) == _gold_ok_by_gather(ctx, k, tables[i])
+            assert pt._gold_ok(ctx, k, _reads(tables[i])) == _gold_ok_by_gather(ctx, k, tables[i])
         if (m, n, k) in GOLD_BOTH_VERDICTS:
             assert got[:len(a)][a != 0].any() and not got.all()
 
@@ -689,12 +719,12 @@ def test_blocked_gold_matches_the_whole_field(field, gf_20):
     rng = random.Random(f"gold:{field}")
     k = gold_ks(ctx.n)[-1]
     zero = np.zeros(ctx.order, dtype=np.int32)
-    assert pt._gold_ok(ctx, k, zero)
+    assert pt._gold_ok(ctx, k, _reads(zero))
     assert perm_gold_linearized(ctx, k, lin.zero(ctx))
     edges = [w for w in BLOCK_EDGES if w < ctx.order] + [ctx.order - 1]
     singles = [_single_trace_one(ctx, k, w) for w in edges]
     for table in singles:
-        assert not pt._gold_ok(ctx, k, table)
+        assert not pt._gold_ok(ctx, k, _reads(table))
     # trace 1 at w = 0 only: w = 0 is no u^(q^k+1), so the criterion holds
     at_zero = zero.copy()
     at_zero[0] = 1
@@ -702,43 +732,62 @@ def test_blocked_gold_matches_the_whole_field(field, gf_20):
     tables = np.stack([zero, at_zero, singles[0], singles[-1]] + drawn)
     want = _gold_ok_whole_field(ctx, k, tables)
     assert want[:4].tolist() == [True, True, False, False]
-    assert pt._gold_ok(ctx, k, tables).tolist() == want.tolist()
+    assert pt._gold_ok(ctx, k, _reads(tables)).tolist() == want.tolist()
     for i in range(len(tables)):
-        assert pt._gold_ok(ctx, k, tables[i]) == want[i]
+        assert pt._gold_ok(ctx, k, _reads(tables[i])) == want[i]
     # stacks that pass, fail only on the last w, or fail early, in one scan
     pick = [0, len(tables) - 1, 3, 1, 2, 0]
     stack = tables[pick].reshape(2, 3, ctx.order)
-    assert pt._gold_ok(ctx, k, stack).tolist() == want[pick].reshape(2, 3).tolist()
+    assert pt._gold_ok(ctx, k, _reads(stack)).tolist() == want[pick].reshape(2, 3).tolist()
 
 
 def test_whole_field_checks_stop_at_the_first_failing_block(monkeypatch, gf_20):
     # counts, not timings: a non-permuting 20-bit Gold map reads at most
-    # 4096 inputs in the occupancy scan and 1024 w in the Gold criterion;
-    # a permuting one reads every input exactly once
+    # 4096 inputs in the occupancy scan and 1024 w in the Gold criterion,
+    # and its linear tables (L0(x^2), adjoint(L0)) are written no further
+    # than the 4096-entry prefix; a permuting one reads every input exactly
+    # once and writes each of its tables whole, once
     ctx = gf_20
     rng = random.Random(20)
     seen = []       # the input range (lo, hi) of every monomial_vec call
-    inner = FieldContext.monomial_vec
+    written = []    # entries written by every call of the linear-table builder
+    inner, build = FieldContext.monomial_vec, lin._linear_table
 
     def counted(self, c, e, block=slice(None)):
         seen.append(block.indices(self.order)[:2])
         return inner(self, c, e, block)
+
+    def counted_build(images, out=None, filled=0):
+        table = build(images) if out is None else build(images, out, filled)
+        written.append(table[..., 0].size * (table.shape[-1] - filled))
+        return table
     monkeypatch.setattr(FieldContext, "monomial_vec", counted)
+    monkeypatch.setattr(lin, "_linear_table", counted_build)
     for k in gold_ks(ctx.n):
         for _ in range(3):
             l0 = _gold_l0(ctx, rng)
             seen.clear()
+            written.clear()
             assert not is_perm_bruteforce(ctx, gold_poly(ctx, k, l0)).is_permutation
             assert sum(hi - lo for lo, hi in seen) <= 4096
+            assert 0 < sum(written) <= 4096
             seen.clear()
+            written.clear()
             assert not perm_gold_linearized(ctx, k, l0)
             assert sum(hi - lo for lo, hi in seen) <= 1024
+            assert 0 < sum(written) <= 4096
         seen.clear()
+        written.clear()
         assert is_perm_bruteforce(ctx, gold_poly(ctx, k, lin.zero(ctx))).is_permutation
         assert _tile(seen) == (0, ctx.order)
+        assert sum(written) == 0      # x^(q^k+1) has no linear term
         seen.clear()
         assert perm_gold_linearized(ctx, k, lin.zero(ctx))
         assert _tile(seen) == (1, ctx.order)
+        assert sum(written) == ctx.order
+    written.clear()
+    assert is_perm_bruteforce(ctx, lin.linearized(ctx, [(3, 5)])).is_permutation
+    assert sum(written) == ctx.order
 
 
 def _tile(ranges):
@@ -762,7 +811,7 @@ def test_gold_substitution_guard_is_a_typed_error():
     # a stand-in context whose group order shares the factor 3 with q^k+1 = 3
     ctx = SimpleNamespace(m=1, n=3, group_order=9)
     with pytest.raises(InvariantViolation):
-        pt._gold_ok(ctx, 1, np.zeros(10, dtype=np.int64))
+        pt._gold_ok(ctx, 1, _reads(np.zeros(10, dtype=np.int64)))
 
 
 # ---- trace-assembled forms -------------------------------------------------
