@@ -7,6 +7,7 @@ field's irreducible polynomial.
 
 from .charsum import (
     QuadraticFormReport,
+    bilinear_psi_closed,
     bilinear_psi_sum,
     classify_form,
     polar_poly,

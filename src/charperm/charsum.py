@@ -35,6 +35,7 @@ from .errors import (
     WrongDegree,
 )
 from .field import FieldContext
+from . import elementwise as ew
 from . import linearized as lin
 from .linearized import LinearizedPoly
 
@@ -246,58 +247,83 @@ def _classify_rows(ctx: FieldContext, rows: np.ndarray) -> QuadraticFormReport:
         form_type.reshape(shape), (ctx.n - dim_fq + ~vanishes).reshape(shape))
 
 
-def s_zero_quadratic_ext(ctx: FieldContext, a: int, b: int) -> bool:
+def s_zero_quadratic_ext(ctx: FieldContext, a, b):
     """Closed-form test for S(a*x^q + b*x) = 0 on a degree-2 extension.
 
-    Holds exactly when a^q + a = 0 and b != 0.
+    Holds exactly when a^q + a = 0 and b != 0.  a and b are elements or
+    arrays of them (see elementwise).
     """
     if ctx.n != 2:
         raise WrongDegree(f"criterion needs n = 2, got n = {ctx.n}")
-    return ctx.frobenius(a, ctx.m) ^ a == 0 and b != 0
+    a, b = ew.elements(ctx, a, b)
+    return ew.result((ew.frobenius(ctx, a, ctx.m) == a) & (b != 0), a, b)
 
 
-def s_zero_binomial(ctx: FieldContext, a: int, b: int, k: int) -> bool:
+def s_zero_binomial(ctx: FieldContext, a, b, k: int):
     """Closed-form test for S(a*x^(q^k) + b*x) = 0 with 0 < 2k < n, gcd(k,n)=1.
 
     Three branches: a = 0 with b != 0; n odd with the trace condition on
     b * a^(-(q^(kn)+1)/(q^k+1)); n even with a nonzero twisted power sum.
     The even branch is evaluated exactly as written; exhaustive verification
-    against s_bruteforce is the arbiter of its reach.
+    against s_bruteforce is the arbiter of its reach.  a and b are elements
+    or arrays of them (see elementwise).
     """
     n, q = ctx.n, ctx.q
     if not (0 < 2 * k < n) or math.gcd(k, n) != 1:
         raise BadParameters(f"need 0 < 2k < n and gcd(k, n) = 1, got k={k} n={n}")
-    if a == 0:
-        return b != 0
+    a, b = ew.elements(ctx, a, b)
+    unit = a | (a == 0)             # a, and 1 where a = 0, whose branch is b != 0
     if n % 2 == 1:
         e, rem = divmod(q ** (k * n) + 1, q ** k + 1)
         if rem:
             raise InvariantViolation(f"q^k + 1 does not divide q^(kn) + 1 (k={k} n={n})")
-        t = ctx.trace_to(ctx.mul(b, ctx.pow(a, -e)), ctx.m)
-        return t != 1
-    total = 0
-    for i in range(n // 2):
-        e, rem = divmod(2 * (q ** (2 * k * i) - 1), q ** k + 1)
-        if rem:
-            raise InvariantViolation(
-                f"q^k + 1 does not divide 2(q^(2ki) - 1) (k={k} i={i})")
-        term = ctx.mul(ctx.frobenius(b, (ctx.m * 2 * k * i) % ctx.bits),
-                       ctx.pow(a, -e))
-        total ^= term
-    return total != 0
+        t = ew.trace_to(ctx, ew.mul(ctx, b, ew.power(ctx, unit, -e)), ctx.m)
+        nonzero = t != 1
+    else:
+        total = 0
+        for i in range(n // 2):
+            e, rem = divmod(2 * (q ** (2 * k * i) - 1), q ** k + 1)
+            if rem:
+                raise InvariantViolation(
+                    f"q^k + 1 does not divide 2(q^(2ki) - 1) (k={k} i={i})")
+            total ^= ew.mul(ctx, ew.frobenius(ctx, b, (ctx.m * 2 * k * i) % ctx.bits),
+                            ew.power(ctx, unit, -e))
+        nonzero = total != 0
+    return ew.result(np.where(a == 0, b != 0, nonzero), a, b)
 
 
-def bilinear_psi_sum(ctx: FieldContext, a: int, b: int) -> int:
+def _in_fq(ctx: FieldContext, a, b) -> list:
+    """a and b as elements (see elementwise), NotInSubfield unless both
+    lie in F_q."""
+    a, b = ew.elements(ctx, a, b)
+    for name, val in (("a", a), ("b", b)):
+        outside = np.logical_not(ew.in_subfield(ctx, val, ctx.m))
+        if np.any(outside):
+            val = val if isinstance(val, int) else int(val[outside].flat[0])
+            raise NotInSubfield(f"{name} = 0x{val:x} is not in F_q")
+    return [a, b]
+
+
+def bilinear_psi_sum(ctx: FieldContext, a, b):
     """Sum of psi(v1*v2 + a*v1 + b*v2) over all v1, v2 in F_q.
 
-    Equals psi(a*b) * q; both a and b must lie in F_q.
+    Equals psi(a*b) * q (bilinear_psi_closed); both a and b must lie in
+    F_q.  a and b are elements or arrays of them, the sum is taken literally
+    for every broadcast pair (see elementwise).
     """
-    for name, val in (("a", a), ("b", b)):
-        if not ctx.in_subfield(val, ctx.m):
-            raise NotInSubfield(f"{name} = 0x{val:x} is not in F_q")
+    a, b = _in_fq(ctx, a, b)
+    fq = ctx.subfield_elements(ctx.m)
+    b_v2 = [ew.mul(ctx, b, v2) for v2 in fq]
     total = 0
-    for v1 in ctx.subfield_elements(ctx.m):
-        for v2 in ctx.subfield_elements(ctx.m):
-            arg = ctx.mul(v1, v2) ^ ctx.mul(a, v1) ^ ctx.mul(b, v2)
-            total += ctx.psi(arg)
-    return total
+    for v1 in fq:
+        a_v1 = ew.mul(ctx, a, v1)
+        for v2, b_term in zip(fq, b_v2):
+            total = total + ew.psi(ctx, ew.mul(ctx, v1, v2) ^ a_v1 ^ b_term)
+    return ew.result(total, a, b)
+
+
+def bilinear_psi_closed(ctx: FieldContext, a, b):
+    """psi(a*b) * q, the closed form of bilinear_psi_sum, on the same
+    arguments."""
+    a, b = _in_fq(ctx, a, b)
+    return ew.result(ew.psi(ctx, ew.mul(ctx, a, b)) * ctx.q, a, b)

@@ -16,6 +16,7 @@ from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple,
 
 import numpy as np
 
+from . import elementwise as ew
 from . import linearized as lin
 from .charsum import s_fast
 from .errors import (BadParameters, InvariantViolation, NotQLinear, SizeGuard,
@@ -487,20 +488,29 @@ def perm_trace_form(ctx: FieldContext, spec: TraceFormSpec) -> bool:
 def _trace_form_ok(ctx: FieldContext, x_tab: np.ndarray, y_tab: np.ndarray,
                    shift: int) -> np.ndarray:
     """perm_trace_form on value tables (..., order) of adjoint(L1) and
-    adjoint(L0), broadcast over their leading axes.  t(v) = v^q + v is
-    GF(2)-linear with kernel F_q, so y + z lies in F_q iff t(y) = t(z)."""
-    xl = ctx.frob_table(shift)[x_tab]
+    adjoint(L0), broadcast over their leading axes.
+
+    With XL = X^(2^shift): X lies in F_q iff XL does, and then u passes iff
+    Y^2 != XL, which needs Y in F_q to fail.  Otherwise u passes iff {1, Y,
+    XL} is F_q-independent.  t(v) = v^q + v is F_q-linear with kernel F_q,
+    so that holds iff t(Y) and t(XL) are: both nonzero, in different
+    classes of F^* / F_q^*, that is log t mod M = (q^n - 1) / (q - 1).  Each
+    side gets a key per u, from one table over the field: the class, or M
+    plus the F_q value (Y^2 or XL) where the value is in F_q, so the ranges
+    do not meet.  u fails iff the keys are equal or Y is in F_q and X is
+    not; only that test is made on the broadcast shape.
+    """
+    classes = ctx.group_order // (ctx.q - 1)
     in_fq = ctx.subfield_mask(ctx.m)
-    t = ctx.frob_table(ctx.m) ^ ctx.elements
-    branch1 = in_fq[x_tab] & (ctx.frob_table(1)[y_tab] != xl)
-    # {1, Y, XL} is dependent over F_q iff some projective combination
-    # c2*Y + c3*XL lands in F_q; q+1 classes cover all of them (c = 0 first)
-    dep = in_fq[xl] | in_fq[y_tab]
-    ty = t[y_tab]
-    for c in ctx.subfield_elements(ctx.m)[1:]:
-        dep |= ty == t[ctx.mul_vec(c, xl)]
-    ok = branch1 | ~dep
-    return np.all(ok[..., 1:], axis=-1)
+    cls = ctx.log_table[ctx.frob_table(ctx.m) ^ ctx.elements] % classes
+    dtype = np.min_scalar_type(classes + ctx.order)
+    key_xl = np.where(in_fq, classes + ctx.elements, cls).astype(dtype)
+    key_y = np.where(in_fq, classes + ctx.frob_table(1), cls).astype(dtype)
+    kx = key_xl[ctx.frob_table(shift)].take(x_tab[..., 1:])
+    ky = key_y.take(y_tab[..., 1:])
+    fails = kx == ky
+    fails |= (ky >= classes) & (kx < classes)
+    return ~np.any(fails, axis=-1)
 
 
 def monomial_trace_terms(ctx: FieldContext, a, k: int, shift: int) -> list:
@@ -516,7 +526,7 @@ def monomial_trace_poly(ctx: FieldContext, a: int, k: int,
     return monomial(ctx, monomial_trace_terms(ctx, a, k, shift))
 
 
-def perm_monomial_trace(ctx: FieldContext, a: int, k: int, shift: int) -> bool:
+def perm_monomial_trace(ctx: FieldContext, a, k: int, shift: int):
     """Does a * x^(2^shift * q^k) + x * Tr(x) permute the field?
 
     Closed form: n odd, gcd(2^(shift + m*k) - 1, (q^n-1)/(q-1)) = 1, and a
@@ -524,18 +534,17 @@ def perm_monomial_trace(ctx: FieldContext, a: int, k: int, shift: int) -> bool:
     d = gcd(|shift - 1|, m).  (q^n-1)/(q-1) divides 2^bits - 1, so the gcd
     is taken with shift + m*k reduced modulo bits (a residue of 0 gives
     2^0 - 1 = 0, whose gcd is (q^n-1)/(q-1), as for any multiple of bits).
+    a is an element or an array of them (see elementwise).
     """
     if k < 0 or shift < 0:
         raise BadParameters(f"k and shift must be nonnegative, got k={k} shift={shift}")
-    if ctx.n % 2 == 0:
-        return False
-    if math.gcd((1 << ((shift + ctx.m * k) % ctx.bits)) - 1,
-                ctx.group_order // (ctx.q - 1)) != 1:
-        return False
-    if a == 0 or not ctx.in_subfield(a, ctx.m):
-        return False
+    a, = ew.elements(ctx, a)
+    if ctx.n % 2 == 0 or math.gcd((1 << ((shift + ctx.m * k) % ctx.bits)) - 1,
+                                  ctx.group_order // (ctx.q - 1)) != 1:
+        return ew.result(False, a)
     d = math.gcd(abs(shift - 1), ctx.m)
-    return ctx.pow(a, (ctx.q - 1) // ((1 << d) - 1)) != 1
+    return ew.result((a != 0) & ew.in_subfield(ctx, a, ctx.m)
+                     & (ew.power(ctx, a, (ctx.q - 1) // ((1 << d) - 1)) != 1), a)
 
 
 # ---- named families --------------------------------------------------------
@@ -545,46 +554,53 @@ class Family:
     """A named coefficient family with a printed permutation condition.
 
     exact means the condition is equivalent to permutation status; otherwise
-    it is sufficient only.  predicate(ctx, params) is the condition for one
-    case.  terms(ctx, params) are the map's (c, e) terms, where a parameter
-    may be a batch (an array) and so may a coefficient: family_polynomial
-    folds them into a MonomialPoly, and the family's verify campaign takes
-    their occupancy over a whole batch (see evaluate_poly_all).
+    it is sufficient only.  check(ctx) refuses a field the family is not
+    defined on; family_predicate, family_polynomial and the family's verify
+    campaign make it first.  predicate(ctx, params) is the condition and
+    terms(ctx, params) are the map's (c, e) terms; in both a parameter may
+    be a batch (an array), and so may a coefficient: family_polynomial
+    folds the terms into a MonomialPoly, and the family's verify campaign
+    decides a whole batch by the predicate and by the occupancy of the terms
+    (see evaluate_poly_all).
     """
 
     name: str
     exact: bool
     params: Tuple[str, ...]
     summary: str
-    predicate: Callable[[FieldContext, Mapping[str, int]], bool]
+    check: Callable[[FieldContext], None]
+    predicate: Callable[[FieldContext, Mapping[str, object]], object]
     terms: Callable[[FieldContext, Mapping[str, object]], list]
 
 
-def _need_n(ctx: FieldContext, n: int, family: str):
-    if ctx.n != n:
-        raise BadParameters(f"family {family} needs n = {n}, got n={ctx.n}")
+def _need_n(n: int, family: str) -> Callable[[FieldContext], None]:
+    def check(ctx: FieldContext):
+        if ctx.n != n:
+            raise BadParameters(f"family {family} needs n = {n}, got n={ctx.n}")
+    return check
+
+
+def _norm(ctx: FieldContext, a):
+    """Relative norm onto F_q, a^((q^n-1)/(q-1)), of an element or array."""
+    return ew.power(ctx, a, ctx.group_order // (ctx.q - 1))
 
 
 def _tu_predicate(ctx, params):
-    a = params["a"]
-    _need_n(ctx, 3, "tu")
-    return a != 0 and ctx.in_subfield(a, ctx.m)
+    a, = ew.elements(ctx, params["a"])
+    return ew.result((a != 0) & ew.in_subfield(ctx, a, ctx.m), a)
 
 
 def _tu_terms(ctx, params):
-    _need_n(ctx, 3, "tu")
     q = ctx.q
     return [(1, q * q + 1), (1, q + 1), (params["a"], 1)]
 
 
 def _abnorm_predicate(ctx, params):
-    a, b = params["a"], params["b"]
-    _need_n(ctx, 3, "abnorm")
-    return ctx.norm_to(a, ctx.m) ^ ctx.norm_to(b, ctx.m) == ctx.mul(a, b)
+    a, b = ew.elements(ctx, params["a"], params["b"])
+    return ew.result(_norm(ctx, a) ^ _norm(ctx, b) == ew.mul(ctx, a, b), a, b)
 
 
 def _abnorm_terms(ctx, params):
-    _need_n(ctx, 3, "abnorm")
     q = ctx.q
     return [(1, q + 1), (params["a"], 2 * q), (params["b"], 2)]
 
@@ -604,20 +620,23 @@ def _q4_variant(params) -> str:
 
 
 def _q4_predicate(ctx, params):
-    _q4_check(ctx)
     _q4_variant(params)
-    t = ctx.pow(params["a"], (1 << ctx.n) - 1)
-    return ctx.in_subfield(t, 2) and t not in (0, 1)
+    a, = ew.elements(ctx, params["a"])
+    t = ew.power(ctx, a, (1 << ctx.n) - 1)
+    return ew.result(ew.in_subfield(ctx, t, 2) & (t > 1), a)
 
 
 def _q4_terms(ctx, params):
-    _q4_check(ctx)
     a = params["a"]
     if _q4_variant(params) == "binomial":
         return [(1, (1 << ctx.n) + 2), (a, 1)]
     k = (ctx.n - 1) // 2
     q = ctx.q
     return [(1, q ** k + 1), (a, 2 * q ** (ctx.n - 1))]
+
+
+def _no_check(ctx: FieldContext):
+    """trform and aqk take any field; their k is checked per case."""
 
 
 def _coprime_k_check(ctx: FieldContext, params, family: str):
@@ -634,12 +653,12 @@ def _coprime_k_check(ctx: FieldContext, params, family: str):
 
 
 def _trform_predicate(ctx, params):
-    a, _ = _coprime_k_check(ctx, params, "trform")
-    if ctx.trace_to(ctx.inv(a), ctx.m) == 0:
-        return False
-    na = ctx.norm_to(a, ctx.m)
-    return all(ctx.norm_to(a ^ c, ctx.m) != na
-               for c in ctx.subfield_elements(ctx.m)[1:])
+    a, = ew.elements(ctx, _coprime_k_check(ctx, params, "trform")[0])
+    na = _norm(ctx, a)
+    ok = ew.trace_to(ctx, ew.power(ctx, a, -1), ctx.m) != 0
+    for c in ctx.subfield_elements(ctx.m)[1:]:
+        ok = ok & (_norm(ctx, a ^ c) != na)
+    return ew.result(ok, a)
 
 
 def _trform_terms(ctx, params):
@@ -650,9 +669,9 @@ def _trform_terms(ctx, params):
 
 
 def _aqk_predicate(ctx, params):
-    a, _ = _coprime_k_check(ctx, params, "aqk")
-    return (ctx.in_subfield(a, ctx.m) and ctx.n % 2 == 1
-            and math.gcd(ctx.n, ctx.q - 1) == 1)
+    a, = ew.elements(ctx, _coprime_k_check(ctx, params, "aqk")[0])
+    field_ok = ctx.n % 2 == 1 and math.gcd(ctx.n, ctx.q - 1) == 1
+    return ew.result(ew.in_subfield(ctx, a, ctx.m) & field_ok, a)
 
 
 def _aqk_terms(ctx, params):
@@ -665,34 +684,35 @@ FAMILIES: Dict[str, Family] = {
         "tu", False, ("a",),
         "x^(q^2+1) + x^(q+1) + a*x over a cubic extension; permutes for "
         "nonzero a in F_q",
-        _tu_predicate, _tu_terms),
+        _need_n(3, "tu"), _tu_predicate, _tu_terms),
     "abnorm": Family(
         "abnorm", True, ("a", "b"),
         "x^(q+1) + a*x^(2q) + b*x^2 over a cubic extension; permutes iff "
         "N(a) + N(b) = a*b",
-        _abnorm_predicate, _abnorm_terms),
+        _need_n(3, "abnorm"), _abnorm_predicate, _abnorm_terms),
     "q4": Family(
         "q4", False, ("a", "variant"),
         "x^(2^n+2) + a*x (or x^(q^k+1) + a*x^(2q^(n-1))) over F_4 towers of "
         "odd degree; permutes when a^(2^n-1) lies in F_4 but not F_2",
-        _q4_predicate, _q4_terms),
+        _q4_check, _q4_predicate, _q4_terms),
     "trform": Family(
         "trform", True, ("a", "k"),
         "(a*x)^(q^(n-k)) + a*x + x*Tr(x); permutes iff Tr(1/a) != 0 and "
         "N(a+c) != N(a) for every nonzero c in F_q",
-        _trform_predicate, _trform_terms),
+        _no_check, _trform_predicate, _trform_terms),
     "aqk": Family(
         "aqk", True, ("a", "k"),
         "a*x^(q^k) + a*x + x*Tr(x); permutes iff a is a nonzero subfield "
         "element, n is odd and gcd(n, q-1) = 1",
-        _aqk_predicate, _aqk_terms),
+        _no_check, _aqk_predicate, _aqk_terms),
 }
 
 
 _OPTIONAL_PARAMS = frozenset({"variant"})
 
 
-def _get_family(family: str, params: Mapping[str, int]) -> Family:
+def _get_family(ctx: FieldContext, family: str, params: Mapping[str, object]) -> Family:
+    """The family, once its parameters are all given and its check passes."""
     info = FAMILIES.get(family)
     if info is None:
         raise UnknownTheorem(f"unknown family {family!r}")
@@ -700,16 +720,17 @@ def _get_family(family: str, params: Mapping[str, int]) -> Family:
                if p not in params and p not in _OPTIONAL_PARAMS]
     if missing:
         raise BadParameters(f"family {family} needs parameters {missing}")
+    info.check(ctx)
     return info
 
 
-def family_predicate(ctx: FieldContext, family: str,
-                     params: Mapping[str, int]) -> bool:
-    """Evaluate the printed permutation condition for a named family."""
-    return _get_family(family, params).predicate(ctx, params)
+def family_predicate(ctx: FieldContext, family: str, params: Mapping[str, object]):
+    """Evaluate the printed permutation condition for a named family: a
+    bool, or an array of them where a parameter is a batch."""
+    return _get_family(ctx, family, params).predicate(ctx, params)
 
 
 def family_polynomial(ctx: FieldContext, family: str,
                       params: Mapping[str, int]) -> MonomialPoly:
     """The actual polynomial a named family describes: its terms, folded."""
-    return monomial(ctx, _get_family(family, params).terms(ctx, params))
+    return monomial(ctx, _get_family(ctx, family, params).terms(ctx, params))

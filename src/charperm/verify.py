@@ -32,6 +32,7 @@ import numpy as np
 from . import linearized as lin
 from . import permtest as pt
 from .charsum import (
+    bilinear_psi_closed,
     bilinear_psi_sum,
     s_bruteforce,
     s_fast,
@@ -103,8 +104,9 @@ def field_label(ctx: FieldContext) -> str:
 def family_agreement(exact: bool, structured, brute):
     """Did a case agree with the oracle?  Elementwise on arrays.
 
-    Exact criteria must match the brute verdict; sufficient-only ones fail
-    only by claiming a non-permutation.
+    Exact criteria must match the brute verdict.  A sufficient criterion
+    fails only by calling a non-permutation a permutation: structured True
+    where brute is False.
     """
     if exact:
         return np.equal(structured, brute)
@@ -172,15 +174,6 @@ def _q_draws(rng: random.Random, ctx: FieldContext, count: int) -> np.ndarray:
     return rows
 
 
-def _each(ctx: FieldContext, fn, *args) -> np.ndarray:
-    """fn(ctx, *case) for every case of the broadcast args, as an array."""
-    shape = np.broadcast_shapes(*(np.shape(x) for x in args))
-    size = math.prod(shape)
-    cols = [np.broadcast_to(x, shape).ravel().tolist() if np.ndim(x) else [x] * size
-            for x in args]
-    return np.array(list(map(fn, itertools.repeat(ctx, size), *cols))).reshape(shape)
-
-
 def _a_grid(ctx: FieldContext, first: int = 0, **fixed) -> List[Params]:
     """Every coefficient a from first on, in blocks, with fixed parameters."""
     a = ctx.elements[first:]
@@ -201,13 +194,13 @@ def _thm4_grid(ctx, seed, budget):
 
 
 def _thm4(ctx, p):
-    structured = _each(ctx, s_zero_quadratic_ext, p["a"], p["b"])
+    structured = s_zero_quadratic_ext(ctx, p["a"], p["b"])
     s = s_bruteforce(ctx, lin.linearized_rows(ctx, [(ctx.m, p["a"]), (0, p["b"])]))
     return structured, s == 0, s
 
 
 def _thm5(ctx, p):
-    structured = _each(ctx, s_zero_binomial, p["a"], p["b"], p["k"])
+    structured = s_zero_binomial(ctx, p["a"], p["b"], p["k"])
     s = s_bruteforce(ctx, lin.linearized_rows(ctx, [(ctx.m * p["k"], p["a"]),
                                                      (0, p["b"])]))
     return structured, s == 0, s
@@ -311,7 +304,7 @@ _COROLLARY_SHIFTS = (0, 1, 2, 3)
 
 def _corollary(ctx, p):
     a, k, l = p["a"], p["k"], p["l"]
-    structured = _each(ctx, pt.perm_monomial_trace, a, k, l)
+    structured = pt.perm_monomial_trace(ctx, a, k, l)
     values = pt.evaluate_poly_all(ctx, pt.monomial_trace_terms(ctx, a, k, l))
     return structured, pt._bijective_rows(values), None
 
@@ -319,10 +312,8 @@ def _corollary(ctx, p):
 # ---- bilinear character sum ------------------------------------------------
 
 def _prop2(ctx, p):
-    structured = _each(ctx, lambda ctx, a, b: ctx.psi(ctx.mul(a, b)) * ctx.q,
-                       p["a"], p["b"])
-    brute = _each(ctx, bilinear_psi_sum, p["a"], p["b"])
-    return structured, brute, brute
+    brute = bilinear_psi_sum(ctx, p["a"], p["b"])
+    return bilinear_psi_closed(ctx, p["a"], p["b"]), brute, brute
 
 
 # ---- fast vs brute character sums ------------------------------------------
@@ -362,18 +353,22 @@ def _thm1(ctx, p):
 # ---- named families --------------------------------------------------------
 
 def _family_sweep(name: str, fields, grid) -> SweepDef:
-    """A named family's campaign: family_predicate, case by case, against
-    the occupancy of the family's terms, the ones family_polynomial folds."""
+    """A named family's campaign: family_predicate on a whole batch against
+    the occupancy of the family's terms, the ones family_polynomial folds.
+    The family's field check runs before grid builds a unit."""
     fam = pt.FAMILIES[name]
 
+    def checked_grid(ctx, seed, budget):
+        fam.check(ctx)
+        return grid(ctx, seed, budget)
+
     def verdicts(ctx, p):
-        structured = _each(ctx, lambda ctx, *case: pt.family_predicate(
-            ctx, name, dict(zip(fam.params, case))), *(p[key] for key in fam.params))
+        structured = pt.family_predicate(ctx, name, p)
         brute = pt._bijective_rows(pt.evaluate_poly_all(ctx, fam.terms(ctx, p)))
         return structured, brute, None
 
     return SweepDef(f"family:{name}", fam.summary, fields, 0, fam.exact,
-                    fam.params, grid, verdicts)
+                    fam.params, checked_grid, verdicts)
 
 
 SWEEPS: Dict[str, SweepDef] = {sweep.campaign_id: sweep for sweep in (
@@ -406,8 +401,8 @@ SWEEPS: Dict[str, SweepDef] = {sweep.campaign_id: sweep for sweep in (
     SweepDef(
         "prop2", "bilinear character sum vs its closed form psi(ab)*q",
         ((1, 1), (2, 1), (3, 1)), 0, True, ("a", "b"),
-        lambda ctx, seed, budget: [{"a": a, "b": np.array(ctx.subfield_elements(ctx.m))}
-                                   for a in ctx.subfield_elements(ctx.m)],
+        lambda ctx, seed, budget: [{"a": np.array(ctx.subfield_elements(ctx.m))[:, None],
+                                    "b": np.array(ctx.subfield_elements(ctx.m))}],
         _prop2),
     SweepDef(
         "prop3", "kernel-criterion S values vs direct sums on q-linear polynomials",

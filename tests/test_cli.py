@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import charperm as cp
-from charperm import build_context, gf2, run_search
+from charperm import build_context, gf2, run_search, verify
 from charperm import linearized as lin
 from charperm.cli import main
 from test_permtest import evaluate_poly
@@ -323,6 +323,22 @@ def test_search_params_take_only_the_template_fixed_keys(capsys):
     code, _, err = run_cli(capsys, "search", "--field", "1:3", "--template",
                            "trform", "--params", "k=1;j1=0")
     assert code == 2 and "'j1'" in err
+
+
+@pytest.mark.parametrize("family,field,builder", [
+    ("tu", "1:12", "_a_grid"), ("abnorm", "1:12", "_ab_grid"),
+    ("abnorm", "6:2", "_ab_grid"), ("q4", "1:12", "_a_grid"), ("q4", "2:4", "_a_grid")])
+def test_family_campaign_refuses_a_wrong_field_before_its_grid(
+        capsys, monkeypatch, family, field, builder):
+    # a domain error like thm4's and thm7's refusals: exit 1, one line
+    def never(*args, **kwargs):
+        raise AssertionError(f"{builder} reached for family:{family} on {field}")
+
+    monkeypatch.setattr(verify, builder, never)
+    code, out, err = run_cli(capsys, "verify", "--campaign", f"family:{family}",
+                             "--fields", field)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: family {family} needs")
 
 
 def test_verify_json_and_stderr(capsys):

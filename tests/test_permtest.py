@@ -895,6 +895,29 @@ def test_trace_form_ok_matches_gather_construction():
             for args in ((x[0, 0], y[0, 0]), (x, y), (x[:, :1], y[:1])):
                 got = pt._trace_form_ok(ctx, *args, shift)
                 assert np.array_equal(got, _trace_form_gather(ctx, *args, shift))
+    # past 8 bits, q >= 8: the F_q* loop of the oracle has 7 or 15 classes,
+    # and random pairs rarely fail, so a third of the sampled u are
+    # made dependent (Y = c * XL + f, c and f in F_q) and a third have X and
+    # Y in F_q, half of them with Y^2 = XL, the branch's only failure
+    for m, n in [(3, 3), (4, 2), (3, 4)]:
+        ctx = build_context(m, n)
+        fq = np.array(ctx.subfield_elements(m))
+        for shift in range(4):
+            x, y = rng.integers(0, ctx.order, (2, 3, 400, 2))
+            xl = ctx.frob_table(shift)[x[1]]
+            c, f = rng.choice(fq, (2, 400, 2))
+            y[1] = ctx.mul_elementwise(c, xl) ^ f
+            x[2], y[2] = rng.choice(fq, (2, 400, 2))
+            y[2, :200] = ctx.frob_table(-1)[ctx.frob_table(shift)[x[2, :200]]]
+            got = pt._trace_form_ok(ctx, x, y, shift)
+            want = _trace_form_gather(ctx, x, y, shift)
+            assert got.tolist() == want.tolist(), (m, n, shift)
+            assert want[0].any() and not want[1].all(), (m, n, shift)
+            assert 0 < want[2].sum() < want[2].size, (m, n, shift)
+            x, y = rng.integers(0, ctx.order, (2, 2, 2, ctx.order))
+            for args in ((x, y), (x[:, :1], y[:1])):
+                got = pt._trace_form_ok(ctx, *args, shift)
+                assert np.array_equal(got, _trace_form_gather(ctx, *args, shift))
 
 
 @pytest.mark.parametrize("m,n", [(2, 3), (1, 5)])
@@ -1099,6 +1122,7 @@ def test_family_terms_match_family_polynomial(m, n):
     for name, fam in FAMILIES.items():
         for extra in _family_extras(fam, n):
             try:
+                fam.check(ctx)
                 terms = fam.terms(ctx, {"a": a, "b": b, **extra})
             except BadParameters:       # the family does not live on this field
                 continue
