@@ -393,6 +393,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if [] in vars(args).values():       # argparse reads --opt=-- as []
+            raise ValueError("an option value cannot be '--'")
         if args.jobs < 1:
             raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         if not 0 <= args.max_n <= DEFAULT_SIZE_CAP:

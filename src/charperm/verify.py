@@ -13,11 +13,14 @@ never claims a non-permutation) and formats mismatch rows with replay
 strings.  `charperm eval --op check-<id>` re-runs the same verdicts on a
 batch of one (replay_case).  Units are split across processes in grid order
 and merged in that order, so reports are byte-identical for any --jobs.
+
+A search (run_search) runs a template's campaign verdicts on the blocks of
+_a_grid or _ab_grid over its coefficients: it lists each case whose brute
+verdict is True, labelled by the campaigns whose structured verdict is.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import random
@@ -39,7 +42,7 @@ from .charsum import (
     s_zero_binomial,
     s_zero_quadratic_ext,
 )
-from .errors import BadParameters, UnknownTheorem, WrongDegree
+from .errors import BadParameters, UnknownTheorem
 from .field import (
     DEFAULT_CHARSUM_CAP,
     DEFAULT_SIZE_CAP,
@@ -174,16 +177,19 @@ def _q_draws(rng: random.Random, ctx: FieldContext, count: int) -> np.ndarray:
     return rows
 
 
-def _a_grid(ctx: FieldContext, first: int = 0, **fixed) -> List[Params]:
-    """Every coefficient a from first on, in blocks, with fixed parameters."""
-    a = ctx.elements[first:]
+def _a_grid(ctx: FieldContext, values: Optional[np.ndarray] = None, **fixed) -> List[Params]:
+    """Every coefficient a of values (by default every element), in blocks,
+    with fixed parameters."""
+    a = ctx.elements if values is None else values
     return [{"a": a[sl], **fixed} for sl in _blocks(a.size, _CELLS // ctx.order)]
 
 
-def _ab_grid(ctx: FieldContext, **fixed) -> List[Params]:
-    """Every pair (a, b) of elements, blocks of a against every b."""
-    return [{"a": ctx.elements[sl, None], "b": ctx.elements, **fixed}
-            for sl in _blocks(ctx.order, _CELLS // ctx.order ** 2)]
+def _ab_grid(ctx: FieldContext, values: Optional[np.ndarray] = None, **fixed) -> List[Params]:
+    """Every pair (a, b) of values (by default every element), blocks of a
+    against every b, with fixed parameters."""
+    e = ctx.elements if values is None else values
+    return [{"a": e[sl, None], "b": e, **fixed}
+            for sl in _blocks(e.size, _CELLS // (ctx.order * max(e.size, 1)))]
 
 
 # ---- S = 0 criteria for binomial quadratic forms ---------------------------
@@ -425,11 +431,11 @@ SWEEPS: Dict[str, SweepDef] = {sweep.campaign_id: sweep for sweep in (
     _family_sweep(
         "trform", ((1, 3), (2, 3)),
         lambda ctx, seed, budget: [unit for k in coprime_ks(ctx.n)
-                                   for unit in _a_grid(ctx, 1, k=k)]),
+                                   for unit in _a_grid(ctx, ctx.elements[1:], k=k)]),
     _family_sweep(
         "aqk", ((1, 3), (2, 3), (2, 5)),
         lambda ctx, seed, budget: [unit for k in coprime_ks(ctx.n)
-                                   for unit in _a_grid(ctx, 1, k=k)]),
+                                   for unit in _a_grid(ctx, ctx.elements[1:], k=k)]),
 )}
 
 
@@ -574,69 +580,60 @@ def run_verify(campaign: VerifyCampaign, *, jobs: int = 1,
 
 @dataclass(frozen=True)
 class SearchTemplate:
-    """A polynomial shape scanned over one or two coefficient axes."""
+    """A polynomial shape scanned over one or two coefficient axes.
+
+    verdicts(ctx, unit): ({campaign id: structured}, brute) for a unit of
+    _a_grid (one axis) or _ab_grid (two) that holds the fixed parameters."""
 
     name: str
     axes: Tuple[str, ...]
     nonzero: bool
     fixed: Tuple[str, ...]
-    build: Callable[[FieldContext, Mapping[str, int]], pt.MonomialPoly]
-    criteria: Callable[[FieldContext, Mapping[str, int]], List[str]]
+    verdicts: Callable[[FieldContext, Params], Tuple[Dict[str, object], object]]
 
 
-def _binomial_build(ctx, params):
-    return pt.monomial(ctx, [(params["a"], ctx.q + 1), (params["b"], 2)])
+def _campaign(campaign_id: str, params=lambda ctx, p: p):
+    """A template's verdicts: its campaign's, on the parameters that params
+    maps a unit to, the structured one labelled by the campaign id."""
+    def verdicts(ctx, p):
+        structured, brute, _ = SWEEPS[campaign_id].verdicts(ctx, params(ctx, p))
+        return {campaign_id: structured}, brute
+    return verdicts
 
 
-def _binomial_criteria(ctx, params):
-    out = []
-    a, b = params["a"], params["b"]
+def _traceform_params(ctx, p):
+    """thm_tr's L0 = a*x^(q^j0), L1 = b*x^(q^j1) and shift l."""
+    return {"l0": lin.linearized_rows(ctx, [(ctx.m * p["j0"], p["a"])]),
+            "l1": lin.linearized_rows(ctx, [(ctx.m * p["j1"], p["b"])]),
+            "shift": p["l"]}
+
+
+def _binomial(ctx, p):
+    """a*x^(q+1) + b*x^2: L1(x^(q+1)) + L0(x^2) with L1 = a*x and L0 = b*x,
+    labelled thm6 by the n = 2 criterion, and on its a = 1 row, the map
+    x^(q+1) + L0(x^2), thm7 by the odd-n criterion with k = 1."""
+    a, b = p["a"], p["b"]
+    l0 = lin.linearized_rows(ctx, [(0, b)])
+    brute = pt._bijective_rows(pt.evaluate_poly_all(ctx, [(a, ctx.q + 1), (b, 2)]))
+    labels = {}
     if ctx.n == 2:
-        l0 = lin.linearized(ctx, [(0, b)])
-        l1 = lin.linearized(ctx, [(0, a)])
-        if pt.perm_quad_ext(ctx, l0, l1):
-            out.append("thm6")
-    if a == 1 and 1 in gold_ks(ctx.n) and pt.perm_gold_linearized(
-            ctx, 1, lin.linearized(ctx, [(0, b)])):
-        out.append("thm7")
-    return out
-
-
-def _family_template(name: str, axes, nonzero=False, fixed=()):
-    def build(ctx, params):
-        return pt.family_polynomial(ctx, name, params)
-
-    def criteria(ctx, params):
-        return [f"family:{name}"] if pt.family_predicate(ctx, name, params) else []
-
-    return SearchTemplate(name, tuple(axes), nonzero, tuple(fixed), build, criteria)
-
-
-def _traceform_spec(ctx, params):
-    l0 = lin.q_linearized(ctx, [(params["j0"], params["a"])])
-    l1 = lin.q_linearized(ctx, [(params["j1"], params["b"])])
-    return pt.trace_form_spec(ctx, l0, l1, params["l"])
-
-
-def _traceform_build(ctx, params):
-    return pt.expand_traceform(ctx, _traceform_spec(ctx, params))
-
-
-def _traceform_criteria(ctx, params):
-    return ["thm_tr"] if pt.perm_trace_form(ctx, _traceform_spec(ctx, params)) else []
+        labels["thm6"] = pt._quad_ext_ok(ctx, lin.evaluate_all(ctx, l0),
+                                         lin.evaluate_all(ctx, lin.linearized_rows(ctx, [(0, a)])))
+    if ctx.n % 2 and 1 in gold_ks(ctx.n):
+        labels["thm7"] = (a == 1) & pt._gold_ok(
+            ctx, 1, lin.evaluate_blocks(ctx, lin.adjoint(ctx, l0)))
+    return labels, brute
 
 
 TEMPLATES: Dict[str, SearchTemplate] = {
-    "binomial": SearchTemplate("binomial", ("a", "b"), False, (),
-                               _binomial_build, _binomial_criteria),
-    "tu": _family_template("tu", ("a",)),
-    "abnorm": _family_template("abnorm", ("a", "b")),
-    "q4": _family_template("q4", ("a",)),
-    "trform": _family_template("trform", ("a",), nonzero=True, fixed=("k",)),
-    "aqk": _family_template("aqk", ("a",), nonzero=True, fixed=("k",)),
-    "traceform": SearchTemplate("traceform", ("a", "b"), False,
-                                ("j0", "j1", "l"),
-                                _traceform_build, _traceform_criteria),
+    "binomial": SearchTemplate("binomial", ("a", "b"), False, (), _binomial),
+    "tu": SearchTemplate("tu", ("a",), False, (), _campaign("family:tu")),
+    "abnorm": SearchTemplate("abnorm", ("a", "b"), False, (), _campaign("family:abnorm")),
+    "q4": SearchTemplate("q4", ("a",), False, (), _campaign("family:q4")),
+    "trform": SearchTemplate("trform", ("a",), True, ("k",), _campaign("family:trform")),
+    "aqk": SearchTemplate("aqk", ("a",), True, ("k",), _campaign("family:aqk")),
+    "traceform": SearchTemplate("traceform", ("a", "b"), False, ("j0", "j1", "l"),
+                                _campaign("thm_tr", _traceform_params)),
 }
 
 
@@ -647,7 +644,8 @@ def run_search(ctx: FieldContext, template: str,
 
     Each row lists the coefficients (hex), is_permutation (always true: only
     permutations are emitted) and which closed-form criteria certify it.
-    Rows are ordered by coefficient encoding.
+    Rows are ordered by coefficient encoding.  The field and the fixed
+    parameters are checked before the scan, whatever coeff_values holds.
     """
     tpl = TEMPLATES.get(template)
     if tpl is None:
@@ -656,26 +654,22 @@ def run_search(ctx: FieldContext, template: str,
     missing = [k for k in tpl.fixed if k not in fixed_params]
     if missing:
         raise BadParameters(f"template {template} needs parameters {missing}")
-    if coeff_values is None:
-        start = 1 if tpl.nonzero else 0
-        axis = range(start, ctx.order)
-    else:
-        axis = sorted(set(coeff_values))
-        if tpl.nonzero:
-            axis = [v for v in axis if v != 0]
+    grid = _a_grid if len(tpl.axes) == 1 else _ab_grid
+    # the whole field's first case: refused like the scan, whatever coeff_values
+    tpl.verdicts(ctx, grid(ctx, ctx.elements[int(tpl.nonzero):][:1], **fixed_params)[0])
+    axis = ctx.elements if coeff_values is None else np.unique(np.array(coeff_values, np.int64))
+    if tpl.nonzero:
+        axis = axis[axis != 0]
     rows = []
-    for combo in itertools.product(axis, repeat=len(tpl.axes)):
-        params = dict(fixed_params)
-        params.update(zip(tpl.axes, combo))
-        f = tpl.build(ctx, params)
-        if not pt.is_perm_bruteforce(ctx, f).is_permutation:
-            continue
-        try:
-            certified = tpl.criteria(ctx, params)
-        except (BadParameters, WrongDegree):
-            certified = []
-        row = {name: f"{params[name]:x}" for name in tpl.axes}
-        row["is_permutation"] = True
-        row["matched_criteria"] = "+".join(certified)
-        rows.append(row)
+    for unit in grid(ctx, axis, **fixed_params):
+        labels, brute = tpl.verdicts(ctx, unit)
+        # traceform's brute verdict on a unit of zero coefficients only is
+        # one unbatched value (lin.pairs drops zero columns)
+        coeffs = np.broadcast_arrays(*(unit[name] for name in tpl.axes))
+        brute = np.broadcast_to(brute, coeffs[0].shape)
+        for idx in zip(*np.nonzero(brute)):
+            row = {name: f"{c[idx]:x}" for name, c in zip(tpl.axes, coeffs)}
+            row["is_permutation"] = True
+            row["matched_criteria"] = "+".join(k for k, v in labels.items() if v[idx])
+            rows.append(row)
     return rows

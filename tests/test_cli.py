@@ -263,6 +263,17 @@ def test_exit_code_parse_error(capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("charsum", "--field", "1:3", "--poly=--"),
+    ("search", "--field", "1:3", "--template", "tu", "--coeffs=--"),
+    ("eval", "--field", "1:3", "--op", "inv", "--elem=--")])
+def test_option_value_dashes_is_usage_error(capsys, argv):
+    # argparse reads --opt=-- as an empty list, not as the text '--'
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("usage error: ")
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_is_usage_error(capsys, jobs):
     code, out, err = run_cli(capsys, "verify", "--campaign", "thm4",
@@ -323,6 +334,79 @@ def test_search_params_take_only_the_template_fixed_keys(capsys):
     code, _, err = run_cli(capsys, "search", "--field", "1:3", "--template",
                            "trform", "--params", "k=1;j1=0")
     assert code == 2 and "'j1'" in err
+
+
+# Per search call: sha256 of six stdouts, json then csv for no --coeffs,
+# for --coeffs with repeated and unsorted values, and for --coeffs= (nothing
+# to scan).  Pinned while search still decided each case by a scalar
+# occupancy test and a scalar criterion, so a change of route must move no
+# byte.
+SEARCH_COEFFS = {"1:2": "3,0,1,3", "2:2": "3,0,1,3"}
+SEARCH_PINS = {
+    ("1:2", "binomial", ""):
+        "2ec6c737418945ca5222bc45d66a4f9edfbb988565d8873bc833b3acd44cd3cd",
+    ("1:3", "abnorm", ""):
+        "144c597242ad94e5d4bf65478610d3b91a08abe0025450202784820c3dfc3b71",
+    ("1:3", "aqk", "k=2"):
+        "763c44c8aaa02717cdc4f213adf49cda8e819ddc2c37218faca0d920b722a7a0",
+    ("1:3", "binomial", ""):
+        "317ba2c694f8c89323ba3adb1fca07a178223cf6a2a312b2caff32bd90643057",
+    ("1:3", "traceform", "j0=0;j1=0;l=1"):
+        "888785e7e8c988ca2b6e4c88b8858404f27dd02545220300e0dcbfa7e638e7b2",
+    ("1:3", "traceform", "j0=1;j1=0;l=0"):
+        "888785e7e8c988ca2b6e4c88b8858404f27dd02545220300e0dcbfa7e638e7b2",
+    ("1:3", "trform", "k=1"):
+        "50ac7345c42e1060565b4aa846f33fc57c2382374b6b16a487ec1f6eb26eeb19",
+    ("1:3", "tu", ""):
+        "a4806fed009b3708e55df8ccffabf6b2e2c09cec8c6c5b56ca3f42744970d8b5",
+    ("2:2", "binomial", ""):
+        "30e7d863f2dc18ff84d42306861f1a23fbe4223f6defed7c595ab489357c101f",
+    ("2:3", "abnorm", ""):
+        "45b594d3f2625febd8f5a665391f439109b70029ee47670b68262569d3b4ae15",
+    ("2:3", "aqk", "k=2"):
+        "b8bd315366173414f272c2dc35dde27898501641cbcd555f0a825890d4aa8c3f",
+    ("2:3", "binomial", ""):
+        "77b8cae9a0e12f7f709a8b4faa6d65feb96e021622d5756003859587538517cd",
+    ("2:3", "q4", ""):
+        "f99afcaef31ecfe8c483c72eb974443bdf9a53105b48b95c6267bc6215fd7d9b",
+    ("2:3", "traceform", "j0=0;j1=0;l=1"):
+        "0282640d82e51f7bfe00acb43687ed619a62b742e40064fe8a50bbf30dc8c38e",
+    ("2:3", "traceform", "j0=1;j1=0;l=0"):
+        "ebcc6aa664191981ceab0a35d342f0c72d21e073fe729e6d164a103e60eadc16",
+    ("2:3", "trform", "k=1"):
+        "bdf6f1b0da9fa0aef70f135f71074ef803409375661bb87db7908b6aed7f7e8e",
+    ("2:3", "tu", ""):
+        "aae02d07306a054d8460a0eedd988e41202e02634a17e4facbac84cc581efff7",
+}
+
+
+@pytest.mark.parametrize("field,template,params", sorted(SEARCH_PINS))
+def test_search_stdout_is_pinned(capsys, field, template, params):
+    digest = hashlib.sha256()
+    for coeffs in (None, SEARCH_COEFFS.get(field, "5,0,1,5,3"), ""):
+        for fmt in ("json", "csv"):
+            argv = ["search", "--field", field, "--template", template,
+                    "--format", fmt, f"--params={params}"]
+            if coeffs is not None:
+                argv.append(f"--coeffs={coeffs}")
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            digest.update(out.encode())
+    assert digest.hexdigest() == SEARCH_PINS[field, template, params]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--field", "1:4", "--template", "tu"),
+    ("--field", "1:4", "--template", "q4"),
+    ("--field", "1:3", "--template", "q4"),
+    ("--field", "1:4", "--template", "trform", "--params", "k=2")])
+def test_search_refusal_does_not_depend_on_coeffs(capsys, argv):
+    # the field and fixed-parameter checks run before the scan, so an empty
+    # coefficient pool is refused like the whole field
+    for coeffs in ((), ("--coeffs=",), ("--coeffs=1",)):
+        code, out, err = run_cli(capsys, "search", *argv, *coeffs)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: family")
 
 
 @pytest.mark.parametrize("family,field,builder", [
@@ -641,6 +725,118 @@ def test_replay_fuzzed_args_exit_cleanly():
             assert set(json.loads(out.getvalue())) <= {"structured", "brute", "s", "agree"}
         if extra:
             assert code == 2
+
+    check()
+
+
+# Fields of at most 8 bits for the --poly and search fuzz
+POLY_FUZZ_FIELDS = ("1:1", "1:2", "2:2", "3:2", "1:3", "2:3", "1:5", "2:4", "4:2", "1:8")
+
+
+def _exit_cleanly(argv):
+    """main's exit code on argv, once checked: 0, 1 or 2, at most one
+    stderr line, and no stdout on an error.  An exception that escapes
+    main fails the caller."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert err.getvalue().count("\n") <= 1, err.getvalue()
+    if code:
+        assert out.getvalue() == ""
+    return code
+
+
+def _good_value(ctx, key):
+    """A strategy for one well-formed value of key: an element, a small
+    exponent, a variant, or a list of terms (q-linear, for a linearized
+    polynomial, half the time)."""
+    elem = st.integers(0, ctx.order - 1).map(lambda v: format(v, "x"))
+    if key in ("a", "b"):
+        return elem
+    if key in ("k", "l", "shift", "j0", "j1"):
+        return st.integers(0, ctx.n + 1).map(str)
+    if key == "variant":
+        return st.sampled_from(("binomial", "qk"))
+    first = (st.integers(1, 2 * ctx.order) if key == "monomials"
+             else st.integers(0, ctx.n - 1).map(lambda j: ctx.m * j)
+             | st.integers(0, ctx.bits - 1))
+    return st.lists(st.tuples(first.map(str), elem).map(":".join), max_size=3).map(",".join)
+
+
+def _value(ctx, key):
+    """A well-formed value of key (see _good_value) or a fuzzed one (see
+    _fuzz_value)."""
+    return _good_value(ctx, key) | _fuzz_value(ctx, key)
+
+
+def _fuzz_poly(data, ctx, form):
+    """A --poly text of form: a linearized polynomial, a monomial list, a
+    quadspec 'L|L|...', a traceform 'L0|L1|shift' or a family
+    'name;key=value;...', from well-formed and fuzzed parts."""
+    if form in ("linear", "monomials"):
+        return data.draw(_value(ctx, "l0" if form == "linear" else "monomials"), label="poly")
+    if form == "quadspec":
+        count = data.draw(st.just(ctx.n) | st.integers(0, ctx.n + 1), label="parts")
+        return "|".join(data.draw(_value(ctx, "l0"), label=f"part {i}") for i in range(count))
+    if form == "traceform":
+        pieces = [data.draw(_value(ctx, key), label=key) for key in ("l0", "l1", "shift")]
+        return "|".join(pieces[:data.draw(st.sampled_from((3, 3, 2)), label="pieces")])
+    name = data.draw(st.sampled_from(sorted(cp.FAMILIES)) | st.text(max_size=3), label="name")
+    keys = list(cp.FAMILIES[name].params) if name in cp.FAMILIES else []
+    keys = [k for k in keys if data.draw(st.integers(0, 9), label=f"has {k}")]
+    keys += data.draw(st.lists(st.sampled_from(("a", "b", "k", "l", "zz")).filter(
+        lambda k: k not in keys), max_size=1), label="extra keys")
+    return ";".join([name] + [f"{k}={data.draw(_value(ctx, k), label=k)}"
+                              if k != "zz" else "zz=1" for k in keys])
+
+
+def test_poly_forms_fuzzed_exit_cleanly():
+    contexts = {f: build_context(*map(int, f.split(":"))) for f in POLY_FUZZ_FIELDS}
+    commands = [("permtest", "--form", form, "--method", method)
+                for form in ("monomials", "quadspec", "traceform", "family")
+                for method in ("brute", "charsum", "structured")
+                if (form, method) != ("monomials", "structured")]
+    commands += [("charsum", "--method", method) for method in ("brute", "fast", "classify")]
+    commands += [("classify",)]
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(field=st.sampled_from(POLY_FUZZ_FIELDS), command=st.sampled_from(commands),
+           data=st.data())
+    def check(field, command, data):
+        ctx = contexts[field]
+        form = command[2] if command[0] == "permtest" else "linear"
+        poly = _fuzz_poly(data, ctx, form)
+        _exit_cleanly([command[0], "--field", field, *command[1:], f"--poly={poly}"])
+
+    check()
+
+
+def test_search_fuzzed_inputs_exit_cleanly():
+    contexts = {f: build_context(*map(int, f.split(":"))) for f in POLY_FUZZ_FIELDS}
+    templates = sorted(cp.TEMPLATES) + ["nope", ""]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(field=st.sampled_from(POLY_FUZZ_FIELDS), template=st.sampled_from(templates),
+           data=st.data())
+    def check(field, template, data):
+        ctx = contexts[field]
+        fixed = cp.TEMPLATES[template].fixed if template in cp.TEMPLATES else ()
+        keys = [k for k in fixed if data.draw(st.integers(0, 9), label=f"has {k}")]
+        if data.draw(st.integers(0, 4), label="extra key") == 0:
+            keys += [data.draw(st.sampled_from(("a", "k", "j0", "zz")).filter(
+                lambda k: k not in fixed), label="extra")]
+        params = ";".join(f"{k}={data.draw(_value(ctx, k), label=k)}"
+                          if k != "zz" else "zz=1" for k in keys)
+        argv = ["search", "--field", field, "--template", template, f"--params={params}",
+                "--format", data.draw(st.sampled_from(("json", "csv")), label="format")]
+        if data.draw(st.integers(0, 9), label="whole field"):
+            coeffs = data.draw(st.lists(_good_value(ctx, "a"), max_size=5)
+                               | st.lists(_value(ctx, "a"), max_size=3), label="coeffs")
+            argv.append(f"--coeffs={','.join(coeffs)}")
+        code = _exit_cleanly(argv)
+        if template not in cp.TEMPLATES:
+            assert code in (1, 2)
 
     check()
 

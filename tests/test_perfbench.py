@@ -1,14 +1,15 @@
 """The benchmark harness in perfbench/ still binds to the library's names.
 
-perfbench wraps FieldContext's table accessors, builds tables by name and
-clears verify's caches by name; a rename in src/ would break every benchmark
-run without failing any other test.  The harness is imported, not changed.
+perfbench wraps FieldContext's table accessors, builds tables by name,
+clears verify's caches by name and swaps cli.run_verify in and out by
+attribute; a rename in src/ would break every benchmark run without failing
+any other test.  The harness is imported, not changed.
 """
 
 import sys
 from pathlib import Path
 
-from charperm import build_context, verify
+from charperm import build_context, cli, verify
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -24,3 +25,4 @@ def test_perfbench_binds_to_the_library(monkeypatch):
     workloads.force_tables(build_context(1, 3))
     assert callable(verify._worker_context.cache_clear)
     assert callable(verify._tables.clear)
+    assert callable(cli.run_verify)

@@ -17,7 +17,7 @@ from charperm import (
     run_search,
     run_verify,
 )
-from charperm import verify
+from charperm import permtest, verify
 from charperm.errors import BadParameters, UnknownTheorem, WrongDegree
 from charperm.verify import _pool_workers, normalize_field
 
@@ -313,6 +313,50 @@ def test_search_unknown_template():
     with pytest.raises(UnknownTheorem):
         run_search(ctx, "nope")
     assert "binomial" in TEMPLATES and "traceform" in TEMPLATES
+
+
+def _count_value_tables(monkeypatch):
+    """Entries of every value table the occupancy oracle builds, in order."""
+    sizes = []
+    evaluate = permtest.evaluate_poly_all
+
+    def counted(ctx, f):
+        values = evaluate(ctx, f)
+        sizes.append(values.size)
+        return values
+
+    monkeypatch.setattr(permtest, "evaluate_poly_all", counted)
+    return sizes
+
+
+def test_search_units_stay_bounded(monkeypatch):
+    # a unit holds at most max(_CELLS, axis length * order) entries, the
+    # bound _ab_grid gives the campaigns; after the check of one case, the
+    # units cover each case once
+    sizes = _count_value_tables(monkeypatch)
+    ctx = build_context(2, 4)
+    rows = run_search(ctx, "binomial")
+    assert sizes[0] == ctx.order and len(sizes) > 2
+    assert max(sizes[1:]) <= max(verify._CELLS, ctx.order ** 2)
+    assert sum(sizes[1:]) == ctx.order ** 3
+    assert {r["matched_criteria"] for r in rows} == {""}
+    got = {(int(r["a"], 16), int(r["b"], 16)) for r in rows}
+    rng = random.Random(4)
+    sample = [(rng.randrange(ctx.order), rng.randrange(ctx.order)) for _ in range(200)]
+    for a, b in sample + rng.sample(sorted(got), 20):
+        f = permtest.monomial(ctx, [(a, ctx.q + 1), (b, 2)])
+        assert ((a, b) in got) == permtest.is_perm_bruteforce(ctx, f).is_permutation
+
+    sizes.clear()
+    ctx = build_context(3, 3)
+    pool = random.Random(5).sample(range(ctx.order), 100)
+    rows = run_search(ctx, "abnorm", coeff_values=pool)
+    assert len(sizes) > 2
+    assert max(sizes[1:]) <= max(verify._CELLS, len(pool) * ctx.order)
+    assert sum(sizes[1:]) == len(pool) ** 2 * ctx.order
+    got = [(int(r["a"], 16), int(r["b"], 16)) for r in rows]
+    assert got == [(a, b) for a in sorted(pool) for b in sorted(pool)
+                   if ctx.norm_to(a, 3) ^ ctx.norm_to(b, 3) == ctx.mul(a, b)]
 
 
 def test_search_traceform_rows_tagged():
