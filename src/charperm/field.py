@@ -464,14 +464,16 @@ class FieldContext:
         out[zero] = 0
         return out
 
-    def monomial_vec(self, c, e: int, block: slice = slice(None)) -> np.ndarray:
+    def monomial_vec(self, c, e, block: slice = slice(None)) -> np.ndarray:
         """c * x^e for the elements x of block, a slice of element order
         (every element by default), as in pow() (e < 0 raises: 0 is an
-        element); c is an element or an array broadcasting against the
-        block's axis.  As log x is log_table[block], this is one lookup
+        element); c and e are each an int or an array broadcasting against
+        the block's axis (a stack of monomials: c[..., None], e[..., None]).
+        As log x is log_table[block], this is one lookup
         exp[log c + (e * log x mod (order-1))], with x = 0 set after when the
         block holds it."""
-        if e < 0:
+        scalar = isinstance(e, int)
+        if e < 0 if scalar else (np.asarray(e) < 0).any():
             raise DivisionByZero("inverse of zero")
         if isinstance(c, int) and not 0 <= c < self.order:
             self._reject(c)
@@ -479,15 +481,24 @@ class FieldContext:
         if step != 1:
             raise BadParameters(f"input block {block} is not contiguous")
         go = self.group_order
-        logs = self.log_table[lo:hi] * np.int64(e % go)   # needs int64
+        # needs int64; an int e may be far past int64, so it is reduced first
+        logs = self.log_table[lo:hi] * (np.int64(e % go) if scalar
+                                        else np.asarray(e, np.int64) % go)
         # mod go by a floor division: numpy divides by a scalar without a
         # hardware division per entry, and takes % at full cost (about 2x)
-        logs -= logs // go * go
-        # in place unless c is a stack: a fresh 2^20 array costs as much as a step
-        logs = np.add(logs, self.log_table.take(c), out=None if np.ndim(c) > 1 else logs)
+        quotient = logs // go
+        quotient *= go
+        logs -= quotient
+        # in place unless c widens the shape: a fresh 2^20 array costs as much as a step
+        own = (np.ndim(c) <= 1 if scalar
+               else np.broadcast_shapes(logs.shape, np.shape(c)) == logs.shape)
+        logs = np.add(logs, self.log_table.take(c), out=logs if own else None)
         out = self.exp_table.take(logs)
-        if e and lo == 0 < hi:
-            out[..., 0] = 0
+        if lo == 0 < hi:        # 0^e = 0 for e > 0; c * 0^0 = c stays
+            if not scalar:
+                out[..., :1] *= e == 0
+            elif e:
+                out[..., 0] = 0
         return out
 
     @property
@@ -556,18 +567,19 @@ def build_context(m: int, n: int, modulus: int | None = None, *,
 
 
 def walsh_hadamard(vec: Iterable[int] | np.ndarray) -> np.ndarray:
-    """In-order Walsh-Hadamard transform of a length-2^k integer vector."""
-    v = np.asarray(vec, dtype=np.int64).copy()
-    size = v.size
+    """In-order Walsh-Hadamard transform of a length-2^k integer vector, or
+    of each row of a stack (..., 2^k) along its last axis."""
+    v = np.array(vec, dtype=np.int64)
+    shape = v.shape
+    size = shape[-1] if shape else v.size
     if size & (size - 1):
         raise BadParameters(f"Walsh-Hadamard input length {size} is not a power of two")
     h = 1
     while h < size:
-        v = v.reshape(-1, 2, h)
-        a = v[:, 0, :].copy()
-        b = v[:, 1, :].copy()
-        v[:, 0, :] = a + b
-        v[:, 1, :] = a - b
-        v = v.reshape(size)
+        w = v.reshape(shape[:-1] + (-1, 2, h))
+        a = w[..., 0, :].copy()
+        b = w[..., 1, :].copy()
+        np.add(a, b, out=w[..., 0, :])
+        np.subtract(a, b, out=w[..., 1, :])
         h *= 2
     return v

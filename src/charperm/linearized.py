@@ -110,10 +110,13 @@ def _columns(ctx: FieldContext, rows: np.ndarray) -> np.ndarray:
 def pairs(ctx: FieldContext, poly) -> List[Tuple[int, object]]:
     """The (index, coefficient) pairs of poly's nonzero terms, the inverse
     of linearized and linearized_rows: ints for a LinearizedPoly, and for a
-    stack of coefficient rows each nonzero column, an array over the stack."""
+    stack of coefficient rows each nonzero column, an array over the stack;
+    a stack of zero rows only keeps its column 0, so that the terms of a
+    map built from them still carry the stack's shape."""
     if isinstance(poly, LinearizedPoly):
         return [(i, poly.coeffs[i]) for i in poly.support()]
-    return [(int(i), poly[..., i]) for i in _columns(ctx, poly)]
+    columns = _columns(ctx, poly)
+    return [(int(i), poly[..., i]) for i in (columns if columns.size else [0])]
 
 
 def _q_linear_rows(ctx: FieldContext, rows: np.ndarray) -> np.ndarray:

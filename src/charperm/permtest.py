@@ -255,24 +255,36 @@ def is_perm_bruteforce(ctx: FieldContext, f) -> PermReport:
 def is_perm_charsum(ctx: FieldContext, f) -> PermReport:
     """Character-sum permutation test.
 
-    f permutes the field iff sum_v chi(u*f(v)) = 0 for every u != 0.  The
-    histogram of values is Walsh-Hadamard transformed once, and the sum for
-    shift u is the spectrum entry at the functional index of u under the
-    trace pairing.  The histogram and the transform cost O(N log N) for a
-    field of N elements; the test obeys charsum_cap.
+    f permutes the field iff sum_v chi(u*f(v)) = 0 for every u != 0; the
+    sums come from _charsum_failures on f's value table, a batch of one.
+    Witness = the first shift u (by integer encoding) with a nonzero sum.
+    The test obeys charsum_cap.
+    """
+    bad = _charsum_failures(ctx, evaluate_poly_all(ctx, f))
+    if not bad.any():
+        return PermReport(True, "charsum")
+    return PermReport(False, "charsum", int(np.argmax(bad)))
+
+
+def _charsum_failures(ctx: FieldContext, values: np.ndarray) -> np.ndarray:
+    """Per row of values (..., order), the value tables of maps f (their
+    entries elements), which shifts u != 0 have sum_v chi(u*f(v)) != 0.
+
+    One histogram of values per row, by a bincount of the rows offset by
+    order each, is Walsh-Hadamard transformed along its last axis, and the
+    sum for shift u is the spectrum entry at the functional index of u
+    under the trace pairing.  O(N log N) per row for a field of N elements;
+    refuses fields past charsum_cap.
     """
     if ctx.bits > ctx.charsum_cap:
         raise SizeGuard(
             f"{ctx.bits}-bit field exceeds the character-sum cap {ctx.charsum_cap}")
-    hist = np.zeros(ctx.order, dtype=np.int64)
-    np.add.at(hist, evaluate_poly_all(ctx, f), 1)
-    spectrum = walsh_hadamard(hist)
-    sums = spectrum[ctx.chi_index_table]
-    bad = sums != 0
-    bad[0] = False  # u = 0 always sums to the field order
-    if not bad.any():
-        return PermReport(True, "charsum")
-    return PermReport(False, "charsum", int(np.argmax(bad)))
+    rows = values.reshape(-1, ctx.order)
+    offsets = ctx.order * np.arange(len(rows))[:, None]
+    hist = np.bincount((rows + offsets).ravel(), minlength=rows.size).reshape(rows.shape)
+    bad = (walsh_hadamard(hist) != 0)[:, ctx.chi_index_table]
+    bad[:, 0] = False  # u = 0 always sums to the field order
+    return bad.reshape(values.shape)
 
 
 # ---- quadratic family: f(x) = sum_i L_i(x^(q^i+1)) -------------------------
@@ -363,8 +375,9 @@ def perm_quad_ext(ctx: FieldContext, l0: lin.LinearizedPoly,
     cap bounds them).
     """
     _need_quad_ext(ctx)
-    return bool(_quad_ext_ok(ctx, lin.evaluate_all(ctx, l0),
-                             lin.evaluate_all(ctx, l1)))
+    vanishes, injective = _quad_ext_conditions(ctx, lin.evaluate_all(ctx, l0),
+                                               lin.evaluate_all(ctx, l1))
+    return bool(vanishes & injective)
 
 
 def _need_quad_ext(ctx: FieldContext) -> None:
@@ -373,14 +386,15 @@ def _need_quad_ext(ctx: FieldContext) -> None:
         raise WrongDegree(f"needs a degree-2 extension, got n={ctx.n}")
 
 
-def _quad_ext_ok(ctx: FieldContext, v0: np.ndarray, v1: np.ndarray) -> np.ndarray:
-    """perm_quad_ext on value tables (..., order) of L0 and L1, broadcast
-    over their leading axes: L1 vanishes on the image of x^q + x, which is
-    F_q for n = 2, and L0 vanishes only at 0."""
+def _quad_ext_conditions(ctx: FieldContext, v0: np.ndarray, v1: np.ndarray):
+    """The two conditions of perm_quad_ext on value tables (..., order) of
+    L0 and L1, each decided per row of its own table: whether L1 vanishes
+    on the image of x^q + x, which is F_q for n = 2, and whether L0
+    vanishes only at 0."""
     _need_quad_ext(ctx)
     fq = np.array(ctx.subfield_elements(ctx.m))
-    return (np.all(v1[..., fq] == 0, axis=-1)
-            & (np.count_nonzero(v0, axis=-1) == ctx.order - 1))
+    return (np.all(v1[..., fq] == 0, axis=-1),
+            np.count_nonzero(v0, axis=-1) == ctx.order - 1)
 
 
 def gold_terms(ctx: FieldContext, k: int, l0) -> list:

@@ -3,9 +3,16 @@
 A campaign is one SweepDef in SWEEPS.  Its grid is a list of units, each a
 batch of parameters keyed by the names `charperm eval --args` uses, whose
 values (scalars or arrays) broadcast against each other; a linearized
-polynomial is a coefficient row, so it carries one extra last axis.  Its
+polynomial is a coefficient row, so it carries one extra last axis, and a
+sparse polynomial (thm1) is its (coefficient, exponent) terms, two.  Its
 verdicts map a batch to the structured verdict (a closed form from permtest
 or charsum), the brute-force verdict and, where rows show it, the sum S.
+
+A grid may also build tables once per field that many units read (thm6's
+per-row conditions and value tables, thm_tr's adjoint tables and the value
+tables of each part of its map), and give each unit its slices of them as
+`tables`.  A batch without them (a replay, a search) gets them from its own
+rows, by the same functions.
 
 One runner counts every campaign's cases, compares the verdicts by the
 campaign's agreement kind (exact match, or for a sufficient criterion: it
@@ -85,9 +92,12 @@ class SweepDef:
 
     exact: the criterion is an equivalence, not only sufficient (see
     family_agreement).  keys: the parameters a mismatch row shows and a
-    replay needs, in row order.  grid(ctx, seed, budget): the units.
-    verdicts(ctx, params): (structured, brute, s) for one unit, broadcast
-    over its batch; s is None where rows show no sum.
+    replay needs, in row order.  grid(ctx, seed, budget): the units; a
+    unit may carry "tables", its slices of tables the grid builds once per
+    field or block.  verdicts(ctx, params): (structured, brute, s) for one
+    unit, broadcast over its batch, with the same function building the
+    tables from the unit's parameters where it carries none; s is None
+    where rows show no sum.
     """
 
     campaign_id: str
@@ -130,6 +140,8 @@ def coprime_ks(n: int) -> Tuple[int, ...]:
 # ---- grid and verdict helpers ----------------------------------------------
 
 # Built grids by (campaign, m, n, modulus, seed, budget); see _grid.
+# run_verify empties it when its report is done, so a process holds the
+# grids (and their tables) of one campaign at a time.
 _tables: Dict[Tuple, List[Params]] = {}
 
 
@@ -226,31 +238,48 @@ def _support2(ctx: FieldContext) -> np.ndarray:
     return np.concatenate(rows)
 
 
+def _thm6_tables(ctx: FieldContext, l0: np.ndarray, l1: np.ndarray) -> tuple:
+    """What thm6's verdicts read of coefficient rows l0 and l1, per row of
+    each: whether L1 vanishes on F_q and whether L0 vanishes only at 0 (see
+    permtest._quad_ext_conditions), and the value tables of x -> L1(x^(q+1))
+    and x -> L0(x^2), both in the narrowest unsigned dtype that holds an
+    element.  The map L1(x^(q+1)) + L0(x^2) of a pair is the xor of its
+    rows' tables, so a block of rows pairs with another at the cost of one
+    xor per case."""
+    v0, v1 = lin.evaluate_all(ctx, l0), lin.evaluate_all(ctx, l1)
+    vanishes, injective = pt._quad_ext_conditions(ctx, v0, v1)
+    dtype = np.min_scalar_type(ctx.order - 1)
+    return (vanishes, injective, v1.astype(dtype)[..., ctx.monomial_vec(1, ctx.q + 1)],
+            v0.astype(dtype)[..., ctx.frob_table(1)])
+
+
 def _thm6_grid(ctx, seed, budget):
     # every L1 of support <= 2 against every such L0, in square blocks of
-    # side rows of each, so that a unit evaluates only the rows it pairs;
-    # then seeded dense pairs, which hold about four value tables per case
+    # side rows of each, whose tables are built once per block of rows and
+    # paired by slices; then seeded dense pairs, which hold about four
+    # value tables per case, with tables per block
     pt._need_quad_ext(ctx)
     polys = _support2(ctx)
-    side = math.isqrt(_CELLS // ctx.order)
+    blocks = _blocks(len(polys), math.isqrt(_CELLS // ctx.order))
+    tables = [_thm6_tables(ctx, polys[sl], polys[sl]) for sl in blocks]
+    units = [{"l0": polys[s0], "l1": polys[s1, None],
+              "tables": (t1[0][:, None], t0[1], t1[2][:, None], t0[3])}
+             for s1, t1 in zip(blocks, tables) for s0, t0 in zip(blocks, tables)]
     draws = _draws(_rng(seed, "thm6", ctx), ctx, budget, 2 * ctx.bits)
-    return ([{"l0": polys[s0], "l1": polys[s1, None]}
-             for s1 in _blocks(len(polys), side) for s0 in _blocks(len(polys), side)]
-            + [{"l0": draws[sl, :ctx.bits], "l1": draws[sl, ctx.bits:]}
-               for sl in _blocks(budget, _CELLS // (4 * ctx.order))])
+    for sl in _blocks(budget, _CELLS // (4 * ctx.order)):
+        l0, l1 = draws[sl, :ctx.bits], draws[sl, ctx.bits:]
+        units.append({"l0": l0, "l1": l1, "tables": _thm6_tables(ctx, l0, l1)})
+    return units
 
 
 def _thm6(ctx, p):
     # The one occupancy oracle not built from a term list (see
-    # permtest.evaluate_poly_all): it reuses the structured side's tables
-    # v0 and v1, where the terms of L1(x^(q+1)) would cost bits lookups per
-    # case over about 2M cases.
-    v0 = lin.evaluate_all(ctx, p["l0"])
-    v1 = lin.evaluate_all(ctx, p["l1"])
-    structured = pt._quad_ext_ok(ctx, v0, v1)
-    x_q1 = ctx.monomial_vec(1, ctx.q + 1)
-    brute = pt._bijective_rows(v1[..., x_q1] ^ v0[..., ctx.frob_table(1)])
-    return structured, brute, None
+    # permtest.evaluate_poly_all): it xors the value tables of
+    # L1(x^(q+1)) and L0(x^2) that _thm6_tables gives each row, where the
+    # terms of a pair would cost bits lookups per case over about 2M cases.
+    vanishes, injective, l1_q1, l0_sq = (p["tables"] if "tables" in p
+                                         else _thm6_tables(ctx, p["l0"], p["l1"]))
+    return vanishes & injective, pt._bijective_rows(l1_q1 ^ l0_sq), None
 
 
 # ---- odd-degree x^(q^k+1) + L0(x^2) criterion ------------------------------
@@ -280,16 +309,52 @@ def _thm7(ctx, p):
 _TRACEFORM_SHIFTS = (0, 1, 2)
 
 
+def _adjoint_values(ctx: FieldContext, rows: np.ndarray) -> np.ndarray:
+    """Value tables of the adjoints of coefficient rows, what thm_tr's
+    structured side reads (see permtest._trace_form_ok)."""
+    return lin.evaluate_all(ctx, lin.adjoint(ctx, rows))
+
+
+def _traceform_values(ctx: FieldContext, l0, l1, shift: int) -> np.ndarray:
+    """Values of the terms of L0(x^(2^shift)) + L1(x) * Tr(x) (see
+    permtest.traceform_terms), L0 and L1 given by their pairs, in the
+    narrowest unsigned dtype that holds an element.  The values of a map
+    are the xor of its L0 part's and its L1 part's."""
+    values = pt.evaluate_poly_all(ctx, pt.traceform_terms(ctx, l0, l1, shift))
+    return values.astype(np.min_scalar_type(ctx.order - 1))
+
+
+def _thm_tr_tables(ctx: FieldContext, l0: np.ndarray, l1: np.ndarray, shift: int) -> tuple:
+    """What thm_tr's verdicts read of coefficient rows l0 and l1: the
+    adjoint values of L1 and of L0, and the values of the L1 part and of
+    the L0 part of the map.  The grid builds each at its own granularity."""
+    return (_adjoint_values(ctx, l1), _adjoint_values(ctx, l0),
+            _traceform_values(ctx, [], lin.pairs(ctx, l1), 0),
+            _traceform_values(ctx, lin.pairs(ctx, l0), [], shift))
+
+
 def _thm_tr_grid(ctx, seed, budget):
     # monomial parts a0 * x^(q^j0) and a1 * x^(q^j1): blocks of a0 against
-    # every a1, each case an order-entry value table
+    # every a1, each case an order-entry value table.  The tables of
+    # _thm_tr_tables are built once per j1, once per j0 and a0 block, and
+    # (the L0 part's values) once per shift, j0 and a0 block; every unit
+    # that pairs them reads them
     e = ctx.elements
+    blocks = _blocks(ctx.order, _CELLS // ctx.order ** 2)
     l1 = [lin.linearized_rows(ctx, [(ctx.m * j1, e)]) for j1 in range(ctx.n)]
-    return [{"l0": lin.linearized_rows(ctx, [(ctx.m * j0, e[sl, None])]),
-             "l1": l1[j1], "shift": shift}
+    l0 = [[lin.linearized_rows(ctx, [(ctx.m * j0, e[sl, None])]) for sl in blocks]
+          for j0 in range(ctx.n)]
+    x_tabs = [_adjoint_values(ctx, rows) for rows in l1]
+    y_tabs = [[_adjoint_values(ctx, rows) for rows in row] for row in l0]
+    v1 = [_traceform_values(ctx, [], lin.pairs(ctx, rows), 0) for rows in l1]
+    v0 = {(shift, j0, b): _traceform_values(ctx, lin.pairs(ctx, rows), [], shift)
+          for shift in _TRACEFORM_SHIFTS for j0, row in enumerate(l0)
+          for b, rows in enumerate(row)}
+    return [{"l0": l0[j0][b], "l1": l1[j1], "shift": shift,
+             "tables": (x_tabs[j1], y_tabs[j0][b], v1[j1], v0[shift, j0, b])}
             for shift in _TRACEFORM_SHIFTS
             for j0 in range(ctx.n) for j1 in range(ctx.n)
-            for sl in _blocks(ctx.order, _CELLS // ctx.order ** 2)]
+            for b in range(len(blocks))]
 
 
 def _thm_tr(ctx, p):
@@ -297,10 +362,9 @@ def _thm_tr(ctx, p):
     if shift < 0 or not (lin._q_linear_rows(ctx, l0).all()
                          and lin._q_linear_rows(ctx, l1).all()):
         raise BadParameters("thm_tr needs q-linear L0 and L1 and shift >= 0")
-    structured = pt._trace_form_ok(ctx, lin.evaluate_all(ctx, lin.adjoint(ctx, l1)),
-                                   lin.evaluate_all(ctx, lin.adjoint(ctx, l0)), shift)
-    terms = pt.traceform_terms(ctx, lin.pairs(ctx, l0), lin.pairs(ctx, l1), shift)
-    return structured, pt._bijective_rows(pt.evaluate_poly_all(ctx, terms)), None
+    x_tab, y_tab, v1, v0 = (p["tables"] if "tables" in p
+                            else _thm_tr_tables(ctx, l0, l1, shift))
+    return pt._trace_form_ok(ctx, x_tab, y_tab, shift), pt._bijective_rows(v1 ^ v0), None
 
 
 # ---- monomial-plus-trace corollary -----------------------------------------
@@ -341,19 +405,37 @@ def _prop3(ctx, p):
 
 # ---- character-sum permutation test vs occupancy ---------------------------
 
+def _packed(polys: Sequence[pt.MonomialPoly]) -> np.ndarray:
+    """Polynomials as one (len(polys), terms, 2) array of their
+    (coefficient, exponent) terms, each padded to the longest (and to at
+    least one term) with zero terms 0 * x^1."""
+    out = np.zeros((len(polys), max([len(f.terms) for f in polys] + [1]), 2),
+                   dtype=np.int64)
+    out[..., 1] = 1
+    for row, f in zip(out, polys):
+        if f.terms:
+            row[:len(f.terms)] = f.terms
+    return out
+
+
 def _thm1_grid(ctx, seed, budget):
-    # every monomial x^e, then seeded trinomials
+    # every monomial x^e, then seeded trinomials, each folded: one stack of
+    # their terms, in blocks
     rng, go = _rng(seed, "thm1", ctx), ctx.group_order
     samples = [[(rng.randrange(1, ctx.order), rng.randrange(1, ctx.order + go))
                 for _ in range(3)] for _ in range(budget)]
-    return [{"monomials": pt.monomial(ctx, terms)}
-            for terms in [[(1, e)] for e in range(1, ctx.order)] + samples]
+    terms = _packed([pt.monomial(ctx, f)
+                     for f in [[(1, e)] for e in range(1, ctx.order)] + samples])
+    return [{"monomials": terms[sl]} for sl in _blocks(len(terms), _CELLS // ctx.order)]
 
 
 def _thm1(ctx, p):
-    f = p["monomials"]
-    return (pt.is_perm_charsum(ctx, f).is_permutation,
-            pt.is_perm_bruteforce(ctx, f).is_permutation, None)
+    # one value table per polynomial of the stack: the xor of its terms
+    terms = p["monomials"]
+    values = np.bitwise_xor.reduce(
+        ctx.monomial_vec(terms[..., 0, None], terms[..., 1, None]), axis=-2)
+    return (~pt._charsum_failures(ctx, values).any(axis=-1),
+            pt._bijective_rows(values), None)
 
 
 # ---- named families --------------------------------------------------------
@@ -444,7 +526,8 @@ SWEEPS: Dict[str, SweepDef] = {sweep.campaign_id: sweep for sweep in (
 def _shown(ctx: FieldContext, key: str, value, shape, idx) -> str:
     """One case's parameter as a mismatch row and its replay string show it."""
     if key == "monomials":
-        return pt.format_monomial(value)
+        terms = np.broadcast_to(value, tuple(shape) + value.shape[-2:])[idx]
+        return pt.format_monomial(pt.MonomialPoly(tuple((c, e) for c, e in terms.tolist() if c)))
     if key in ("l0", "l1", "poly"):
         row = np.broadcast_to(value, tuple(shape) + (ctx.bits,))[idx]
         return lin.format_linearized(lin.linearized(ctx, enumerate(row.tolist())))
@@ -460,7 +543,8 @@ def _verdict_fields(shape, idx, structured, brute, s) -> dict:
 
 
 def _grid(sweep: SweepDef, ctx: FieldContext, seed: int, budget: int) -> List[Params]:
-    """The campaign's units on ctx, built once per process."""
+    """The campaign's units on ctx, built once per run_verify call (and
+    once per worker process): its unit count and its blocks share them."""
     key = (sweep.campaign_id, ctx.m, ctx.n, ctx.modulus, seed, budget)
     if key not in _tables:
         _tables[key] = sweep.grid(ctx, seed, budget)
@@ -472,11 +556,12 @@ def replay_case(ctx: FieldContext, campaign_id: str,
     """One case through its campaign's own verdicts, as a batch of one.
 
     params are parsed `--args` values (linearized polynomials as
-    LinearizedPoly).  Returns the row's structured, brute, s and agree.
+    LinearizedPoly, sparse ones as MonomialPoly), which become the rows a
+    grid's units hold.  Returns the row's structured, brute, s and agree.
     """
     sweep = SWEEPS[campaign_id]
-    batch = {k: np.array(v.coeffs, dtype=np.int64)
-             if isinstance(v, lin.LinearizedPoly) else v
+    batch = {k: np.array(v.coeffs, dtype=np.int64) if isinstance(v, lin.LinearizedPoly)
+             else _packed([v])[0] if isinstance(v, pt.MonomialPoly) else v
              for k, v in params.items()}
     structured, brute, s = sweep.verdicts(ctx, batch)
     out = _verdict_fields((), (), structured, brute, s)
@@ -571,6 +656,7 @@ def run_verify(campaign: VerifyCampaign, *, jobs: int = 1,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_block, *t) for t in tasks]
             results = [f.result() for f in futures]
+    _tables.clear()
     return CampaignReport(sum(r[0] for r in results), sum(r[1] for r in results),
                           [row for r in results for row in r[2]],
                           time.perf_counter() - started)
@@ -617,8 +703,8 @@ def _binomial(ctx, p):
     brute = pt._bijective_rows(pt.evaluate_poly_all(ctx, [(a, ctx.q + 1), (b, 2)]))
     labels = {}
     if ctx.n == 2:
-        labels["thm6"] = pt._quad_ext_ok(ctx, lin.evaluate_all(ctx, l0),
-                                         lin.evaluate_all(ctx, lin.linearized_rows(ctx, [(0, a)])))
+        vanishes, injective = _thm6_tables(ctx, l0, lin.linearized_rows(ctx, [(0, a)]))[:2]
+        labels["thm6"] = vanishes & injective
     if ctx.n % 2 and 1 in gold_ks(ctx.n):
         labels["thm7"] = (a == 1) & pt._gold_ok(
             ctx, 1, lin.evaluate_blocks(ctx, lin.adjoint(ctx, l0)))
@@ -663,10 +749,7 @@ def run_search(ctx: FieldContext, template: str,
     rows = []
     for unit in grid(ctx, axis, **fixed_params):
         labels, brute = tpl.verdicts(ctx, unit)
-        # traceform's brute verdict on a unit of zero coefficients only is
-        # one unbatched value (lin.pairs drops zero columns)
         coeffs = np.broadcast_arrays(*(unit[name] for name in tpl.axes))
-        brute = np.broadcast_to(brute, coeffs[0].shape)
         for idx in zip(*np.nonzero(brute)):
             row = {name: f"{c[idx]:x}" for name, c in zip(tpl.axes, coeffs)}
             row["is_permutation"] = True

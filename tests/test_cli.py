@@ -543,8 +543,8 @@ REPLAY_EXPECT = {
     "family:aqk": _family("aqk"),
 }
 
-# Cases on each campaign's smallest default field; with both verdicts of
-# each kind where the field has them.
+# Cases on each campaign's smallest default field, or (field, case) on
+# another; with both verdicts of each kind where the field has them.
 REPLAY_CASES = {
     "thm4": ["a=1;b=1", "a=0;b=2", "a=2;b=3", "a=3;b=0"],
     "thm5": ["a=1;b=1;k=1", "a=0;b=5;k=1", "a=3;b=0;k=1", "a=6;b=7;k=1"],
@@ -555,7 +555,8 @@ REPLAY_CASES = {
     "corollary": ["a=1;k=0;l=0", "a=1;k=1;l=2", "a=0;k=0;l=1", "a=5;k=2;l=3"],
     "prop2": ["a=0;b=1", "a=1;b=1"],
     "prop3": ["poly=0:1,1:1", "poly=1:3", "poly=0:2", "poly="],
-    "thm1": ["monomials=1:1", "monomials=3:1", "monomials=2:1,1:1", "monomials=4:2"],
+    "thm1": ["monomials=1:1", "monomials=3:1", "monomials=2:1,1:1", "monomials=4:2",
+             "monomials=", "monomials=1:1,1:1", ("1:3", "monomials=9:1")],
     "family:tu": ["a=1", "a=0", "a=3"],
     "family:abnorm": ["a=0;b=0", "a=1;b=1", "a=2;b=5"],
     "family:q4": ["a=1;variant=binomial", "a=5;variant=qk", "a=6;variant=binomial"],
@@ -593,10 +594,11 @@ def _replay(capsys, field, cid, blob):
 @pytest.mark.parametrize("cid", list(cp.SWEEPS))
 def test_replay_matches_public_closed_form_and_oracle(capsys, cid):
     m, n = cp.SWEEPS[cid].default_fields[0]
-    ctx = build_context(m, n)
     agreed = 0
-    for blob in REPLAY_CASES[cid]:
-        got = _replay(capsys, f"{m}:{n}", cid, blob)
+    for case in REPLAY_CASES[cid]:
+        field, blob = case if isinstance(case, tuple) else (f"{m}:{n}", case)
+        ctx = build_context(*map(int, field.split(":")))
+        got = _replay(capsys, field, cid, blob)
         structured, brute, s = REPLAY_EXPECT[cid](ctx, _parse_args(ctx, blob))
         assert (got["structured"], got["brute"]) == (structured, brute), blob
         assert set(got) <= {"structured", "brute", "s", "agree"}
@@ -841,12 +843,23 @@ def test_search_fuzzed_inputs_exit_cleanly():
     check()
 
 
+VERIFY_ALL_PINS = {
+    ("--seed", "0"): "a75844b0cea89f6f3c43449914bfd6e34c6a8a81a30b8f5eeea145eb2df2ef4b",
+    ("--seed", "1"): "77aa08e919a215ccf9f16f52283ef445b2b483c3c9f250e12c27e50fa8111dc7",
+    ("--seed", "0", "--jobs", "2"):
+        "a75844b0cea89f6f3c43449914bfd6e34c6a8a81a30b8f5eeea145eb2df2ef4b",
+    ("--seed", "0", "--format", "csv"):
+        "0b5a1a2d30fe14013cccd430996311a0448e9f498447dc6cfb8fb981f9a606fc",
+}
+
+
 def test_verify_all_stdout_is_byte_identical(capsys):
-    # changes only when a campaign verdict or the report format changes
-    code, out, _ = run_cli(capsys, "verify", "--campaign", "all", "--seed", "0")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "a75844b0cea89f6f3c43449914bfd6e34c6a8a81a30b8f5eeea145eb2df2ef4b")
+    # changes only when a campaign verdict or the report format changes,
+    # and is the same bytes whatever --jobs
+    for argv, digest in VERIFY_ALL_PINS.items():
+        code, out, _ = run_cli(capsys, "verify", "--campaign", "all", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 # ---- golden stdout of the quadratic-form commands ---------------------------

@@ -276,6 +276,21 @@ def test_walsh_hadamard_matches_direct():
 def test_walsh_hadamard_rejects_length_not_power_of_two():
     with pytest.raises(BadParameters):
         walsh_hadamard([1, 2, 3])
+    with pytest.raises(BadParameters):
+        walsh_hadamard(np.zeros((4, 6), dtype=np.int64))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 2), (2, 3, 8), (5, 64), (1, 4096)])
+def test_walsh_hadamard_of_a_stack_is_each_row_transformed(shape):
+    rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+    stack = rng.integers(-50, 50, size=shape)
+    before = stack.copy()
+    out = walsh_hadamard(stack)
+    assert out.shape == shape and out.dtype == np.int64
+    rows = stack.reshape(-1, shape[-1])
+    want = np.array([walsh_hadamard(row) for row in rows]).reshape(shape)
+    assert np.array_equal(out, want)
+    assert np.array_equal(stack, before)        # the input is not written
 
 
 def test_chi_index_table_routes_sums(gf8):
@@ -682,6 +697,26 @@ def test_monomial_vec_matches_scalars_exhaustively(m, n):
     for c in (-1, ctx.order):
         with pytest.raises(BadParameters):
             ctx.monomial_vec(c, 3)
+
+
+@pytest.mark.parametrize("m,n", SMALL_FIELDS, ids=lambda v: str(v))
+def test_monomial_vec_takes_a_stack_of_exponents(m, n):
+    # c[..., None], e[..., None]: one row per (c, e), as the scalar calls
+    # give it, on the whole field and on blocks
+    ctx = build_context(m, n)
+    rng = random.Random(f"exponents:{m}:{n}")
+    es = np.array(_monomial_exponents(ctx, rng))
+    cs = np.array([0, 1, ctx.order - 1, rng.randrange(ctx.order)])
+    c, e = np.broadcast_arrays(cs[:, None], es)          # (4, len(es))
+    want = np.array([[ctx.monomial_vec(int(ci), int(ei)) for ci, ei in zip(*row)]
+                     for row in zip(c, e)])
+    assert ctx.monomial_vec(c[..., None], e[..., None]).tolist() == want.tolist()
+    assert ctx.monomial_vec(1, es[:, None]).tolist() == want[1].tolist()
+    block = slice(0, max(1, ctx.order // 2))
+    assert (ctx.monomial_vec(c[..., None], e[..., None], block).tolist()
+            == want[..., block].tolist())
+    with pytest.raises(DivisionByZero):
+        ctx.monomial_vec(1, np.array([[1], [-1]]))
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (3, 4)])

@@ -211,6 +211,13 @@ def test_blocks_below_one_row_keep_every_case(monkeypatch):
     assert min(want.values()) > 0
 
 
+def test_run_verify_keeps_no_grid_after_its_report():
+    # the grids and their tables live while their campaign runs
+    rep = _run("thm6", field_ranges=("1:2",))
+    assert rep.cases_total == 927 + 9329
+    assert verify._tables == {}
+
+
 @pytest.mark.parametrize("seed", [0, 1, "prop3", 2 ** 40])
 def test_draws_match_one_randrange_per_element(seed):
     for bits in range(1, 21):
@@ -357,6 +364,18 @@ def test_search_units_stay_bounded(monkeypatch):
     got = [(int(r["a"], 16), int(r["b"], 16)) for r in rows]
     assert got == [(a, b) for a in sorted(pool) for b in sorted(pool)
                    if ctx.norm_to(a, 3) ^ ctx.norm_to(b, 3) == ctx.mul(a, b)]
+
+
+def test_thm_tr_verdicts_keep_the_shape_of_a_zero_batch():
+    # lin.pairs keeps a zero column of an all-zero stack, so the occupancy
+    # oracle's terms carry the batch shape as the structured side does
+    ctx = build_context(1, 3)
+    for l0, l1 in ((np.zeros((1, 1, 3), np.int64), np.zeros((1, 3), np.int64)),
+                   (np.zeros((2, 1, 3), np.int64), np.zeros((4, 3), np.int64))):
+        structured, brute, s = SWEEPS["thm_tr"].verdicts(ctx, {"l0": l0, "l1": l1, "shift": 0})
+        shape = np.broadcast_shapes(l0.shape[:-1], l1.shape[:-1])
+        assert np.shape(structured) == np.shape(brute) == shape
+        assert not brute.any() and not structured.any() and s is None
 
 
 def test_search_traceform_rows_tagged():
