@@ -14,7 +14,7 @@ linearized.evaluate_all does.  A stack is decided at once with numpy: the
 sign by a symplectic reduction of the GF(2) form Tr(v * L(v)) over every
 row, the kernel by one GF(2) elimination, and the reports hold arrays over
 the stack.  A single polynomial keeps the scalar route, which is cheaper for
-one form than a stack of one: about 0.2 ms against 0.6-0.9 ms at 20 bits
+one form than a stack of one: 0.07-0.1 ms against 0.4-0.7 ms at 20 bits
 once the context holds its exp/log tables (see field.FieldContext.mul).
 """
 
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -40,7 +39,7 @@ from . import linearized as lin
 from .linearized import LinearizedPoly
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadraticFormReport:
     kernel_dim_fq: int            # F_q-dimension of ker(adjoint(L) + L)
     vanishes_on_kernel: bool
@@ -146,12 +145,27 @@ def classify_form(ctx: FieldContext, poly) -> QuadraticFormReport:
         return _classify_rows(ctx, rows)
     if not poly.q_linear:
         raise NotQLinear("classify_form needs a q-linear polynomial")
+    # each vector v is carried as (v, P(v), L(v)), P the polar map: P and L
+    # are q-linear and every update coefficient lies in F_q, so the images
+    # follow the vectors exactly, and L and P are evaluated once per
+    # F_q-basis vector; B(u, v) and Q(v) are then one mul and one trace each
     polar = polar_poly(ctx, poly)
+    mul, m = ctx.mul, ctx.m
 
-    def bform(u: int, v: int) -> int:
-        return ctx.trace_to(ctx.mul(u, lin.evaluate(ctx, polar, v)), ctx.m)
+    def bform(u: tuple, v: tuple) -> int:
+        return ctx.trace_to(mul(u[0], v[1]), m)
 
-    work: List[int] = list(ctx.fq_basis)
+    def qform(v: tuple) -> int:
+        return ctx.trace_to(mul(v[0], v[2]), m)
+
+    def combine(v: tuple, a: int, u: tuple, b: int, w: tuple) -> tuple:
+        """v + a*u + b*w, triple by triple."""
+        return (v[0] ^ mul(a, u[0]) ^ mul(b, w[0]),
+                v[1] ^ mul(a, u[1]) ^ mul(b, w[1]),
+                v[2] ^ mul(a, u[2]) ^ mul(b, w[2]))
+
+    work = [(b, lin.evaluate(ctx, polar, b), lin.evaluate(ctx, poly, b))
+            for b in ctx.fq_basis]
     planes = 0
     arf = 0
     while True:
@@ -167,11 +181,11 @@ def classify_form(ctx: FieldContext, poly) -> QuadraticFormReport:
             break
         i, j = pair
         u = work[i]
-        w = ctx.mul(work[j], ctx.inv(bform(u, work[j])))
+        c = ctx.inv(bform(u, work[j]))
+        w = tuple(mul(c, x) for x in work[j])
         rest = [v for k, v in enumerate(work) if k not in (i, j)]
-        work = [v ^ ctx.mul(bform(v, w), u) ^ ctx.mul(bform(v, u), w)
-                for v in rest]
-        arf ^= ctx.mul(quad_value(ctx, poly, u), quad_value(ctx, poly, w))
+        work = [combine(v, bform(v, w), u, bform(v, u), w) for v in rest]
+        arf ^= mul(qform(u), qform(w))
         planes += 1
 
     # remaining vectors span the radical of the polar form
@@ -179,7 +193,7 @@ def classify_form(ctx: FieldContext, poly) -> QuadraticFormReport:
     if radical_dim != ctx.n - 2 * planes:
         raise InvariantViolation(
             f"radical dimension {radical_dim} != n - 2 * {planes} hyperbolic planes")
-    if any(quad_value(ctx, poly, v) != 0 for v in work):
+    if any(qform(v) != 0 for v in work):
         report = QuadraticFormReport(radical_dim, False, 0, "zero-sum",
                                      rank=2 * planes + 1)
     else:

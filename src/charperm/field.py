@@ -15,11 +15,12 @@ One cache, one memo: every table and constant a context derives is kept in
 its one dict _caches, keyed by the accessor's name and normalized argument,
 and only _memo reads or writes it.
 
-The scalar mul, pow, inv and frobenius are one lookup each in the
-context's own exp_table/log_table up to _TABLE_BITS = 16 bits, where they
-build the pair on first use, and above that once the context holds the pair
-already.  Otherwise they are bit-serial, so a large context builds no table
-it was not asked for.  On both routes they raise BadParameters for an
+The scalar mul, pow, inv and frobenius, and each term of trace_to and of
+linearized.evaluate, are one lookup each in the context's own
+exp_table/log_table up to _TABLE_BITS = 16 bits, where they build the pair
+on first use, and above that once the context holds the pair already.
+Otherwise they are bit-serial, so a large context builds no table it was
+not asked for.  On both routes they raise BadParameters for an
 operand outside 0 .. order - 1.
 """
 
@@ -166,7 +167,8 @@ class FieldContext:
 
     def trace_to(self, a: int, sub_m: int) -> int:
         """Relative trace onto GF(2^sub_m): sum of a^(2^(sub_m * i)), one
-        frobenius(t, sub_m) step per term."""
+        lookup per term where _load_views gives the tables (see
+        _orbit_sum)."""
         self._check_subfield_degree(sub_m)
         return self._orbit_sum(a, sub_m, self.bits // sub_m)
 
@@ -199,11 +201,27 @@ class FieldContext:
         return self.frobenius(a, sub_m) == a
 
     def _orbit_sum(self, a: int, step: int, terms: int) -> int:
-        """Sum of a^(2^(step * i)) for 0 <= i < terms."""
-        r = t = a
-        for _ in range(terms - 1):
-            t = self.frobenius(t, step)
-            r ^= t
+        """Sum of a^(2^(step * i)) for 0 <= i < terms: one lookup
+        exp[(log a << step * i) mod group_order] per term where _load_views
+        gives the tables, frobenius(t, step) steps otherwise."""
+        if terms == 1:
+            return a
+        if not 0 <= a < self.order:
+            self._reject(a)
+        if not a:
+            return 0
+        views = self._views or self._load_views()
+        if views is None:
+            r = t = a
+            for _ in range(terms - 1):
+                t = self.frobenius(t, step)
+                r ^= t
+            return r
+        exp, log = views
+        la, go = log[a], self.group_order
+        r = 0
+        for i in range(0, step * terms, step):
+            r ^= exp[(la << i) % go]
         return r
 
     def _reject(self, *operands: int):

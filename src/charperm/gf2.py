@@ -132,7 +132,8 @@ def mat_rank(vecs: List[int]) -> int:
     pivots: List[int] = []
     for v in vecs:
         for p in pivots:
-            v = min(v, v ^ p)
+            if v ^ p < v:
+                v ^= p
         if v:
             pivots.append(v)
     return len(pivots)
@@ -148,7 +149,7 @@ def mat_kernel(cols: List[int]) -> List[int]:
     kernel: List[int] = []
     for v, combo in rows:
         for pv, pc in pivots:
-            if min(v, v ^ pv) != v:
+            if v ^ pv < v:
                 v ^= pv
                 combo ^= pc
         if v:

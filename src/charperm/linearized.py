@@ -89,16 +89,31 @@ def add(ctx: FieldContext, l1: LinearizedPoly, l2: LinearizedPoly) -> Linearized
 
 
 def evaluate(ctx: FieldContext, poly: LinearizedPoly, x: int) -> int:
-    """L(x), walking the Frobenius orbit of x once: one frobenius step
-    from each nonzero term to the next."""
+    """L(x): one lookup exp[log c_i + (log x << i) mod (order - 1)] per
+    nonzero term where the context gives its exp/log views (see
+    FieldContext._load_views), else a walk along the Frobenius orbit of x,
+    one frobenius step from each nonzero term to the next.  BadParameters
+    unless x is an element."""
+    if not 0 <= x < ctx.order:
+        ctx._reject(x)
+    views = ctx._views or ctx._load_views()
     r = 0
-    t = x
-    at = 0
+    if views is None:
+        t = x
+        at = 0
+        for i, c in enumerate(poly.coeffs):
+            if c:
+                t = ctx.frobenius(t, i - at)
+                at = i
+                r ^= ctx.mul(c, t)
+        return r
+    if not x:
+        return 0
+    exp, log = views
+    lx, go = log[x], ctx.group_order
     for i, c in enumerate(poly.coeffs):
         if c:
-            t = ctx.frobenius(t, i - at)
-            at = i
-            r ^= ctx.mul(c, t)
+            r ^= exp[log[c] + (lx << i) % go]
     return r
 
 
@@ -143,14 +158,18 @@ def evaluate_blocks(ctx: FieldContext, poly) -> Callable[[slice], np.ndarray]:
     reads return again, so they are not to be written.
 
     L is GF(2)-linear, so the table is built from its bits values at the
-    unit vectors by doubling (see field._linear_table), and only as far as
-    the reads need: up to the least power of two past the highest input
-    read so far, continued from there by a later read.  A scan that stops
+    unit vectors (to_matrix for one polynomial, _evaluate_at for a stack)
+    by doubling (see field._linear_table), and only as far as the reads
+    need: up to the least power of two past the highest input read so
+    far, continued from there by a later read.  A scan that stops
     at its first failing block of a 2^20-element field then writes a few
     thousand entries, not 2^20.
     """
-    rows = np.asarray(getattr(poly, "coeffs", poly), dtype=np.int64)
-    images = _evaluate_at(ctx, rows, 1 << np.arange(ctx.bits))
+    if isinstance(poly, LinearizedPoly):
+        images = np.array(to_matrix(ctx, poly), dtype=np.int32)
+    else:
+        images = _evaluate_at(ctx, np.asarray(poly, dtype=np.int64),
+                              1 << np.arange(ctx.bits))
     table = np.empty(images.shape[:-1] + (ctx.order,), dtype=np.int32)
     filled = 0
 

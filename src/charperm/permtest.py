@@ -87,7 +87,7 @@ def format_monomial(poly: MonomialPoly) -> str:
 
 # ---- permutation reports ---------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PermReport:
     """Outcome of a permutation test.
 

@@ -1,5 +1,6 @@
 """Character sums S(L) = sum chi(v L(v)) and quadratic form classification."""
 
+import itertools
 import math
 import random
 
@@ -269,3 +270,84 @@ def test_s_fast_reaches_kernel_check_on_20_bits(monkeypatch):
     rows = np.array([p.coeffs for p in polys], dtype=np.int64)
     assert s_fast(ctx, rows).s_value.tolist() == s_bruteforce(ctx, rows).tolist()
     assert len(calls) == len(polys) + 1
+
+
+# ---- the scalar route against stacks, and its evaluation count -------------
+
+def _report(rep):
+    return (rep.kernel_dim_fq, rep.vanishes_on_kernel, rep.s_value,
+            rep.form_type, rep.rank)
+
+
+def _scalar_reports(ctx, polys):
+    return [(_report(classify_form(ctx, p)), _report(s_fast(ctx, p))) for p in polys]
+
+
+def _assert_scalar_route_matches_stacks(ctx, polys):
+    """Scalar classify_form and s_fast equal each other, the reports of
+    the one stack of all polys row by row, and s_bruteforce, on one
+    polynomial and on the stack."""
+    rows = np.array([p.coeffs for p in polys], dtype=np.int64)
+    full_rows, fast_rows = (
+        list(zip(*(np.asarray(f, dtype=object).tolist() for f in _report(rep))))
+        for rep in (classify_form(ctx, rows), s_fast(ctx, rows)))
+    brute = s_bruteforce(ctx, rows).tolist()
+    for r, (full, fast) in enumerate(_scalar_reports(ctx, polys)):
+        assert full == fast == full_rows[r] == fast_rows[r]
+        assert full[2] == brute[r] == s_bruteforce(ctx, polys[r])
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (1, 3)], ids=lambda v: str(v))
+def test_scalar_route_matches_stacks_on_every_q_linear_form(m, n):
+    ctx = build_context(m, n)
+    polys = [lin.q_linearized(ctx, enumerate(coeffs))
+             for coeffs in itertools.product(range(ctx.order), repeat=n)]
+    _assert_scalar_route_matches_stacks(ctx, polys)
+
+
+@pytest.mark.parametrize("m,n,count", [(2, 8, 24), (4, 5, 6)], ids=["2:8", "4:5"])
+def test_scalar_route_matches_stacks_on_seeded_forms(m, n, count):
+    """Seeded forms and the zero form, whose S != 0 reaches the kernel
+    check.  On 4:5 the scalar route runs twice: bit-serially on a fresh
+    context, which builds no exp/log table, and by lookups on one that
+    holds them and whose bit-serial multiply raises."""
+    ctx = build_context(m, n)
+    rng = random.Random(f"scalar:{m}:{n}")
+    polys = [lin.zero(ctx)] + [
+        lin.q_linearized(ctx, [(j, rng.randrange(ctx.order)) for j in range(n)])
+        for _ in range(count)]
+    if ctx.bits > 16:
+        serial = build_context(m, n)
+        bit_serial = _scalar_reports(serial, polys)
+        assert ("log_table",) not in serial._caches
+        ctx.log_table
+        ctx._mul_serial = _bit_serial_disabled
+        assert _scalar_reports(ctx, polys) == bit_serial
+    _assert_scalar_route_matches_stacks(ctx, polys)
+
+
+def _bit_serial_disabled(*_):
+    raise AssertionError("a scalar operation took the bit-serial route")
+
+
+def test_classify_form_evaluates_each_map_once_per_basis_vector(monkeypatch):
+    # L and its polar map at each of the n F_q-basis vectors, 2n calls in
+    # all, however many hyperbolic planes the reduction splits off
+    ctx = build_context(2, 8)
+    rng = random.Random(28)
+    polys = [lin.zero(ctx), lin.q_linearized(ctx, [(4, 1)])] + [
+        lin.q_linearized(ctx, [(j, rng.randrange(ctx.order)) for j in range(ctx.n)])
+        for _ in range(6)]
+    want = [s_bruteforce(ctx, p) for p in polys]
+    calls = []
+    evaluate = lin.evaluate
+
+    def counted(ctx, poly, x):
+        calls.append(x)
+        return evaluate(ctx, poly, x)
+
+    monkeypatch.setattr(lin, "evaluate", counted)
+    for poly, s_value in zip(polys, want):
+        calls.clear()
+        assert classify_form(ctx, poly).s_value == s_value
+        assert len(calls) == 2 * ctx.n

@@ -16,9 +16,13 @@ from charperm import (
     NotInSubfield,
     SizeGuard,
     build_context,
+    classify_form,
     gf2,
+    quad_value,
+    s_fast,
     walsh_hadamard,
 )
+from charperm import linearized as lin
 
 OMEGA = 0b10  # generator of GF(4) with modulus x^2 + x + 1
 
@@ -627,6 +631,15 @@ def test_scalar_ops_build_exp_log_only_up_to_16_bits():
     big.frobenius(a, 3)
     big.trace_to(b, 4)
     big.trace_to(b, 1)
+    # the single-polynomial route of linearized and charsum, the kernel
+    # check of s_fast included (the zero form has S != 0)
+    poly = lin.q_linearized(big, [(0, a), (1, b), (3, 0x5a5a5)])
+    lin.evaluate(big, poly, a)
+    lin.to_matrix(big, poly)
+    quad_value(big, poly, b)
+    for form in (poly, lin.zero(big)):
+        classify_form(big, form)
+        s_fast(big, form)
     pair = {("exp_table",), ("log_table",)}
     assert not pair & set(big._caches)
     small = build_context(4, 4)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charperm import build_context
+from charperm import BadParameters, build_context
 from charperm import linearized as lin
 
 
@@ -88,6 +88,27 @@ def test_evaluate_all_matches_scalar_at_seeded_points_8_to_20_bits(m, n):
     for r in np.ndindex(2, 3):
         poly = lin.linearized(ctx, enumerate(stack[r].tolist()))
         assert tables[r][points].tolist() == [lin.evaluate(ctx, poly, x) for x in points]
+
+
+def test_evaluate_lookup_and_bit_serial_routes_agree_on_20_bits():
+    # a fresh 4:5 context evaluates bit-serially (it builds no exp/log table
+    # from scalar calls); once it holds the tables, one lookup per term
+    serial, tables = build_context(4, 5), build_context(4, 5)
+    tables.log_table
+    rng = random.Random(45)
+    points = [0, 1, tables.order - 1] + [rng.randrange(tables.order) for _ in range(12)]
+    polys = [lin.zero(tables), lin.identity(tables), _random_poly(tables, rng),
+             _random_poly(tables, rng, step=4), _random_poly(tables, rng, step=7)]
+    for poly in polys:
+        assert lin.to_matrix(serial, poly) == lin.to_matrix(tables, poly)
+        assert [lin.evaluate(serial, poly, x) for x in points] == [
+            lin.evaluate(tables, poly, x) for x in points]
+    assert ("log_table",) not in serial._caches
+    for ctx in (serial, tables, build_context(2, 3)):
+        for bad in (-1, ctx.order, 1 << 30):
+            for poly in (lin.zero(ctx), lin.identity(ctx)):
+                with pytest.raises(BadParameters):
+                    lin.evaluate(ctx, poly, bad)
 
 
 def test_q_linearized_commutes_with_subfield_scalars(gf64_tower):
