@@ -31,7 +31,6 @@ from .errors import (
     WrongDegree,
 )
 from .field import (
-    DEFAULT_CHARSUM_CAP,
     DEFAULT_SIZE_CAP,
     FieldContext,
     build_context,

@@ -30,7 +30,6 @@ from .errors import (
     InvariantViolation,
     NotInSubfield,
     NotQLinear,
-    SizeGuard,
     WrongDegree,
 )
 from .field import FieldContext
@@ -74,8 +73,6 @@ def s_bruteforce(ctx: FieldContext, poly):
     For a stack of coefficient rows (..., bits) it is the int64 array of
     the rows' sums, one value table per row; for one polynomial an int.
     """
-    if ctx.bits > ctx.size_cap:
-        raise SizeGuard(f"full-field sum needs 2^{ctx.bits} > 2^{ctx.size_cap} terms")
     values = lin.evaluate_all(ctx, poly)
     np.bitwise_and(values, ctx.chi_index_table, out=values)
     odd = np.bitwise_count(values)

@@ -22,7 +22,7 @@ from . import linearized as lin
 from . import permtest as pt
 from .charsum import classify_form, s_bruteforce, s_fast
 from .errors import BadParameters, CharpermError, UnknownTheorem
-from .field import DEFAULT_CHARSUM_CAP, DEFAULT_SIZE_CAP, FieldContext, build_context
+from .field import DEFAULT_SIZE_CAP, FieldContext, build_context
 from .verify import (
     SWEEPS,
     TEMPLATES,
@@ -56,9 +56,7 @@ def _context_from(args) -> FieldContext:
         raise ValueError(f"bad field spec {args.field!r}, expected m:n[:0xMOD]")
     m, n = int(parts[0]), int(parts[1])
     modulus = int(parts[2], 0) if len(parts) == 3 else None
-    size_cap = args.max_n if args.max_n else DEFAULT_SIZE_CAP
-    charsum_cap = args.max_n if args.max_n else DEFAULT_CHARSUM_CAP
-    return build_context(m, n, modulus, size_cap=size_cap, charsum_cap=charsum_cap)
+    return build_context(m, n, modulus, size_cap=args.max_n or DEFAULT_SIZE_CAP)
 
 
 def _emit(obj) -> None:
@@ -296,14 +294,17 @@ _MISMATCH_CSV = ["row_type", "campaign", "field", "cases_total",
 
 
 def _cmd_verify(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.sample is not None and args.sample < 0:
+        raise ValueError(f"--sample must be nonnegative, got {args.sample}")
     ids = list(SWEEPS) if args.campaign == "all" else [args.campaign]
     fields = tuple(f for f in (args.fields or "").split(",") if f)
-    cap = args.max_n or None
     reports = []
     for cid in ids:
         campaign = VerifyCampaign(cid, field_ranges=fields,
                                   sample_budget=args.sample, seed=args.seed)
-        rep = run_verify(campaign, jobs=args.jobs, size_cap=cap, charsum_cap=cap)
+        rep = run_verify(campaign, jobs=args.jobs, size_cap=args.max_n or DEFAULT_SIZE_CAP)
         print(f"campaign {cid}: total={rep.cases_total} "
               f"agree={rep.cases_agreeing} wall={rep.wall_time:.2f}s",
               file=sys.stderr)
@@ -331,24 +332,31 @@ def _cmd_verify(args) -> int:
 
 # ---- parser wiring ---------------------------------------------------------
 
+def _option(name: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser that adds the one option name."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(name, **kwargs)
+    return parent
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--field", help="field spec m:n[:0xMOD]")
-    common.add_argument("--format", choices=("csv", "json"), default="json")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--max-n", type=int, default=0,
-                        help="override both size guards (bits, at most "
-                             f"{DEFAULT_SIZE_CAP}; 0 keeps the defaults)")
-    common.add_argument("--jobs", type=int, default=1)
+    # each subcommand takes only the options it reads
+    field = _option("--field", help="field spec m:n[:0xMOD]")
+    fmt = _option("--format", choices=("csv", "json"), default="json")
+    max_n = _option("--max-n", type=int, default=0,
+                    help=f"the size cap in bits, at most {DEFAULT_SIZE_CAP}: a "
+                         "larger field is refused when it is built (0 keeps "
+                         f"{DEFAULT_SIZE_CAP})")
+    one_field = [field, max_n]
 
     parser = argparse.ArgumentParser(
         prog="charperm",
         description="Character sums and permutation tests over GF(2^(m*n))")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("field-info", parents=[common])
+    sub.add_parser("field-info", parents=[field, fmt, max_n])
 
-    p = sub.add_parser("eval", parents=[common])
+    p = sub.add_parser("eval", parents=one_field)
     p.add_argument("--op", required=True)
     p.add_argument("--elem")
     p.add_argument("--elems")
@@ -359,28 +367,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--monomials")
     p.add_argument("--args")
 
-    p = sub.add_parser("charsum", parents=[common])
+    p = sub.add_parser("charsum", parents=one_field)
     p.add_argument("--poly", required=True)
     p.add_argument("--method", choices=("brute", "fast", "classify"),
                    default="fast")
 
-    p = sub.add_parser("classify", parents=[common])
+    p = sub.add_parser("classify", parents=one_field)
     p.add_argument("--poly", required=True)
 
-    p = sub.add_parser("permtest", parents=[common])
+    p = sub.add_parser("permtest", parents=one_field)
     p.add_argument("--form", choices=("monomials", "quadspec", "traceform",
                                        "family"), default="monomials")
     p.add_argument("--poly", required=True)
     p.add_argument("--method", choices=("brute", "charsum", "structured"),
                    default="brute")
 
-    p = sub.add_parser("search", parents=[common])
+    p = sub.add_parser("search", parents=[field, fmt, max_n])
     p.add_argument("--template", required=True)
     p.add_argument("--params", help="fixed parameters, e.g. 'k=1;l=0'")
     p.add_argument("--coeffs", help="restrict scanned coefficients "
                                     "(comma-separated hex; empty for none)")
 
-    p = sub.add_parser("verify", parents=[common])
+    p = sub.add_parser("verify", parents=[fmt, max_n])
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--campaign", required=True,
                    help="campaign id or 'all'")
     p.add_argument("--fields", help="override field list, e.g. '1:2,2:2'")
@@ -395,8 +405,6 @@ def main(argv=None) -> int:
     try:
         if [] in vars(args).values():       # argparse reads --opt=-- as []
             raise ValueError("an option value cannot be '--'")
-        if args.jobs < 1:
-            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         if not 0 <= args.max_n <= DEFAULT_SIZE_CAP:
             raise ValueError(f"--max-n must lie in 0 .. {DEFAULT_SIZE_CAP}, "
                              f"got {args.max_n}")

@@ -42,7 +42,6 @@ from .errors import (
 )
 
 DEFAULT_SIZE_CAP = 24
-DEFAULT_CHARSUM_CAP = 12
 
 
 class FieldContext:
@@ -56,13 +55,15 @@ class FieldContext:
     group_order : 2^bits - 1
     modulus : irreducible GF(2) polynomial of degree bits (int encoding)
     fq_basis : tuple of n elements forming an F_q-basis of the field
-    size_cap : full-field enumeration refuses bits beyond this
-    charsum_cap : the all-shifts character-sum test refuses bits beyond this
+    size_cap : the one size limit: construction refuses bits beyond it,
+        so every full-field routine runs on any context that exists
     """
 
+    # Nothing in src/ reads this; perfbench's force_tables does.
+    charsum_cap = 12
+
     def __init__(self, m: int, n: int, modulus: int | None = None, *,
-                 size_cap: int = DEFAULT_SIZE_CAP,
-                 charsum_cap: int = DEFAULT_CHARSUM_CAP):
+                 size_cap: int = DEFAULT_SIZE_CAP):
         if m < 1 or n < 1:
             raise InvalidModulus(f"tower degrees must be positive, got m={m} n={n}")
         bits = m * n
@@ -84,7 +85,6 @@ class FieldContext:
         self.group_order = self.order - 1
         self.modulus = modulus
         self.size_cap = size_cap
-        self.charsum_cap = charsum_cap
         self._caches: dict[tuple, object] = {}    # see _memo
         self._views: tuple | None = None     # see _load_views
         self.fq_basis = self._build_fq_basis()
@@ -578,10 +578,9 @@ def _linear_table(images, out: np.ndarray | None = None, filled: int = 0) -> np.
 
 
 def build_context(m: int, n: int, modulus: int | None = None, *,
-                  size_cap: int = DEFAULT_SIZE_CAP,
-                  charsum_cap: int = DEFAULT_CHARSUM_CAP) -> FieldContext:
+                  size_cap: int = DEFAULT_SIZE_CAP) -> FieldContext:
     """Construct the field GF((2^m)^n) with a validated or default modulus."""
-    return FieldContext(m, n, modulus, size_cap=size_cap, charsum_cap=charsum_cap)
+    return FieldContext(m, n, modulus, size_cap=size_cap)
 
 
 def walsh_hadamard(vec: Iterable[int] | np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Tuple, Union
 import numpy as np
 
 from . import gf2
-from .errors import InvariantViolation, NotQLinear
+from .errors import InvariantViolation
 from .field import FieldContext, _linear_table
 
 
@@ -33,13 +33,11 @@ class LinearizedPoly:
 PairsLike = Union[Dict[int, int], Iterable[Tuple[int, int]]]
 
 
-def linearized(ctx: FieldContext, pairs: PairsLike = (),
-               q_linear: bool | None = None) -> LinearizedPoly:
+def linearized(ctx: FieldContext, pairs: PairsLike = ()) -> LinearizedPoly:
     """Build a polynomial from (index, coefficient) pairs.
 
     Indices are folded modulo bits (x^(2^bits) = x) and coefficients at the
-    same index are added.  Passing q_linear=True asserts that the support
-    lands on multiples of m.
+    same index are added.
     """
     if isinstance(pairs, dict):
         pairs = pairs.items()
@@ -48,19 +46,15 @@ def linearized(ctx: FieldContext, pairs: PairsLike = (),
         if not 0 <= c < ctx.order:
             raise ValueError(f"coefficient 0x{c:x} is not a {ctx.bits}-bit element")
         coeffs[i % ctx.bits] ^= c
-    flag = all(i % ctx.m == 0 for i, c in enumerate(coeffs) if c)
-    if q_linear and not flag:
-        bad = [i for i, c in enumerate(coeffs) if c and i % ctx.m]
-        raise NotQLinear(f"support at indices {bad} not divisible by m={ctx.m}")
-    return LinearizedPoly(tuple(coeffs), flag)
+    return LinearizedPoly(tuple(coeffs),
+                          all(i % ctx.m == 0 for i, c in enumerate(coeffs) if c))
 
 
 def q_linearized(ctx: FieldContext, qpairs: PairsLike = ()) -> LinearizedPoly:
     """Build sum of c_j * x^(q^j) from (j, c_j) pairs."""
     if isinstance(qpairs, dict):
         qpairs = qpairs.items()
-    return linearized(ctx, [((ctx.m * j) % ctx.bits, c) for j, c in qpairs],
-                      q_linear=True)
+    return linearized(ctx, [((ctx.m * j) % ctx.bits, c) for j, c in qpairs])
 
 
 def linearized_rows(ctx: FieldContext, pairs) -> np.ndarray:

@@ -19,8 +19,7 @@ import numpy as np
 from . import elementwise as ew
 from . import linearized as lin
 from .charsum import s_fast
-from .errors import (BadParameters, InvariantViolation, NotQLinear, SizeGuard,
-                     UnknownTheorem, WrongDegree)
+from .errors import BadParameters, InvariantViolation, NotQLinear, UnknownTheorem, WrongDegree
 from .field import FieldContext, walsh_hadamard
 
 Witness = Union[int, Tuple[int, int]]
@@ -170,8 +169,7 @@ def _occupancy(ctx: FieldContext, values: Callable[[slice], np.ndarray],
         lo, hi = hi, 4 * hi
 
 
-def report_from_values(ctx: FieldContext, values: np.ndarray,
-                       method: str = "bruteforce") -> PermReport:
+def report_from_values(ctx: FieldContext, values: np.ndarray) -> PermReport:
     """Occupancy check of a full value table, by the scan of _occupancy
     over its prefixes; witness = first collision (v1, v2): v2 is the first
     input to repeat a value, v1 the first with it.  An entry outside
@@ -182,7 +180,7 @@ def report_from_values(ctx: FieldContext, values: np.ndarray,
             f"value table has shape {values.shape}, expected ({ctx.order},)")
     if not 0 <= values.min() <= values.max() < ctx.order:
         raise BadParameters(f"value table has entries outside 0..{ctx.order - 1}")
-    return _occupancy(ctx, values.__getitem__, method)
+    return _occupancy(ctx, values.__getitem__, "bruteforce")
 
 
 def _values_in(ctx: FieldContext, f) -> Callable[[slice], np.ndarray]:
@@ -247,8 +245,6 @@ def is_perm_bruteforce(ctx: FieldContext, f) -> PermReport:
     whose first repeat comes late, is evaluated on the whole field.  Same
     report and witness as report_from_values on the whole value table.
     """
-    if ctx.bits > ctx.size_cap:
-        raise SizeGuard(f"{ctx.bits}-bit field exceeds the size cap {ctx.size_cap}")
     return _occupancy(ctx, _values_in(ctx, f), "bruteforce")
 
 
@@ -258,7 +254,9 @@ def is_perm_charsum(ctx: FieldContext, f) -> PermReport:
     f permutes the field iff sum_v chi(u*f(v)) = 0 for every u != 0; the
     sums come from _charsum_failures on f's value table, a batch of one.
     Witness = the first shift u (by integer encoding) with a nonzero sum.
-    The test obeys charsum_cap.
+    It runs on every field a context admits (see size_cap): a first call
+    on the map x took about 2.6 ms on 4:4, 79 ms on 4:5 and 2.1 s on 4:6
+    (peak RSS 865 MB), on a 2-core machine with numpy 2.4.
     """
     bad = _charsum_failures(ctx, evaluate_poly_all(ctx, f))
     if not bad.any():
@@ -273,12 +271,9 @@ def _charsum_failures(ctx: FieldContext, values: np.ndarray) -> np.ndarray:
     One histogram of values per row, by a bincount of the rows offset by
     order each, is Walsh-Hadamard transformed along its last axis, and the
     sum for shift u is the spectrum entry at the functional index of u
-    under the trace pairing.  O(N log N) per row for a field of N elements;
-    refuses fields past charsum_cap.
+    under the trace pairing.  O(N log N) per row for a field of N elements,
+    and no cap but the context's own size_cap.
     """
-    if ctx.bits > ctx.charsum_cap:
-        raise SizeGuard(
-            f"{ctx.bits}-bit field exceeds the character-sum cap {ctx.charsum_cap}")
     rows = values.reshape(-1, ctx.order)
     offsets = ctx.order * np.arange(len(rows))[:, None]
     hist = np.bincount((rows + offsets).ravel(), minlength=rows.size).reshape(rows.shape)
@@ -347,8 +342,6 @@ def is_perm_quadspec(ctx: FieldContext, spec: QuadFamilySpec) -> PermReport:
     shifts go to s_fast in blocks, one stack each, and the scan stops at
     the first block with a nonzero S.  Witness = first u with S != 0.
     """
-    if ctx.bits > ctx.size_cap:
-        raise SizeGuard(f"{ctx.bits}-bit field exceeds the size cap {ctx.size_cap}")
     adj_tables = [lin.evaluate_all(ctx, lin.adjoint(ctx, part))
                   for part in spec.parts]
     lo, size = 1, _FIRST_SHIFTS
@@ -549,7 +542,14 @@ def perm_monomial_trace(ctx: FieldContext, a, k: int, shift: int):
     is taken with shift + m*k reduced modulo bits (a residue of 0 gives
     2^0 - 1 = 0, whose gcd is (q^n-1)/(q-1), as for any multiple of bits).
     a is an element or an array of them (see elementwise).
+
+    n = 1 raises BadParameters: there Tr is the identity, so a = 0 gives
+    x^2, a permutation that the condition a != 0 rejects.  PAPER.md holds
+    only the abstract, so this domain is not checked against the paper's
+    text.
     """
+    if ctx.n == 1:
+        raise BadParameters(f"the monomial-plus-trace criterion needs n > 1, got n={ctx.n}")
     if k < 0 or shift < 0:
         raise BadParameters(f"k and shift must be nonnegative, got k={k} shift={shift}")
     a, = ew.elements(ctx, a)

@@ -50,12 +50,7 @@ from .charsum import (
     s_zero_quadratic_ext,
 )
 from .errors import BadParameters, UnknownTheorem
-from .field import (
-    DEFAULT_CHARSUM_CAP,
-    DEFAULT_SIZE_CAP,
-    FieldContext,
-    build_context,
-)
+from .field import DEFAULT_SIZE_CAP, FieldContext, build_context
 
 FieldTriple = Tuple[int, int, Optional[int]]
 BlockResult = Tuple[int, int, List[dict]]
@@ -372,6 +367,14 @@ def _thm_tr(ctx, p):
 _COROLLARY_SHIFTS = (0, 1, 2, 3)
 
 
+def _corollary_grid(ctx, seed, budget):
+    # every a for each k and shift l; the closed form needs n > 1
+    if ctx.n == 1:
+        raise BadParameters(f"corollary sweep needs n > 1, got n={ctx.n}")
+    return [unit for k in range(ctx.n) for l in _COROLLARY_SHIFTS
+            for unit in _a_grid(ctx, k=k, l=l)]
+
+
 def _corollary(ctx, p):
     a, k, l = p["a"], p["k"], p["l"]
     structured = pt.perm_monomial_trace(ctx, a, k, l)
@@ -483,9 +486,7 @@ SWEEPS: Dict[str, SweepDef] = {sweep.campaign_id: sweep for sweep in (
     SweepDef(
         "corollary", "closed form for a*x^(2^l*q^k) + x*Tr(x) vs occupancy",
         ((1, 3), (1, 5), (2, 3)), 0, True, ("a", "k", "l"),
-        lambda ctx, seed, budget: [unit for k in range(ctx.n) for l in _COROLLARY_SHIFTS
-                                   for unit in _a_grid(ctx, k=k, l=l)],
-        _corollary),
+        _corollary_grid, _corollary),
     SweepDef(
         "prop2", "bilinear character sum vs its closed form psi(ab)*q",
         ((1, 1), (2, 1), (3, 1)), 0, True, ("a", "b"),
@@ -579,16 +580,15 @@ def normalize_field(entry) -> FieldTriple:
 
 
 @lru_cache(maxsize=None)
-def _worker_context(m: int, n: int, modulus: Optional[int],
-                    size_cap: int, charsum_cap: int) -> FieldContext:
-    return build_context(m, n, modulus, size_cap=size_cap, charsum_cap=charsum_cap)
+def _worker_context(m: int, n: int, modulus: Optional[int], size_cap: int) -> FieldContext:
+    return build_context(m, n, modulus, size_cap=size_cap)
 
 
 def _run_block(campaign_id: str, m: int, n: int, modulus: Optional[int],
-               size_cap: int, charsum_cap: int, seed: int, budget: int,
+               size_cap: int, seed: int, budget: int,
                lo: int, hi: int) -> BlockResult:
     """Count, compare and format units lo .. hi - 1 of one campaign field."""
-    ctx = _worker_context(m, n, modulus, size_cap, charsum_cap)
+    ctx = _worker_context(m, n, modulus, size_cap)
     sweep = SWEEPS[campaign_id]
     total = agree = 0
     rows: List[dict] = []
@@ -618,12 +618,12 @@ def _pool_workers(jobs: int, tasks: int) -> int:
 
 
 def run_verify(campaign: VerifyCampaign, *, jobs: int = 1,
-               size_cap: Optional[int] = None,
-               charsum_cap: Optional[int] = None) -> CampaignReport:
+               size_cap: int = DEFAULT_SIZE_CAP) -> CampaignReport:
     """Run a campaign and report exact case counts and mismatches.
 
     Deterministic for a fixed campaign and seed regardless of jobs; the
-    wall_time field is the only part that varies between runs.
+    wall_time field is the only part that varies between runs.  A negative
+    sample budget raises BadParameters.
     """
     sweep = SWEEPS.get(campaign.theorem_id)
     if sweep is None:
@@ -631,13 +631,13 @@ def run_verify(campaign: VerifyCampaign, *, jobs: int = 1,
     fields = campaign.field_ranges or sweep.default_fields
     budget = (campaign.sample_budget if campaign.sample_budget is not None
               else sweep.default_budget)
+    if budget < 0:
+        raise BadParameters(f"sample budget must be nonnegative, got {budget}")
     started = time.perf_counter()
     tasks = []
     for entry in fields:
         m, n, modulus = normalize_field(entry)
-        ctx = _worker_context(m, n, modulus,
-                              size_cap if size_cap is not None else DEFAULT_SIZE_CAP,
-                              charsum_cap if charsum_cap is not None else DEFAULT_CHARSUM_CAP)
+        ctx = _worker_context(m, n, modulus, size_cap)
         units = len(_grid(sweep, ctx, campaign.seed, budget))
         if units == 0:
             raise BadParameters(f"campaign {campaign.theorem_id} has no cases "
@@ -647,8 +647,7 @@ def run_verify(campaign: VerifyCampaign, *, jobs: int = 1,
                   for i in range(chunks)]
         for lo, hi in bounds:
             tasks.append((campaign.theorem_id, ctx.m, ctx.n, ctx.modulus,
-                          ctx.size_cap, ctx.charsum_cap,
-                          campaign.seed, budget, lo, hi))
+                          ctx.size_cap, campaign.seed, budget, lo, hi))
     workers = _pool_workers(jobs, len(tasks))
     if workers == 1:
         results = [_run_block(*t) for t in tasks]

@@ -23,7 +23,6 @@ from charperm.errors import (
     BadParameters,
     NotInSubfield,
     NotQLinear,
-    SizeGuard,
     WrongDegree,
 )
 
@@ -191,15 +190,6 @@ def test_bilinear_psi_sum_identity():
 def test_bilinear_psi_sum_rejects_big_field(gf64_tower):
     with pytest.raises(NotInSubfield):
         bilinear_psi_sum(gf64_tower, gf64_tower.generator, 0)
-
-
-def test_s_bruteforce_size_guard(gf16):
-    # construction already enforces the cap, so tighten it afterwards to
-    # exercise the in-function guard
-    ctx = build_context(1, 4)
-    ctx.size_cap = 3
-    with pytest.raises(SizeGuard):
-        s_bruteforce(ctx, lin.identity(ctx))
 
 
 # ---- s_bruteforce against the literal sum ----------------------------------

@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import charperm as cp
 from charperm import build_context, gf2, run_search, verify
 from charperm import linearized as lin
-from charperm.cli import main
+from charperm.cli import _build_parser, main
 from test_permtest import evaluate_poly
 
 
@@ -293,13 +294,82 @@ def test_max_n_outside_the_size_cap_is_usage_error(capsys, max_n):
 
 
 def test_max_n_at_the_size_cap_runs(capsys):
+    # one cap: the character-sum test runs wherever the field can be built,
+    # and --max-n refuses a larger field when it is built
     code, out, _ = run_cli(capsys, "permtest", "--field", "4:4", "--poly", "1:1",
-                           "--method", "charsum", "--max-n", "24")
+                           "--method", "charsum")
     assert code == 0
     assert json.loads(out)["is_permutation"] is True
-    code, _, err = run_cli(capsys, "permtest", "--field", "4:4", "--poly", "1:1",
-                           "--method", "charsum")
-    assert code == 1 and "character-sum cap 12" in err
+    code, out, err = run_cli(capsys, "permtest", "--field", "4:4", "--poly", "1:1",
+                             "--method", "charsum", "--max-n", "12")
+    assert (code, out) == (1, "")
+    assert err == "error: m*n = 16 exceeds the size cap 12\n"
+
+
+@pytest.mark.parametrize("cid", sorted(cp.SWEEPS))
+def test_negative_sample_is_refused(capsys, cid):
+    code, out, err = run_cli(capsys, "verify", "--campaign", cid, "--sample", "-1")
+    assert (code, out) == (2, "")
+    assert err == "usage error: --sample must be nonnegative, got -1\n"
+    with pytest.raises(cp.BadParameters):
+        cp.run_verify(cp.VerifyCampaign(cid, sample_budget=-5))
+
+
+# Every option each subcommand takes, besides -h: one field, its size cap,
+# and only what its handler reads
+SUBCOMMAND_OPTIONS = {
+    "field-info": {"--field", "--format", "--max-n"},
+    "eval": {"--field", "--max-n", "--op", "--elem", "--elems", "--exp", "--k",
+             "--sub", "--poly", "--monomials", "--args"},
+    "charsum": {"--field", "--max-n", "--poly", "--method"},
+    "classify": {"--field", "--max-n", "--poly"},
+    "permtest": {"--field", "--max-n", "--form", "--poly", "--method"},
+    "search": {"--field", "--format", "--max-n", "--template", "--params", "--coeffs"},
+    "verify": {"--format", "--max-n", "--seed", "--jobs", "--campaign", "--fields",
+               "--sample"},
+}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(SUBCOMMAND_OPTIONS)
+    for name, sub in subparsers.choices.items():
+        options = {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
+        assert options == SUBCOMMAND_OPTIONS[name], name
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--field", "1:2", "--poly", "0:1", "--format", "csv"),
+    ("permtest", "--field", "1:2", "--poly", "1:1", "--seed", "1"),
+    ("charsum", "--field", "1:2", "--poly", "0:1", "--jobs", "2"),
+], ids=lambda argv: argv[0])
+def test_an_option_the_subcommand_does_not_read_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_field_reads_as_fields(capsys):
+    # verify takes no --field, so argparse reads it as a prefix of --fields
+    want = run_cli(capsys, "verify", "--campaign", "thm4", "--fields", "1:2")[:2]
+    assert run_cli(capsys, "verify", "--campaign", "thm4", "--field", "1:2")[:2] == want
+    assert want[0] == 0 and json.loads(want[1])["campaigns"][0]["cases_total"] == 16
+
+
+@pytest.mark.parametrize("field", ["1:1", "2:1", "3:1", "4:1"])
+def test_corollary_refuses_n_1(capsys, field):
+    # there Tr is the identity, so a = 0 gives x^2, a permutation the
+    # closed form rejects: the grid refuses the field before any unit
+    code, out, err = run_cli(capsys, "verify", "--campaign", "corollary",
+                             "--fields", field)
+    assert (code, out) == (1, "")
+    assert err == "error: corollary sweep needs n > 1, got n=1\n"
+    code, out, err = run_cli(capsys, "eval", "--field", field, "--op",
+                             "check-corollary", "--args", "a=0;k=0;l=0")
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_search_csv_header_always(capsys):

@@ -42,7 +42,6 @@ from charperm.errors import (
     BadParameters,
     InvariantViolation,
     NotQLinear,
-    SizeGuard,
     UnknownTheorem,
     WrongDegree,
 )
@@ -401,11 +400,16 @@ def test_checks_accept_linearized(gf16):
     assert is_perm_charsum(gf16, L).is_permutation
 
 
-def test_charsum_cap(gf4):
-    ctx = build_context(1, 4)
-    ctx.charsum_cap = 3
-    with pytest.raises(SizeGuard):
-        is_perm_charsum(ctx, monomial(ctx, [(1, 1)]))
+def test_charsum_cap():
+    # the character-sum test has no cap of its own: it runs on 4:4 at the
+    # default size cap and agrees with the occupancy test
+    ctx = build_context(4, 4)
+    verdicts = []
+    for terms in ([(1, 1)], [(1, 3)], [(1, 7)], [(1, 2), (1, 17)]):
+        f = monomial(ctx, terms)
+        verdicts.append(is_perm_charsum(ctx, f).is_permutation)
+        assert verdicts[-1] == is_perm_bruteforce(ctx, f).is_permutation
+    assert verdicts == [True, False, True, False]
 
 
 # ---- quadratic part families ----------------------------------------------
@@ -958,6 +962,11 @@ def test_monomial_trace_rejects(gf8):
         perm_monomial_trace(gf8, 1, -1, 0)
     with pytest.raises(BadParameters):
         perm_monomial_trace(gf8, 1, 0, -1)
+    # n = 1: Tr is the identity and a = 0 gives the permutation x^2
+    ctx = build_context(3, 1)
+    assert is_perm_bruteforce(ctx, monomial_trace_poly(ctx, 0, 0, 0)).is_permutation
+    with pytest.raises(BadParameters):
+        perm_monomial_trace(ctx, 0, 0, 0)
 
 
 def test_monomial_trace_vs_bruteforce(gf8):
