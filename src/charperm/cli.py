@@ -1,13 +1,19 @@
-"""Command-line front end.
+"""Command-line front end: one subcommand per question.
 
-Subcommands: field-info, eval, charsum, classify, permtest, search, verify.
+field-info (the tower), eval (one field operation, or check-<id>: one
+campaign case replayed), charsum (S(L) of a linearized polynomial),
+classify (the type of its quadratic form), permtest (does a polynomial
+permute), search (a template's permutations) and verify (the campaigns).
+
 Field elements are lowercase hex on input and output; linearized polynomials
 are comma-separated "index:hexcoeff" terms and plain polynomials are
-"exponent:hexcoeff" terms.  Identical invocations produce byte-identical
-stdout; timing goes to stderr.
+"exponent:hexcoeff" terms.  Each input syntax has one parser: a field spec
+verify.normalize_field, a key=value list _parse_blob, typed by
+verify.PARAM_KINDS.  Identical invocations produce byte-identical stdout;
+timing goes to stderr.
 
 Exit codes: 0 success, 1 mathematical failure (bad modulus, bad parameters,
-division by zero), 2 usage or parse error.
+division by zero, size guard), 2 usage or parse error.
 """
 
 from __future__ import annotations
@@ -24,10 +30,12 @@ from .charsum import classify_form, s_bruteforce, s_fast
 from .errors import BadParameters, CharpermError, UnknownTheorem
 from .field import DEFAULT_SIZE_CAP, FieldContext, build_context
 from .verify import (
+    PARAM_KINDS,
     SWEEPS,
     TEMPLATES,
     VerifyCampaign,
     field_label,
+    normalize_field,
     replay_case,
     run_search,
     run_verify,
@@ -51,11 +59,7 @@ def _hex(x: int) -> str:
 def _context_from(args) -> FieldContext:
     if not args.field:
         raise BadParameters("this subcommand needs --field m:n[:0xMOD]")
-    parts = args.field.split(":")
-    if len(parts) not in (2, 3):
-        raise ValueError(f"bad field spec {args.field!r}, expected m:n[:0xMOD]")
-    m, n = int(parts[0]), int(parts[1])
-    modulus = int(parts[2], 0) if len(parts) == 3 else None
+    m, n, modulus = normalize_field(args.field)
     return build_context(m, n, modulus, size_cap=args.max_n or DEFAULT_SIZE_CAP)
 
 
@@ -65,19 +69,21 @@ def _emit(obj) -> None:
 
 # ---- argument blob parsing -------------------------------------------------
 
-_ARG_KINDS = {
-    "a": "elem", "b": "elem",
-    "k": "int", "l": "int", "shift": "int", "j0": "int", "j1": "int",
-    "l0": "lin", "l1": "lin", "poly": "lin",
-    "monomials": "mono",
-    "variant": "str",
+# one parser per kind of verify.PARAM_KINDS
+_PARSERS = {
+    "elem": _elem,
+    "int": lambda ctx, s: int(s, 10),
+    "lin": lin.parse_linearized,
+    "mono": pt.parse_monomial,
+    "str": lambda ctx, s: s,
 }
 
 
 def _parse_blob(ctx: FieldContext, blob: str,
                 keys: Sequence[str]) -> Dict[str, object]:
-    """Parse 'key=value' pairs separated by ';', typed by key name; keys
-    are the ones the op reads, and any other key is a usage error."""
+    """Parse 'key=value' pairs separated by ';', each value by its key's
+    kind; keys are the ones the op reads, and any other key, or one given
+    twice, is a usage error."""
     out: Dict[str, object] = {}
     for part in blob.split(";"):
         part = part.strip()
@@ -88,17 +94,9 @@ def _parse_blob(ctx: FieldContext, blob: str,
         key, value = part.split("=", 1)
         if key not in keys:
             raise ValueError(f"unknown argument key {key!r}, expected {list(keys)}")
-        kind = _ARG_KINDS[key]
-        if kind == "elem":
-            out[key] = _elem(ctx, value)
-        elif kind == "int":
-            out[key] = int(value, 10)
-        elif kind == "lin":
-            out[key] = lin.parse_linearized(ctx, value)
-        elif kind == "mono":
-            out[key] = pt.parse_monomial(ctx, value)
-        else:
-            out[key] = value
+        if key in out:
+            raise ValueError(f"argument key {key!r} given twice")
+        out[key] = _PARSERS[PARAM_KINDS[key]](ctx, value)
     return out
 
 
@@ -144,22 +142,13 @@ def _cmd_eval(args) -> int:
     elif op == "frobenius":
         print(_hex(ctx.frobenius(_elem(ctx, args.elem), args.k)))
     elif op in ("trace", "norm"):
-        sub = args.sub if args.sub else ctx.m
+        sub = args.sub if args.sub is not None else ctx.m
         fn = ctx.trace_to if op == "trace" else ctx.norm_to
         print(_hex(fn(_elem(ctx, args.elem), sub)))
     elif op == "chi":
         print(ctx.chi(_elem(ctx, args.elem)))
     elif op == "psi":
         print(ctx.psi(_elem(ctx, args.elem)))
-    elif op == "charsum":
-        poly = lin.parse_linearized(ctx, args.poly)
-        print(s_bruteforce(ctx, poly))
-    elif op == "classify":
-        poly = lin.parse_linearized(ctx, args.poly)
-        _emit(_classify_json(ctx, poly))
-    elif op == "permtest":
-        f = pt.parse_monomial(ctx, args.monomials)
-        _emit(_report_json(pt.is_perm_bruteforce(ctx, f)))
     elif op.startswith("check-"):
         sweep = SWEEPS.get(op[len("check-"):])
         if sweep is None:
@@ -174,39 +163,25 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _classify_json(ctx, poly, extras: bool = True) -> dict:
-    rep = classify_form(ctx, poly)
-    out = {
-        "s": rep.s_value,
-        "kernel_dim_fq": rep.kernel_dim_fq,
-        "vanishes": rep.vanishes_on_kernel,
-        "type": rep.form_type,
-    }
-    if extras:
-        out["rank"] = rep.rank
-        out["sign_known"] = True      # classify_form always resolves the sign
-    return out
-
-
 def _cmd_charsum(args) -> int:
     ctx = _context_from(args)
     poly = lin.parse_linearized(ctx, args.poly)
-    if args.method == "brute":
-        out = {"s": s_bruteforce(ctx, poly), "kernel_dim_fq": None,
-               "vanishes": None, "type": None}
-    elif args.method == "fast":
-        rep = s_fast(ctx, poly)
-        out = {"s": rep.s_value, "kernel_dim_fq": rep.kernel_dim_fq,
-               "vanishes": rep.vanishes_on_kernel, "type": rep.form_type}
-    else:
-        out = _classify_json(ctx, poly, extras=False)
-    _emit(out)
+    if args.method == "brute":      # the direct sum: no kernel, no type
+        _emit({"s": s_bruteforce(ctx, poly), "kernel_dim_fq": None,
+               "vanishes": None, "type": None})
+        return 0
+    rep = s_fast(ctx, poly)
+    _emit({"s": rep.s_value, "kernel_dim_fq": rep.kernel_dim_fq,
+           "vanishes": rep.vanishes_on_kernel, "type": rep.form_type})
     return 0
 
 
 def _cmd_classify(args) -> int:
     ctx = _context_from(args)
-    _emit(_classify_json(ctx, lin.parse_linearized(ctx, args.poly)))
+    rep = classify_form(ctx, lin.parse_linearized(ctx, args.poly))
+    _emit({"s": rep.s_value, "kernel_dim_fq": rep.kernel_dim_fq,
+           "vanishes": rep.vanishes_on_kernel, "type": rep.form_type,
+           "rank": rep.rank, "sign_known": True})   # classify_form resolves the sign
     return 0
 
 
@@ -220,15 +195,15 @@ def _report_json(rep: pt.PermReport) -> dict:
             "witness": witness}
 
 
-def _cmd_permtest(args, parser) -> int:
+def _cmd_permtest(args) -> int:
     ctx = _context_from(args)
     form = args.form
     method = args.method
     if form == "monomials":
-        f = pt.parse_monomial(ctx, args.poly)
         if method == "structured":
-            parser.error("--method structured needs a structured form "
-                         "(quadspec, traceform or family)")
+            raise ValueError("--method structured needs a structured form "
+                             "(quadspec, traceform or family)")
+        f = pt.parse_monomial(ctx, args.poly)
     elif form == "quadspec":
         parts = [lin.parse_linearized(ctx, p) for p in args.poly.split("|")]
         spec = pt.quad_family(ctx, parts)
@@ -247,7 +222,7 @@ def _cmd_permtest(args, parser) -> int:
             rep = pt.PermReport(pt.perm_trace_form(ctx, spec), "structured")
         else:
             f = pt.expand_traceform(ctx, spec)
-    elif form == "family":
+    else:                                   # family
         name, _, rest = args.poly.partition(";")
         if name not in pt.FAMILIES:
             raise UnknownTheorem(f"unknown family {name!r}")
@@ -257,8 +232,6 @@ def _cmd_permtest(args, parser) -> int:
                                 "structured")
         else:
             f = pt.family_polynomial(ctx, name, params)
-    else:
-        raise ValueError(f"unknown form {form!r}")
     if method != "structured":
         rep = (pt.is_perm_charsum(ctx, f) if method == "charsum"
                else pt.is_perm_bruteforce(ctx, f))
@@ -340,55 +313,56 @@ def _option(name: str, **kwargs) -> argparse.ArgumentParser:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    # each subcommand takes only the options it reads
     field = _option("--field", help="field spec m:n[:0xMOD]")
     fmt = _option("--format", choices=("csv", "json"), default="json")
     max_n = _option("--max-n", type=int, default=0,
                     help=f"the size cap in bits, at most {DEFAULT_SIZE_CAP}: a "
                          "larger field is refused when it is built (0 keeps "
                          f"{DEFAULT_SIZE_CAP})")
-    one_field = [field, max_n]
 
     parser = argparse.ArgumentParser(
         prog="charperm",
         description="Character sums and permutation tests over GF(2^(m*n))")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("field-info", parents=[field, fmt, max_n])
+    def command(name, run, *parents) -> argparse.ArgumentParser:
+        # each subcommand takes only the options it reads, and names its handler
+        p = sub.add_parser(name, parents=list(parents))
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("eval", parents=one_field)
+    command("field-info", _cmd_field_info, field, fmt, max_n)
+
+    p = command("eval", _cmd_eval, field, max_n)
     p.add_argument("--op", required=True)
     p.add_argument("--elem")
     p.add_argument("--elems")
     p.add_argument("--exp", type=int)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--sub", type=int)
-    p.add_argument("--poly")
-    p.add_argument("--monomials")
     p.add_argument("--args")
 
-    p = sub.add_parser("charsum", parents=one_field)
+    p = command("charsum", _cmd_charsum, field, max_n)
     p.add_argument("--poly", required=True)
-    p.add_argument("--method", choices=("brute", "fast", "classify"),
-                   default="fast")
+    p.add_argument("--method", choices=("brute", "fast"), default="fast")
 
-    p = sub.add_parser("classify", parents=one_field)
+    p = command("classify", _cmd_classify, field, max_n)
     p.add_argument("--poly", required=True)
 
-    p = sub.add_parser("permtest", parents=one_field)
+    p = command("permtest", _cmd_permtest, field, max_n)
     p.add_argument("--form", choices=("monomials", "quadspec", "traceform",
                                        "family"), default="monomials")
     p.add_argument("--poly", required=True)
     p.add_argument("--method", choices=("brute", "charsum", "structured"),
                    default="brute")
 
-    p = sub.add_parser("search", parents=[field, fmt, max_n])
+    p = command("search", _cmd_search, field, fmt, max_n)
     p.add_argument("--template", required=True)
     p.add_argument("--params", help="fixed parameters, e.g. 'k=1;l=0'")
     p.add_argument("--coeffs", help="restrict scanned coefficients "
                                     "(comma-separated hex; empty for none)")
 
-    p = sub.add_parser("verify", parents=[fmt, max_n])
+    p = command("verify", _cmd_verify, fmt, max_n)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--campaign", required=True,
@@ -400,36 +374,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if [] in vars(args).values():       # argparse reads --opt=-- as []
             raise ValueError("an option value cannot be '--'")
         if not 0 <= args.max_n <= DEFAULT_SIZE_CAP:
             raise ValueError(f"--max-n must lie in 0 .. {DEFAULT_SIZE_CAP}, "
                              f"got {args.max_n}")
-        if args.command == "field-info":
-            return _cmd_field_info(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "charsum":
-            return _cmd_charsum(args)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "permtest":
-            return _cmd_permtest(args, parser)
-        if args.command == "search":
-            return _cmd_search(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except CharpermError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -310,44 +310,16 @@ class FieldContext:
         vecs = [self.mul(s, e) for e in elems for s in sub]
         return gf2.mat_rank(vecs) == len(vecs)
 
-    def fq_coordinates(self, a: int) -> Tuple[int, ...]:
-        """Coordinates of a over fq_basis: n subfield elements v_i with
-        sum of v_i * basis_i equal to a."""
-        sub = self.subfield_basis(self.m)
-        inv_cols = self._memo(("fq_coordinates",), lambda: gf2.mat_invert(
-            [self.mul(s, b) for b in self.fq_basis for s in sub], self.bits))
-        y = gf2.mat_apply(inv_cols, a)
-        coords = []
-        for i in range(self.n):
-            c = 0
-            for j in range(self.m):
-                if y >> (i * self.m + j) & 1:
-                    c ^= sub[j]
-            coords.append(c)
-        return tuple(coords)
-
     def _build_fq_basis(self) -> Tuple[int, ...]:
+        """1, x, ..., x^(n-1): the residue of x generates the field over
+        GF(2), so its degree over F_q is n and its first n powers are an
+        F_q-basis."""
         if self.n == 1:
             return (1,)
-        g = 0b10
-        basis = self._power_basis(g)
-        if basis is not None:
-            return basis
-        # the residue of x always generates the field over GF(2), so this
-        # scan is a safety net rather than an expected path
-        for g in range(3, self.order):
-            basis = self._power_basis(g)
-            if basis is not None:
-                return basis
-        raise InvariantViolation("no power basis found")
-
-    def _power_basis(self, g: int) -> Tuple[int, ...] | None:
-        powers = [1]
-        for _ in range(self.n - 1):
-            powers.append(self.mul(powers[-1], g))
-        if self.fq_linearly_independent(powers):
-            return tuple(powers)
-        return None
+        basis = tuple(1 << i for i in range(self.n))
+        if not self.fq_linearly_independent(basis):
+            raise InvariantViolation(f"1, x, ..., x^{self.n - 1} are not an F_q-basis")
+        return basis
 
     # ---- lookup tables and vector ops ------------------------------------
 

@@ -111,10 +111,6 @@ def _prime_factors(n: int) -> List[int]:
     return out
 
 
-def parity(x: int) -> int:
-    return x.bit_count() & 1
-
-
 def mat_apply(cols: List[int], x: int) -> int:
     """Multiply the matrix by the bit-vector x (bit j selects column j)."""
     r = 0
@@ -157,27 +153,3 @@ def mat_kernel(cols: List[int]) -> List[int]:
         else:
             kernel.append(combo)
     return sorted(kernel)
-
-
-def mat_invert(cols: List[int], n: int) -> List[int]:
-    """Columns of the inverse of an n x n matrix.  Raises on singular input."""
-    if len(cols) != n:
-        raise ValueError(f"expected {n} columns, got {len(cols)}")
-    work = list(cols)
-    inv = [1 << j for j in range(n)]
-    for i in range(n):
-        pivot = None
-        for j in range(i, n):
-            if work[j] >> i & 1:
-                pivot = j
-                break
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        work[i], work[pivot] = work[pivot], work[i]
-        inv[i], inv[pivot] = inv[pivot], inv[i]
-        for j in range(n):
-            if j != i and work[j] >> i & 1:
-                work[j] ^= work[i]
-                inv[j] ^= inv[i]
-    # column ops reduce work to the identity, so inv now holds A^-1
-    return inv

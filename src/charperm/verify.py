@@ -1,10 +1,10 @@
 """Oracle-equivalence campaigns and coefficient-space searches.
 
 A campaign is one SweepDef in SWEEPS.  Its grid is a list of units, each a
-batch of parameters keyed by the names `charperm eval --args` uses, whose
-values (scalars or arrays) broadcast against each other; a linearized
-polynomial is a coefficient row, so it carries one extra last axis, and a
-sparse polynomial (thm1) is its (coefficient, exponent) terms, two.  Its
+batch of parameters keyed by the names of PARAM_KINDS, whose values
+(scalars or arrays) broadcast against each other; a linearized polynomial
+is a coefficient row, so it carries one extra last axis, and a sparse
+polynomial (thm1) is its (coefficient, exponent) terms, two.  Its
 verdicts map a batch to the structured verdict (a closed form from permtest
 or charsum), the brute-force verdict and, where rows show it, the sum S.
 
@@ -49,12 +49,26 @@ from .charsum import (
     s_zero_binomial,
     s_zero_quadratic_ext,
 )
-from .errors import BadParameters, UnknownTheorem
+from .errors import BadParameters, SizeGuard, UnknownTheorem
 from .field import DEFAULT_SIZE_CAP, FieldContext, build_context
 
 FieldTriple = Tuple[int, int, Optional[int]]
 BlockResult = Tuple[int, int, List[dict]]
 Params = Dict[str, object]
+
+# The kind of each case parameter, by its name in units, rows and `--args`:
+# an element, an integer, a linearized or a sparse polynomial, or a word.
+PARAM_KINDS: Dict[str, str] = {
+    "a": "elem", "b": "elem",
+    "k": "int", "l": "int", "shift": "int", "j0": "int", "j1": "int",
+    "l0": "lin", "l1": "lin", "poly": "lin",
+    "monomials": "mono",
+    "variant": "str",
+}
+
+# The largest sample budget run_verify takes: a grid holds its draws before
+# the first verdict.  Every default budget is at most 10^4.
+MAX_SAMPLE_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -526,14 +540,15 @@ SWEEPS: Dict[str, SweepDef] = {sweep.campaign_id: sweep for sweep in (
 
 def _shown(ctx: FieldContext, key: str, value, shape, idx) -> str:
     """One case's parameter as a mismatch row and its replay string show it."""
-    if key == "monomials":
+    kind = PARAM_KINDS[key]
+    if kind == "mono":
         terms = np.broadcast_to(value, tuple(shape) + value.shape[-2:])[idx]
         return pt.format_monomial(pt.MonomialPoly(tuple((c, e) for c, e in terms.tolist() if c)))
-    if key in ("l0", "l1", "poly"):
+    if kind == "lin":
         row = np.broadcast_to(value, tuple(shape) + (ctx.bits,))[idx]
         return lin.format_linearized(lin.linearized(ctx, enumerate(row.tolist())))
     value = np.broadcast_to(value, shape)[idx].item()
-    return f"{value:x}" if key in ("a", "b") else str(value)
+    return f"{value:x}" if kind == "elem" else str(value)
 
 
 def _verdict_fields(shape, idx, structured, brute, s) -> dict:
@@ -571,9 +586,11 @@ def replay_case(ctx: FieldContext, campaign_id: str,
 
 
 def normalize_field(entry) -> FieldTriple:
+    """(m, n, modulus or None) of a field spec, the text m:n[:0xMOD] or a
+    tuple (m, n) or (m, n, modulus).  A malformed spec raises ValueError."""
     parts = entry.split(":") if isinstance(entry, str) else list(entry)
     if len(parts) not in (2, 3):
-        raise BadParameters(f"bad field spec {entry!r}")
+        raise ValueError(f"bad field spec {entry!r}, expected m:n[:0xMOD]")
     if isinstance(entry, str):
         parts = [int(parts[0]), int(parts[1])] + [int(p, 0) for p in parts[2:]]
     return parts[0], parts[1], parts[2] if len(parts) == 3 else None
@@ -623,7 +640,8 @@ def run_verify(campaign: VerifyCampaign, *, jobs: int = 1,
 
     Deterministic for a fixed campaign and seed regardless of jobs; the
     wall_time field is the only part that varies between runs.  A negative
-    sample budget raises BadParameters.
+    sample budget raises BadParameters, and one above MAX_SAMPLE_BUDGET
+    SizeGuard, before any grid is built.
     """
     sweep = SWEEPS.get(campaign.theorem_id)
     if sweep is None:
@@ -633,6 +651,8 @@ def run_verify(campaign: VerifyCampaign, *, jobs: int = 1,
               else sweep.default_budget)
     if budget < 0:
         raise BadParameters(f"sample budget must be nonnegative, got {budget}")
+    if budget > MAX_SAMPLE_BUDGET:
+        raise SizeGuard(f"sample budget {budget} exceeds {MAX_SAMPLE_BUDGET}")
     started = time.perf_counter()
     tasks = []
     for entry in fields:
@@ -702,7 +722,9 @@ def _binomial(ctx, p):
     brute = pt._bijective_rows(pt.evaluate_poly_all(ctx, [(a, ctx.q + 1), (b, 2)]))
     labels = {}
     if ctx.n == 2:
-        vanishes, injective = _thm6_tables(ctx, l0, lin.linearized_rows(ctx, [(0, a)]))[:2]
+        l1 = lin.linearized_rows(ctx, [(0, a)])
+        vanishes, injective = pt._quad_ext_conditions(
+            ctx, lin.evaluate_all(ctx, l0), lin.evaluate_all(ctx, l1))
         labels["thm6"] = vanishes & injective
     if ctx.n % 2 and 1 in gold_ks(ctx.n):
         labels["thm7"] = (a == 1) & pt._gold_ok(

@@ -32,19 +32,57 @@ def test_eval_trace(capsys):
 
 
 def test_eval_charsum(capsys):
-    code, out, _ = run_cli(capsys, "eval", "--field", "1:2", "--op", "charsum",
-                           "--poly", "1:2")
+    # the direct sum is charsum's; eval has no charsum op
+    code, out, _ = run_cli(capsys, "charsum", "--field", "1:2", "--poly", "1:2",
+                           "--method", "brute")
     assert code == 0
-    assert out == "-2\n"
+    assert json.loads(out)["s"] == -2
+    code, out, err = run_cli(capsys, "eval", "--field", "1:2", "--op", "charsum")
+    assert (code, out) == (2, "")
+    assert err == "usage error: unknown eval op 'charsum'\n"
 
 
 def test_eval_permtest(capsys):
-    code, out, _ = run_cli(capsys, "eval", "--field", "1:2", "--op", "permtest",
-                           "--monomials", "3:1")
+    # the occupancy test is permtest's; eval has no permtest op
+    code, out, _ = run_cli(capsys, "permtest", "--field", "1:2", "--poly", "3:1")
     assert code == 0
     rep = json.loads(out)
     assert rep["is_permutation"] is False
     assert rep["witness"] == ["1", "2"]
+    code, out, err = run_cli(capsys, "eval", "--field", "1:2", "--op", "permtest")
+    assert (code, out) == (2, "")
+    assert err == "usage error: unknown eval op 'permtest'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--field", "1:2", "--op", "classify"),
+    ("eval", "--field", "1:2", "--op", "charsum", "--poly", "1:2"),
+    ("eval", "--field", "1:2", "--op", "permtest", "--monomials", "3:1"),
+    ("charsum", "--field", "1:2", "--poly", "1:2", "--method", "classify"),
+], ids=["eval-classify", "eval-poly", "eval-monomials", "charsum-classify"])
+def test_duplicate_routes_are_usage_errors(capsys, argv):
+    # each question has one command: classify, charsum and permtest
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:           # argparse refuses the option or choice
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("field-info", "--field", "12"),
+    ("field-info", "--field", "1:2:3:4"),
+    ("field-info", "--field", "a:2"),
+    ("verify", "--campaign", "thm4", "--fields", "12"),
+    ("verify", "--campaign", "thm4", "--fields", "1:2,a:2"),
+    ("verify", "--campaign", "thm4", "--fields", "1:2:0xz"),
+])
+def test_malformed_field_spec_is_usage_error(capsys, argv):
+    # --field and --fields read a spec by the one parser, normalize_field
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("usage error: ")
 
 
 def test_eval_arithmetic(capsys):
@@ -91,6 +129,19 @@ def test_eval_accepts_largest_element(capsys, field, argv, want):
     assert code == 0
     if want is not None:
         assert out == want
+
+
+@pytest.mark.parametrize("op", ["trace", "norm"])
+def test_eval_sub_zero_is_not_the_default(capsys, op):
+    # --sub 0 names no subfield; only a missing --sub means m
+    code, out, err = run_cli(capsys, "eval", "--field", "2:3", "--op", op,
+                             "--elem", "2a", "--sub", "0")
+    assert (code, out) == (1, "")
+    assert err == "error: GF(2^0) is not a subfield of GF(2^6)\n"
+    want = run_cli(capsys, "eval", "--field", "2:3", "--op", op, "--elem", "2a",
+                   "--sub", "2")
+    assert run_cli(capsys, "eval", "--field", "2:3", "--op", op, "--elem", "2a") == want
+    assert want[0] == 0
 
 
 def test_eval_missing_operands_are_usage_errors(capsys):
@@ -211,12 +262,12 @@ def test_field_info(capsys):
 
 def test_charsum_methods_agree(capsys):
     outs = {}
-    for method in ("brute", "fast", "classify"):
+    for method in ("brute", "fast"):
         code, out, _ = run_cli(capsys, "charsum", "--field", "1:3", "--poly",
                                "0:3,1:5", "--method", method)
         assert code == 0
         outs[method] = json.loads(out)
-    assert outs["brute"]["s"] == outs["fast"]["s"] == outs["classify"]["s"]
+    assert outs["brute"]["s"] == outs["fast"]["s"]
     assert outs["brute"]["kernel_dim_fq"] is None
     assert set(outs["fast"]) == {"s", "kernel_dim_fq", "vanishes", "type"}
 
@@ -244,10 +295,11 @@ def test_permtest_quadspec_methods(capsys):
 
 
 def test_permtest_structured_monomials_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["permtest", "--field", "1:2", "--poly", "3:1",
-              "--method", "structured"])
-    assert exc.value.code == 2
+    code, out, err = run_cli(capsys, "permtest", "--field", "1:2", "--poly", "3:1",
+                             "--method", "structured")
+    assert (code, out) == (2, "")
+    assert err == ("usage error: --method structured needs a structured form "
+                   "(quadspec, traceform or family)\n")
 
 
 def test_exit_code_math_error(capsys):
@@ -315,12 +367,31 @@ def test_negative_sample_is_refused(capsys, cid):
         cp.run_verify(cp.VerifyCampaign(cid, sample_budget=-5))
 
 
+@pytest.mark.parametrize("cid", ["thm6", "prop3", "thm1"])
+def test_huge_sample_is_refused_before_any_grid(capsys, cid):
+    # 10^8 draws would overflow getrandbits (thm6), or allocate gigabytes
+    # (prop3, thm1) before the first verdict
+    code, out, err = run_cli(capsys, "verify", "--campaign", cid, "--fields", "1:2",
+                             "--sample", str(10 ** 8))
+    assert (code, out) == (1, "")
+    assert err == f"error: sample budget 100000000 exceeds {verify.MAX_SAMPLE_BUDGET}\n"
+
+
+def test_sample_budget_ceiling_is_inclusive():
+    # prop2 draws no sample, so the ceiling itself runs at once
+    top = verify.MAX_SAMPLE_BUDGET
+    rep = cp.run_verify(cp.VerifyCampaign("prop2", ("1:1",), sample_budget=top))
+    assert rep.cases_total == rep.cases_agreeing == 4
+    with pytest.raises(cp.SizeGuard):
+        cp.run_verify(cp.VerifyCampaign("prop2", ("1:1",), sample_budget=top + 1))
+
+
 # Every option each subcommand takes, besides -h: one field, its size cap,
 # and only what its handler reads
 SUBCOMMAND_OPTIONS = {
     "field-info": {"--field", "--format", "--max-n"},
     "eval": {"--field", "--max-n", "--op", "--elem", "--elems", "--exp", "--k",
-             "--sub", "--poly", "--monomials", "--args"},
+             "--sub", "--args"},
     "charsum": {"--field", "--max-n", "--poly", "--method"},
     "classify": {"--field", "--max-n", "--poly"},
     "permtest": {"--field", "--max-n", "--form", "--poly", "--method"},
@@ -707,6 +778,18 @@ def test_replay_rejects_unknown_campaigns_and_missing_keys(capsys):
         assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,key", [
+    (("eval", "--field", "1:2", "--op", "check-thm4", "--args", "a=1;b=1;a=2"), "a"),
+    (("permtest", "--field", "1:3", "--form", "family", "--poly", "tu;a=1;a=2"), "a"),
+    (("search", "--field", "1:3", "--template", "trform", "--params", "k=1;k=2"), "k"),
+], ids=["eval", "permtest", "search"])
+def test_repeated_argument_key_is_usage_error(capsys, argv, key):
+    # one value per key: a second one is refused, not taken in place of the first
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: argument key {key!r} given twice\n"
+
+
 def test_permtest_family_takes_only_its_parameters(capsys):
     for poly in ("tu;a=1;e=2", "tu;a=1;b=1"):
         code, out, err = run_cli(capsys, "permtest", "--field", "2:3", "--form",
@@ -867,9 +950,8 @@ def test_poly_forms_fuzzed_exit_cleanly():
     contexts = {f: build_context(*map(int, f.split(":"))) for f in POLY_FUZZ_FIELDS}
     commands = [("permtest", "--form", form, "--method", method)
                 for form in ("monomials", "quadspec", "traceform", "family")
-                for method in ("brute", "charsum", "structured")
-                if (form, method) != ("monomials", "structured")]
-    commands += [("charsum", "--method", method) for method in ("brute", "fast", "classify")]
+                for method in ("brute", "charsum", "structured")]
+    commands += [("charsum", "--method", method) for method in ("brute", "fast")]
     commands += [("classify",)]
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -935,10 +1017,9 @@ def test_verify_all_stdout_is_byte_identical(capsys):
 # ---- golden stdout of the quadratic-form commands ---------------------------
 
 # Per field: the zero map and one more plus form, two minus forms and two
-# zero-sum forms (x among them).  Each polynomial gives three lines, from
-# charsum --method fast, charsum --method classify and classify.  Pinned
-# while s_fast still decided S(L) by the kernel route, so a change of route
-# must move no byte.
+# zero-sum forms (x among them).  Each polynomial gives two lines, from
+# charsum --method fast and classify.  Pinned while s_fast still decided
+# S(L) by the kernel route, so a change of route must move no byte.
 GOLDEN_POLYS = {
     "1:3": ("", "0:4,2:2", "0:3,2:6", "0:4,2:7", "0:1", "2:5"),
     "2:4": ("", "6:75", "0:63,4:f8", "6:40", "0:1", "0:d7"),
@@ -948,81 +1029,57 @@ GOLDEN_POLYS = {
 GOLDEN_STDOUT = {
     "1:3": """\
 {"s": 8, "kernel_dim_fq": 3, "vanishes": true, "type": "plus"}
-{"s": 8, "kernel_dim_fq": 3, "vanishes": true, "type": "plus"}
 {"s": 8, "kernel_dim_fq": 3, "vanishes": true, "type": "plus", "rank": 0, "sign_known": true}
-{"s": 4, "kernel_dim_fq": 1, "vanishes": true, "type": "plus"}
 {"s": 4, "kernel_dim_fq": 1, "vanishes": true, "type": "plus"}
 {"s": 4, "kernel_dim_fq": 1, "vanishes": true, "type": "plus", "rank": 2, "sign_known": true}
 {"s": -4, "kernel_dim_fq": 1, "vanishes": true, "type": "minus"}
-{"s": -4, "kernel_dim_fq": 1, "vanishes": true, "type": "minus"}
 {"s": -4, "kernel_dim_fq": 1, "vanishes": true, "type": "minus", "rank": 2, "sign_known": true}
 {"s": -4, "kernel_dim_fq": 1, "vanishes": true, "type": "minus"}
-{"s": -4, "kernel_dim_fq": 1, "vanishes": true, "type": "minus"}
 {"s": -4, "kernel_dim_fq": 1, "vanishes": true, "type": "minus", "rank": 2, "sign_known": true}
-{"s": 0, "kernel_dim_fq": 3, "vanishes": false, "type": "zero-sum"}
 {"s": 0, "kernel_dim_fq": 3, "vanishes": false, "type": "zero-sum"}
 {"s": 0, "kernel_dim_fq": 3, "vanishes": false, "type": "zero-sum", "rank": 1, "sign_known": true}
-{"s": 0, "kernel_dim_fq": 1, "vanishes": false, "type": "zero-sum"}
 {"s": 0, "kernel_dim_fq": 1, "vanishes": false, "type": "zero-sum"}
 {"s": 0, "kernel_dim_fq": 1, "vanishes": false, "type": "zero-sum", "rank": 3, "sign_known": true}
 """,
     "2:4": """\
 {"s": 256, "kernel_dim_fq": 4, "vanishes": true, "type": "plus"}
-{"s": 256, "kernel_dim_fq": 4, "vanishes": true, "type": "plus"}
 {"s": 256, "kernel_dim_fq": 4, "vanishes": true, "type": "plus", "rank": 0, "sign_known": true}
-{"s": 16, "kernel_dim_fq": 0, "vanishes": true, "type": "plus"}
 {"s": 16, "kernel_dim_fq": 0, "vanishes": true, "type": "plus"}
 {"s": 16, "kernel_dim_fq": 0, "vanishes": true, "type": "plus", "rank": 4, "sign_known": true}
 {"s": -16, "kernel_dim_fq": 0, "vanishes": true, "type": "minus"}
-{"s": -16, "kernel_dim_fq": 0, "vanishes": true, "type": "minus"}
 {"s": -16, "kernel_dim_fq": 0, "vanishes": true, "type": "minus", "rank": 4, "sign_known": true}
-{"s": -64, "kernel_dim_fq": 2, "vanishes": true, "type": "minus"}
 {"s": -64, "kernel_dim_fq": 2, "vanishes": true, "type": "minus"}
 {"s": -64, "kernel_dim_fq": 2, "vanishes": true, "type": "minus", "rank": 2, "sign_known": true}
 {"s": 0, "kernel_dim_fq": 4, "vanishes": false, "type": "zero-sum"}
-{"s": 0, "kernel_dim_fq": 4, "vanishes": false, "type": "zero-sum"}
 {"s": 0, "kernel_dim_fq": 4, "vanishes": false, "type": "zero-sum", "rank": 1, "sign_known": true}
-{"s": 0, "kernel_dim_fq": 4, "vanishes": false, "type": "zero-sum"}
 {"s": 0, "kernel_dim_fq": 4, "vanishes": false, "type": "zero-sum"}
 {"s": 0, "kernel_dim_fq": 4, "vanishes": false, "type": "zero-sum", "rank": 1, "sign_known": true}
 """,
     "3:4": """\
 {"s": 4096, "kernel_dim_fq": 4, "vanishes": true, "type": "plus"}
-{"s": 4096, "kernel_dim_fq": 4, "vanishes": true, "type": "plus"}
 {"s": 4096, "kernel_dim_fq": 4, "vanishes": true, "type": "plus", "rank": 0, "sign_known": true}
-{"s": 64, "kernel_dim_fq": 0, "vanishes": true, "type": "plus"}
 {"s": 64, "kernel_dim_fq": 0, "vanishes": true, "type": "plus"}
 {"s": 64, "kernel_dim_fq": 0, "vanishes": true, "type": "plus", "rank": 4, "sign_known": true}
 {"s": -64, "kernel_dim_fq": 0, "vanishes": true, "type": "minus"}
-{"s": -64, "kernel_dim_fq": 0, "vanishes": true, "type": "minus"}
 {"s": -64, "kernel_dim_fq": 0, "vanishes": true, "type": "minus", "rank": 4, "sign_known": true}
 {"s": -64, "kernel_dim_fq": 0, "vanishes": true, "type": "minus"}
-{"s": -64, "kernel_dim_fq": 0, "vanishes": true, "type": "minus"}
 {"s": -64, "kernel_dim_fq": 0, "vanishes": true, "type": "minus", "rank": 4, "sign_known": true}
-{"s": 0, "kernel_dim_fq": 4, "vanishes": false, "type": "zero-sum"}
 {"s": 0, "kernel_dim_fq": 4, "vanishes": false, "type": "zero-sum"}
 {"s": 0, "kernel_dim_fq": 4, "vanishes": false, "type": "zero-sum", "rank": 1, "sign_known": true}
-{"s": 0, "kernel_dim_fq": 4, "vanishes": false, "type": "zero-sum"}
 {"s": 0, "kernel_dim_fq": 4, "vanishes": false, "type": "zero-sum"}
 {"s": 0, "kernel_dim_fq": 4, "vanishes": false, "type": "zero-sum", "rank": 1, "sign_known": true}
 """,
     "6:2": """\
 {"s": 4096, "kernel_dim_fq": 2, "vanishes": true, "type": "plus"}
-{"s": 4096, "kernel_dim_fq": 2, "vanishes": true, "type": "plus"}
 {"s": 4096, "kernel_dim_fq": 2, "vanishes": true, "type": "plus", "rank": 0, "sign_known": true}
-{"s": 64, "kernel_dim_fq": 0, "vanishes": true, "type": "plus"}
 {"s": 64, "kernel_dim_fq": 0, "vanishes": true, "type": "plus"}
 {"s": 64, "kernel_dim_fq": 0, "vanishes": true, "type": "plus", "rank": 2, "sign_known": true}
 {"s": -64, "kernel_dim_fq": 0, "vanishes": true, "type": "minus"}
-{"s": -64, "kernel_dim_fq": 0, "vanishes": true, "type": "minus"}
 {"s": -64, "kernel_dim_fq": 0, "vanishes": true, "type": "minus", "rank": 2, "sign_known": true}
 {"s": -64, "kernel_dim_fq": 0, "vanishes": true, "type": "minus"}
-{"s": -64, "kernel_dim_fq": 0, "vanishes": true, "type": "minus"}
 {"s": -64, "kernel_dim_fq": 0, "vanishes": true, "type": "minus", "rank": 2, "sign_known": true}
-{"s": 0, "kernel_dim_fq": 2, "vanishes": false, "type": "zero-sum"}
 {"s": 0, "kernel_dim_fq": 2, "vanishes": false, "type": "zero-sum"}
 {"s": 0, "kernel_dim_fq": 2, "vanishes": false, "type": "zero-sum", "rank": 1, "sign_known": true}
-{"s": 0, "kernel_dim_fq": 2, "vanishes": false, "type": "zero-sum"}
 {"s": 0, "kernel_dim_fq": 2, "vanishes": false, "type": "zero-sum"}
 {"s": 0, "kernel_dim_fq": 2, "vanishes": false, "type": "zero-sum", "rank": 1, "sign_known": true}
 """,
@@ -1033,8 +1090,7 @@ GOLDEN_STDOUT = {
 def test_quadratic_form_commands_golden_stdout(capsys, field):
     out = []
     for poly in GOLDEN_POLYS[field]:
-        for argv in (("charsum", "--method", "fast"),
-                     ("charsum", "--method", "classify"), ("classify",)):
+        for argv in (("charsum", "--method", "fast"), ("classify",)):
             code, text, _ = run_cli(capsys, *argv, "--field", field, "--poly", poly)
             assert code == 0
             out.append(text)

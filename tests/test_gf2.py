@@ -55,12 +55,6 @@ def test_is_irreducible_rejects():
     assert not gf2.is_irreducible(0b10101)    # (x^2+x+1)^2
 
 
-def test_parity():
-    assert gf2.parity(0) == 0
-    assert gf2.parity(0b1011) == 1
-    assert gf2.parity(0b1001) == 0
-
-
 def _random_cols(rng, n):
     return [rng.randrange(1 << n) for _ in range(n)]
 
@@ -95,22 +89,3 @@ def test_mat_kernel_sorted():
     ker = gf2.mat_kernel(cols)
     assert ker == sorted(ker)
     assert ker == [0b11]
-
-
-def test_mat_invert_roundtrip():
-    rng = random.Random(2)
-    n = 6
-    found = 0
-    while found < 20:
-        cols = _random_cols(rng, n)
-        if gf2.mat_rank(list(cols)) < n:
-            continue
-        found += 1
-        inv = gf2.mat_invert(cols, n)
-        for x in range(1 << n):
-            assert gf2.mat_apply(inv, gf2.mat_apply(cols, x)) == x
-
-
-def test_mat_invert_singular():
-    with pytest.raises(ValueError):
-        gf2.mat_invert([0b01, 0b01], 2)

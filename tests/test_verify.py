@@ -47,10 +47,10 @@ def test_normalize_field():
     assert normalize_field("2:3:0x43") == (2, 3, 0x43)
     assert normalize_field((1, 2)) == (1, 2, None)
     assert normalize_field((1, 2, 7)) == (1, 2, 7)
-    with pytest.raises(BadParameters):
-        normalize_field("12")
-    with pytest.raises(BadParameters):
-        normalize_field((1,))
+    # a malformed spec is a usage error, whether text or tuple
+    for spec in ("12", "1:2:3:4", "a:2", "1:2:0xz", (1,)):
+        with pytest.raises(ValueError):
+            normalize_field(spec)
 
 
 def test_thm4_single_field():
@@ -265,6 +265,29 @@ def test_family_campaigns_clean():
         rep = _run(cid)
         assert rep.mismatches == [], cid
         assert rep.cases_total == rep.cases_agreeing
+
+
+@pytest.mark.parametrize("cid", sorted(SWEEPS))
+def test_every_campaign_can_fail(cid):
+    # a structured side that is a constant disagrees with the oracle on some
+    # case of the default fields, so a broken criterion cannot pass; a
+    # sufficient-only criterion is never wrong to say False.  Counted
+    # straight from grid and verdicts: run_verify would format millions of
+    # mismatch rows.  prop2 and prop3 compare sums, so q is tried too
+    sweep = SWEEPS[cid]
+    wrong = {}
+    for m, n in sweep.default_fields:
+        ctx = build_context(m, n)
+        constants = {"True": True, "False": False, "q": ctx.q}
+        for unit in sweep.grid(ctx, 0, sweep.default_budget):
+            brute = sweep.verdicts(ctx, unit)[1]
+            for label, c in constants.items():
+                bad = np.count_nonzero(~family_agreement(sweep.exact, c, brute))
+                wrong[label] = wrong.get(label, 0) + int(bad)
+    assert wrong["True"] > 0
+    assert (wrong["False"] > 0) == sweep.exact
+    if cid in ("prop2", "prop3"):
+        assert wrong["q"] > 0
 
 
 # ---- coefficient searches --------------------------------------------------
