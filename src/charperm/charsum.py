@@ -32,7 +32,7 @@ from .errors import (
     NotQLinear,
     WrongDegree,
 )
-from .field import FieldContext
+from .field import FieldContext, _linear_table
 from . import elementwise as ew
 from . import linearized as lin
 from .linearized import LinearizedPoly
@@ -45,6 +45,11 @@ class QuadraticFormReport:
     s_value: int                  # exact signed S(L)
     form_type: str                # "zero-sum" | "plus" | "minus"
     rank: int                     # canonical rank of the form over F_q
+
+
+# Low bits of the input in one block of s_bruteforce: 2^15 int32 values,
+# 128 KB per row, which a block and its chi_index_table slice keep in L2.
+_BLOCK_BITS = 15
 
 
 def quad_value(ctx: FieldContext, poly: LinearizedPoly, v: int) -> int:
@@ -61,24 +66,43 @@ def polar_poly(ctx: FieldContext, poly):
 
 
 def s_bruteforce(ctx: FieldContext, poly):
-    """S(L) summed literally over every field element.
+    """S(L) summed literally over every field element, block by block.
 
     chi_index_table[v] is the GF(2) functional of v: the absolute trace of
     v * w is the bit parity of chi_index_table[v] & w.  So chi(v * L(v))
-    is read off the value table by an AND and a popcount, in element order
-    with no lookup per element, and S(L) is order minus twice the number
-    of odd parities, counted by a popcount of the parities packed 8 to a
-    byte (a sum over the parities would widen each to int64).
+    is read off L(v) by an AND and a popcount, in element order with no
+    lookup per element, and S(L) is order minus twice the number of odd
+    parities, counted by a popcount of the parities packed 8 to a byte (a
+    sum over the parities would widen each to int64).
+
+    No value table of the whole field is built.  An input splits as
+    v = h * 2^B + l with B = min(bits, _BLOCK_BITS), and L is GF(2)-linear,
+    so L(v) = L_lo[l] ^ L_hi[h] for two small tables built from L's unit
+    images (see linearized.unit_images and field._linear_table).  Block h
+    of 2^B inputs is then one xor into a reused buffer, ANDed with its
+    slice of chi_index_table, so a call holds a few buffers of 2^B entries
+    per row whatever the field size.  Block 0 is L_lo itself and is read
+    in place, last; fields of at most _BLOCK_BITS bits are that one block.
 
     For a stack of coefficient rows (..., bits) it is the int64 array of
-    the rows' sums, one value table per row; for one polynomial an int.
+    the rows' sums; for one polynomial an int.
     """
-    values = lin.evaluate_all(ctx, poly)
-    np.bitwise_and(values, ctx.chi_index_table, out=values)
-    odd = np.bitwise_count(values)
-    odd &= 1
-    packed = np.packbits(odd, axis=-1)
-    total = ctx.order - 2 * np.bitwise_count(packed).sum(axis=-1, dtype=np.int64)
+    images = lin.unit_images(ctx, poly)
+    low = min(ctx.bits, _BLOCK_BITS)
+    lo = _linear_table(images[..., :low])
+    hi = _linear_table(images[..., low:])
+    index = ctx.chi_index_table
+    values = None
+    parity = np.empty(lo.shape, dtype=np.uint8)
+    odd = 0
+    for h in range(hi.shape[-1] - 1, -1, -1):
+        values = lo if h == 0 else np.bitwise_xor(lo, hi[..., h, None], out=values)
+        values &= index[h << low:(h + 1) << low]
+        np.bitwise_count(values.view(np.uint32), out=parity)
+        parity &= 1
+        packed = np.packbits(parity, axis=-1)
+        odd = odd + np.bitwise_count(packed).sum(axis=-1, dtype=np.int64)
+    total = ctx.order - 2 * odd
     return int(total) if isinstance(poly, LinearizedPoly) else total
 
 

@@ -22,12 +22,12 @@ import argparse
 import csv
 import json
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Collection, Dict, List, Optional, Sequence
 
 from . import linearized as lin
 from . import permtest as pt
 from .charsum import classify_form, s_bruteforce, s_fast
-from .errors import BadParameters, CharpermError, UnknownTheorem
+from .errors import CharpermError, UnknownTheorem
 from .field import DEFAULT_SIZE_CAP, FieldContext, build_context
 from .verify import (
     PARAM_KINDS,
@@ -58,7 +58,7 @@ def _hex(x: int) -> str:
 
 def _context_from(args) -> FieldContext:
     if not args.field:
-        raise BadParameters("this subcommand needs --field m:n[:0xMOD]")
+        raise ValueError("this subcommand needs --field m:n[:0xMOD]")
     m, n, modulus = normalize_field(args.field)
     return build_context(m, n, modulus, size_cap=args.max_n or DEFAULT_SIZE_CAP)
 
@@ -79,11 +79,12 @@ _PARSERS = {
 }
 
 
-def _parse_blob(ctx: FieldContext, blob: str,
-                keys: Sequence[str]) -> Dict[str, object]:
+def _parse_blob(ctx: FieldContext, blob: str, keys: Sequence[str],
+                optional: Collection[str] = ()) -> Dict[str, object]:
     """Parse 'key=value' pairs separated by ';', each value by its key's
-    kind; keys are the ones the op reads, and any other key, or one given
-    twice, is a usage error."""
+    kind; keys are the ones the op reads, each one needed unless optional,
+    and a missing key, any other key, or one given twice is a usage
+    error."""
     out: Dict[str, object] = {}
     for part in blob.split(";"):
         part = part.strip()
@@ -97,6 +98,9 @@ def _parse_blob(ctx: FieldContext, blob: str,
         if key in out:
             raise ValueError(f"argument key {key!r} given twice")
         out[key] = _PARSERS[PARAM_KINDS[key]](ctx, value)
+    missing = [k for k in keys if k not in out and k not in optional]
+    if missing:
+        raise ValueError(f"missing argument keys {missing}")
     return out
 
 
@@ -154,9 +158,6 @@ def _cmd_eval(args) -> int:
         if sweep is None:
             raise ValueError(f"unknown check op {op!r}")
         params = _parse_blob(ctx, args.args or "", sweep.keys)
-        missing = [k for k in sweep.keys if k not in params]
-        if missing:
-            raise ValueError(f"missing argument keys {missing}")
         _emit(replay_case(ctx, sweep.campaign_id, params))
     else:
         raise ValueError(f"unknown eval op {op!r}")
@@ -226,7 +227,8 @@ def _cmd_permtest(args) -> int:
         name, _, rest = args.poly.partition(";")
         if name not in pt.FAMILIES:
             raise UnknownTheorem(f"unknown family {name!r}")
-        params = _parse_blob(ctx, rest, pt.FAMILIES[name].params)
+        params = _parse_blob(ctx, rest, pt.FAMILIES[name].params,
+                             pt._OPTIONAL_PARAMS)
         if method == "structured":
             rep = pt.PermReport(pt.family_predicate(ctx, name, params),
                                 "structured")

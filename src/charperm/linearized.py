@@ -144,6 +144,15 @@ def _evaluate_at(ctx: FieldContext, rows: np.ndarray, points) -> np.ndarray:
     return out
 
 
+def unit_images(ctx: FieldContext, poly) -> np.ndarray:
+    """L at the unit vectors 1 << j, as int32 along the last axis: the
+    images that determine the GF(2)-linear map (to_matrix for one
+    polynomial, _evaluate_at for a stack of coefficient rows)."""
+    if isinstance(poly, LinearizedPoly):
+        return np.array(to_matrix(ctx, poly), dtype=np.int32)
+    return _evaluate_at(ctx, np.asarray(poly, dtype=np.int64), 1 << np.arange(ctx.bits))
+
+
 def evaluate_blocks(ctx: FieldContext, poly) -> Callable[[slice], np.ndarray]:
     """Block evaluator of L: values(block) are L(v) for the inputs v of
     block, a slice of element order, as int32 along the last axis; for a
@@ -152,18 +161,13 @@ def evaluate_blocks(ctx: FieldContext, poly) -> Callable[[slice], np.ndarray]:
     reads return again, so they are not to be written.
 
     L is GF(2)-linear, so the table is built from its bits values at the
-    unit vectors (to_matrix for one polynomial, _evaluate_at for a stack)
-    by doubling (see field._linear_table), and only as far as the reads
-    need: up to the least power of two past the highest input read so
-    far, continued from there by a later read.  A scan that stops
-    at its first failing block of a 2^20-element field then writes a few
-    thousand entries, not 2^20.
+    unit vectors (see unit_images) by doubling (see field._linear_table),
+    and only as far as the reads need: up to the least power of two past
+    the highest input read so far, continued from there by a later read.
+    A scan that stops at its first failing block of a 2^20-element field
+    then writes a few thousand entries, not 2^20.
     """
-    if isinstance(poly, LinearizedPoly):
-        images = np.array(to_matrix(ctx, poly), dtype=np.int32)
-    else:
-        images = _evaluate_at(ctx, np.asarray(poly, dtype=np.int64),
-                              1 << np.arange(ctx.bits))
+    images = unit_images(ctx, poly)
     table = np.empty(images.shape[:-1] + (ctx.order,), dtype=np.int32)
     filled = 0
 

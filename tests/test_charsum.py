@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from charperm import (
     s_zero_binomial,
     s_zero_quadratic_ext,
 )
+from charperm import charsum
 from charperm import linearized as lin
 from charperm.errors import (
     BadParameters,
@@ -208,12 +210,22 @@ def _gather_sum(ctx, poly):
 FIELDS_TO_8_BITS = [(m, n) for m in range(1, 9) for n in range(1, 9) if m * n <= 8]
 
 
-@pytest.mark.parametrize("m,n", FIELDS_TO_8_BITS + [(3, 4), (6, 2), (4, 4), (4, 5)],
-                         ids=lambda v: str(v))
-def test_s_bruteforce_matches_reference_sum(m, n):
+# (m, n, block bits): every field at the default block size, and the fields
+# up to 8 bits again in blocks of 2 and 8 inputs, so that they run through
+# many blocks of s_bruteforce
+BRUTE_CASES = [pytest.param(m, n, None, id=f"{m}-{n}")
+               for m, n in FIELDS_TO_8_BITS + [(3, 4), (6, 2), (4, 4), (4, 5)]] + [
+    pytest.param(m, n, b, id=f"{m}-{n}-B{b}")
+    for b in (1, 3) for m, n in FIELDS_TO_8_BITS]
+
+
+@pytest.mark.parametrize("m,n,block_bits", BRUTE_CASES)
+def test_s_bruteforce_matches_reference_sum(monkeypatch, m, n, block_bits):
     """Against the scalar sum up to 8 bits, the chi_table gather above; on
     q-linear polynomials, 2-linear ones off the q-power support (m > 1) and
     a (2, 3, bits) stack."""
+    if block_bits is not None:
+        monkeypatch.setattr(charsum, "_BLOCK_BITS", block_bits)
     ctx = build_context(m, n)
     reference = _literal_sum if ctx.bits <= 8 else _gather_sum
     rng = random.Random(f"{m}:{n}")
@@ -260,6 +272,28 @@ def test_s_fast_reaches_kernel_check_on_20_bits(monkeypatch):
     rows = np.array([p.coeffs for p in polys], dtype=np.int64)
     assert s_fast(ctx, rows).s_value.tolist() == s_bruteforce(ctx, rows).tolist()
     assert len(calls) == len(polys) + 1
+
+
+def test_s_bruteforce_holds_no_whole_field_table():
+    """A warm call on 4:5 peaks under 2 MB of traced allocation, for one
+    form and for a 4-row stack: a single 2^20-entry int32 value table is
+    4 MB."""
+    ctx = build_context(4, 5)
+    ctx.chi_index_table
+    rng = random.Random(22)
+    poly = lin.q_linearized(ctx, [(j, rng.randrange(ctx.order)) for j in range(ctx.n)])
+    rows = np.zeros((4, ctx.bits), dtype=np.int64)
+    rows[:, ::ctx.m] = [[rng.randrange(ctx.order) for _ in range(ctx.n)] for _ in range(4)]
+    for arg in (poly, rows):
+        want = s_bruteforce(ctx, arg)
+        tracemalloc.start()
+        try:
+            got = s_bruteforce(ctx, arg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak < 2 << 20, peak
 
 
 # ---- the scalar route against stacks, and its evaluation count -------------

@@ -801,6 +801,44 @@ def test_permtest_family_takes_only_its_parameters(capsys):
     assert (code, out) == (1, "") and err.startswith("error: unknown family")
 
 
+_NO_FIELD = "this subcommand needs --field m:n[:0xMOD]"
+
+
+_MISSING = [
+    (("eval", "--field", "1:3", "--op", "check-family:tu"), "missing argument keys ['a']"),
+    (("permtest", "--field", "1:3", "--form", "family", "--poly", "tu"),
+     "missing argument keys ['a']"),
+    (("permtest", "--field", "2:3", "--form", "family", "--poly", "q4;variant=qk"),
+     "missing argument keys ['a']"),
+    (("search", "--field", "1:3", "--template", "trform"), "missing argument keys ['k']"),
+    (("search", "--field", "2:3", "--template", "traceform", "--params", "j0=1"),
+     "missing argument keys ['j1', 'l']"),
+    (("field-info",), _NO_FIELD),
+    (("eval", "--op", "chi", "--elem", "1"), _NO_FIELD),
+    (("charsum", "--poly", "0:1"), _NO_FIELD),
+    (("classify", "--poly", "0:1"), _NO_FIELD),
+    (("permtest", "--form", "family", "--poly", "tu"), _NO_FIELD),
+    (("search", "--template", "trform"), _NO_FIELD),
+]
+
+
+@pytest.mark.parametrize("argv,message", [pytest.param(argv, message, id=" ".join(argv))
+                                          for argv, message in _MISSING])
+def test_missing_key_or_field_is_usage_error(capsys, argv, message):
+    # the same refusal through every subcommand that reads the key or field
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: {message}\n"
+
+
+def test_permtest_q4_variant_is_optional(capsys):
+    code, out, _ = run_cli(capsys, "permtest", "--field", "2:3", "--form", "family",
+                           "--poly", "q4;a=1")
+    assert code == 0
+    assert (code, out) == run_cli(capsys, "permtest", "--field", "2:3", "--form",
+                                  "family", "--poly", "q4;a=1;variant=binomial")[:2]
+
+
 @pytest.mark.parametrize("field", ["1:3", "2:3"])
 def test_huge_exponents_match_their_residues(capsys, field):
     # 2-power exponents act modulo bits (x^(2^bits) = x); 10^12 must not
