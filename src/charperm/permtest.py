@@ -148,8 +148,7 @@ def _first_repeat(prefix: np.ndarray) -> Optional[Tuple[int, int]]:
     return int(np.argmax(prefix == prefix[v2])), v2
 
 
-def _occupancy(ctx: FieldContext, values: Callable[[slice], np.ndarray],
-               method: str) -> PermReport:
+def _occupancy(ctx: FieldContext, values: Callable[[slice], np.ndarray]) -> PermReport:
     """The occupancy test of a map given by its block evaluator: values(block)
     are its values on the inputs of block, a slice of element order, each
     input asked for once.  Each growing prefix (see _PREFIX_SHARE) is
@@ -165,7 +164,7 @@ def _occupancy(ctx: FieldContext, values: Callable[[slice], np.ndarray],
         blocks.append(values(slice(lo, hi)))
         witness = _first_repeat(np.concatenate(blocks))
         if witness is not None or hi == ctx.order:
-            return PermReport(witness is None, method, witness)
+            return PermReport(witness is None, "bruteforce", witness)
         lo, hi = hi, 4 * hi
 
 
@@ -180,7 +179,7 @@ def report_from_values(ctx: FieldContext, values: np.ndarray) -> PermReport:
             f"value table has shape {values.shape}, expected ({ctx.order},)")
     if not 0 <= values.min() <= values.max() < ctx.order:
         raise BadParameters(f"value table has entries outside 0..{ctx.order - 1}")
-    return _occupancy(ctx, values.__getitem__, "bruteforce")
+    return _occupancy(ctx, values.__getitem__)
 
 
 def _values_in(ctx: FieldContext, f) -> Callable[[slice], np.ndarray]:
@@ -245,7 +244,7 @@ def is_perm_bruteforce(ctx: FieldContext, f) -> PermReport:
     whose first repeat comes late, is evaluated on the whole field.  Same
     report and witness as report_from_values on the whole value table.
     """
-    return _occupancy(ctx, _values_in(ctx, f), "bruteforce")
+    return _occupancy(ctx, _values_in(ctx, f))
 
 
 def is_perm_charsum(ctx: FieldContext, f) -> PermReport:
@@ -422,10 +421,11 @@ def _gold_ok(ctx: FieldContext, k: int,
     As gcd(q^k+1, q^n-1) divides gcd(q^2k-1, q^n-1) = q-1 (n odd, gcd(k, n) = 1)
     and q^k+1 = 2 mod the odd q-1, it is 1: w = u^(q^k+1) runs over F* once, and
     with u^-2 = w^c, c = -2/(q^k+1) mod q^n-1, the test is Tr(adj(w) w^c) != 1.
-    It is made on the blocks of w of the occupancy scan, [1, _FIRST_BLOCK),
-    then up to 4 times the last bound, and stops, reading no further, once
-    every row has failed; a field of at most _FIRST_BLOCK elements is one
-    block."""
+    It is made on blocks of w, [1, _FIRST_BLOCK) and then each up to 4 times
+    the last bound, to the end of the field (not the occupancy scan's
+    blocks, which take the rest at once past 1 / _PREFIX_SHARE of it), and
+    stops, reading no further, once every row has failed; a field of at
+    most _FIRST_BLOCK elements is one block."""
     if ctx.n % 2 == 0 or not 0 < 2 * k < ctx.n or math.gcd(k, ctx.n) != 1:
         raise BadParameters(
             f"needs n odd, 0 < 2k < n and gcd(k, n) = 1, got n={ctx.n} k={k}")

@@ -149,8 +149,8 @@ def coprime_ks(n: int) -> Tuple[int, ...]:
 # ---- grid and verdict helpers ----------------------------------------------
 
 # Built grids by (campaign, m, n, modulus, seed, budget); see _grid.
-# run_verify empties it when its report is done, so a process holds the
-# grids (and their tables) of one campaign at a time.
+# run_verify empties it when its report is done or its campaign raises, so
+# a process holds the grids (and their tables) of one campaign at a time.
 _tables: Dict[Tuple, List[Params]] = {}
 
 
@@ -294,13 +294,14 @@ def _thm6(ctx, p):
 # ---- odd-degree x^(q^k+1) + L0(x^2) criterion ------------------------------
 
 def _thm7_grid(ctx, seed, budget):
-    # per k: every monomial a * x^(q^j), then seeded dense q-linear L0
+    # per k: every monomial a * x^(q^j), whose rows every k shares, then
+    # seeded dense q-linear L0
     if ctx.n % 2 == 0:
         raise BadParameters(f"thm7 sweep needs odd n, got n={ctx.n}")
+    monomials = [lin.linearized_rows(ctx, [(ctx.m * j, ctx.elements)]) for j in range(ctx.n)]
     units = []
     for k in gold_ks(ctx.n):
-        units += [{"k": k, "l0": lin.linearized_rows(ctx, [(ctx.m * j, ctx.elements)])}
-                  for j in range(ctx.n)]
+        units += [{"k": k, "l0": l0} for l0 in monomials]
         rows = _q_draws(_rng(seed, "thm7", ctx, k), ctx, budget)
         units += [{"k": k, "l0": rows[sl]} for sl in _blocks(budget, _CELLS // ctx.order)]
     return units
@@ -336,7 +337,7 @@ def _traceform_values(ctx: FieldContext, l0, l1, shift: int) -> np.ndarray:
 def _thm_tr_tables(ctx: FieldContext, l0: np.ndarray, l1: np.ndarray, shift: int) -> tuple:
     """What thm_tr's verdicts read of coefficient rows l0 and l1: the
     adjoint values of L1 and of L0, and the values of the L1 part and of
-    the L0 part of the map.  The grid builds each at its own granularity."""
+    the L0 part of the map."""
     return (_adjoint_values(ctx, l1), _adjoint_values(ctx, l0),
             _traceform_values(ctx, [], lin.pairs(ctx, l1), 0),
             _traceform_values(ctx, lin.pairs(ctx, l0), [], shift))
@@ -344,26 +345,21 @@ def _thm_tr_tables(ctx: FieldContext, l0: np.ndarray, l1: np.ndarray, shift: int
 
 def _thm_tr_grid(ctx, seed, budget):
     # monomial parts a0 * x^(q^j0) and a1 * x^(q^j1): blocks of a0 against
-    # every a1, each case an order-entry value table.  The tables of
-    # _thm_tr_tables are built once per j1, once per j0 and a0 block, and
-    # (the L0 part's values) once per shift, j0 and a0 block; every unit
-    # that pairs them reads them
-    e = ctx.elements
+    # every a1, each case an order-entry value table.  The rows of every
+    # a * x^(q^j), their adjoint values and their L1 part's values are built
+    # once per j, and their L0 part's values once per shift and j; a unit
+    # reads them whole as L1 and a block of their rows as L0
     blocks = _blocks(ctx.order, _CELLS // ctx.order ** 2)
-    l1 = [lin.linearized_rows(ctx, [(ctx.m * j1, e)]) for j1 in range(ctx.n)]
-    l0 = [[lin.linearized_rows(ctx, [(ctx.m * j0, e[sl, None])]) for sl in blocks]
-          for j0 in range(ctx.n)]
-    x_tabs = [_adjoint_values(ctx, rows) for rows in l1]
-    y_tabs = [[_adjoint_values(ctx, rows) for rows in row] for row in l0]
-    v1 = [_traceform_values(ctx, [], lin.pairs(ctx, rows), 0) for rows in l1]
-    v0 = {(shift, j0, b): _traceform_values(ctx, lin.pairs(ctx, rows), [], shift)
-          for shift in _TRACEFORM_SHIFTS for j0, row in enumerate(l0)
-          for b, rows in enumerate(row)}
-    return [{"l0": l0[j0][b], "l1": l1[j1], "shift": shift,
-             "tables": (x_tabs[j1], y_tabs[j0][b], v1[j1], v0[shift, j0, b])}
+    rows = [lin.linearized_rows(ctx, [(ctx.m * j, ctx.elements)]) for j in range(ctx.n)]
+    adj = [_adjoint_values(ctx, r) for r in rows]
+    v1 = [_traceform_values(ctx, [], lin.pairs(ctx, r), 0) for r in rows]
+    v0 = {(shift, j): _traceform_values(ctx, lin.pairs(ctx, r), [], shift)
+          for shift in _TRACEFORM_SHIFTS for j, r in enumerate(rows)}
+    return [{"l0": rows[j0][sl, None], "l1": rows[j1], "shift": shift,
+             "tables": (adj[j1], adj[j0][sl, None], v1[j1], v0[shift, j0][sl, None])}
             for shift in _TRACEFORM_SHIFTS
             for j0 in range(ctx.n) for j1 in range(ctx.n)
-            for b in range(len(blocks))]
+            for sl in blocks]
 
 
 def _thm_tr(ctx, p):
@@ -654,28 +650,28 @@ def run_verify(campaign: VerifyCampaign, *, jobs: int = 1,
     if budget > MAX_SAMPLE_BUDGET:
         raise SizeGuard(f"sample budget {budget} exceeds {MAX_SAMPLE_BUDGET}")
     started = time.perf_counter()
-    tasks = []
-    for entry in fields:
-        m, n, modulus = normalize_field(entry)
-        ctx = _worker_context(m, n, modulus, size_cap)
-        units = len(_grid(sweep, ctx, campaign.seed, budget))
-        if units == 0:
-            raise BadParameters(f"campaign {campaign.theorem_id} has no cases "
-                                f"on field {field_label(ctx)}")
-        chunks = min(max(jobs, 1), units)
-        bounds = [(units * i // chunks, units * (i + 1) // chunks)
-                  for i in range(chunks)]
-        for lo, hi in bounds:
-            tasks.append((campaign.theorem_id, ctx.m, ctx.n, ctx.modulus,
-                          ctx.size_cap, campaign.seed, budget, lo, hi))
-    workers = _pool_workers(jobs, len(tasks))
-    if workers == 1:
-        results = [_run_block(*t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_block, *t) for t in tasks]
-            results = [f.result() for f in futures]
-    _tables.clear()
+    try:
+        tasks = []
+        for entry in fields:
+            m, n, modulus = normalize_field(entry)
+            ctx = _worker_context(m, n, modulus, size_cap)
+            units = len(_grid(sweep, ctx, campaign.seed, budget))
+            if units == 0:
+                raise BadParameters(f"campaign {campaign.theorem_id} has no cases "
+                                    f"on field {field_label(ctx)}")
+            chunks = min(max(jobs, 1), units)
+            tasks += [(campaign.theorem_id, ctx.m, ctx.n, ctx.modulus, ctx.size_cap,
+                       campaign.seed, budget, units * i // chunks, units * (i + 1) // chunks)
+                      for i in range(chunks)]
+        workers = _pool_workers(jobs, len(tasks))
+        if workers == 1:
+            results = [_run_block(*t) for t in tasks]
+        else:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                futures = [pool.submit(_run_block, *t) for t in tasks]
+                results = [f.result() for f in futures]
+    finally:
+        _tables.clear()
     return CampaignReport(sum(r[0] for r in results), sum(r[1] for r in results),
                           [row for r in results for row in r[2]],
                           time.perf_counter() - started)

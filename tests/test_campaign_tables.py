@@ -102,11 +102,39 @@ def _assert_same_verdicts(sweep, ctx, unit):
         assert a.shape == b.shape and np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("field", SWEEPS["thm_tr"].default_fields)
+@pytest.mark.parametrize("field", SWEEPS["thm_tr"].default_fields + ((3, 2), (1, 6)))
 def test_thm_tr_tables_match_the_rows(field):
+    # each unit's slices of the per-j tables hold what _thm_tr_tables builds
+    # from the unit's own rows: same shapes, dtypes and entries
     sweep, ctx = SWEEPS["thm_tr"], build_context(*field)
     for unit in sweep.grid(ctx, 0, sweep.default_budget):
         _assert_same_verdicts(sweep, ctx, unit)
+        rebuilt = verify._thm_tr_tables(ctx, unit["l0"], unit["l1"], unit["shift"])
+        for shared, own in zip(unit["tables"], rebuilt, strict=True):
+            assert shared.dtype == own.dtype and shared.shape == own.shape
+            assert np.array_equal(shared, own)
+
+
+def test_thm_tr_builds_each_table_once_per_j(monkeypatch):
+    # on 2:3 (two a0 blocks): one adjoint table per j, and one L1 part per j
+    # and one L0 part per shift and j, not one per j and a0 block
+    ctx = build_context(2, 3)
+    assert len(verify._blocks(ctx.order, verify._CELLS // ctx.order ** 2)) == 2
+    calls = {"_adjoint_values": 0, "_traceform_values": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(verify, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(verify, name, counted)
+    monkeypatch.setattr(verify, "_tables", {})
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["verify", "--campaign", "thm_tr", "--fields", "2:3"]) == 0
+    assert calls == {"_adjoint_values": ctx.n,
+                     "_traceform_values": ctx.n + len(verify._TRACEFORM_SHIFTS) * ctx.n}
+    assert out.getvalue() == (
+        '{"seed": 0, "campaigns": [{"id": "thm_tr", "cases_total": 110592, '
+        '"cases_agreeing": 110592, "mismatches": []}]}\n')
 
 
 @pytest.mark.parametrize("field", SWEEPS["thm6"].default_fields)

@@ -218,6 +218,13 @@ def test_run_verify_keeps_no_grid_after_its_report():
     assert verify._tables == {}
 
 
+def test_run_verify_keeps_no_grid_when_its_campaign_raises():
+    # 1:3's grid is built before 1:2 is refused, and goes with the error
+    with pytest.raises(BadParameters, match="no cases on field 1:2:0x7"):
+        run_verify(VerifyCampaign("thm5", field_ranges=("1:3", "1:2")))
+    assert verify._tables == {}
+
+
 @pytest.mark.parametrize("seed", [0, 1, "prop3", 2 ** 40])
 def test_draws_match_one_randrange_per_element(seed):
     for bits in range(1, 21):
