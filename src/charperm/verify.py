@@ -32,7 +32,6 @@ import math
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -594,6 +593,10 @@ def normalize_field(entry) -> FieldTriple:
 
 @lru_cache(maxsize=None)
 def _worker_context(m: int, n: int, modulus: Optional[int], size_cap: int) -> FieldContext:
+    """The context of a field spec as given (modulus None for the default).
+    run_verify and _run_block look it up by the same spec, so a run builds
+    one context per field, and the units a grid built on it read its tables;
+    forked workers inherit it."""
     return build_context(m, n, modulus, size_cap=size_cap)
 
 
@@ -660,13 +663,15 @@ def run_verify(campaign: VerifyCampaign, *, jobs: int = 1,
                 raise BadParameters(f"campaign {campaign.theorem_id} has no cases "
                                     f"on field {field_label(ctx)}")
             chunks = min(max(jobs, 1), units)
-            tasks += [(campaign.theorem_id, ctx.m, ctx.n, ctx.modulus, ctx.size_cap,
+            tasks += [(campaign.theorem_id, m, n, modulus, size_cap,
                        campaign.seed, budget, units * i // chunks, units * (i + 1) // chunks)
                       for i in range(chunks)]
         workers = _pool_workers(jobs, len(tasks))
         if workers == 1:
             results = [_run_block(*t) for t in tasks]
         else:
+            # only a pool needs these modules, about 20 ms of imports
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [pool.submit(_run_block, *t) for t in tasks]
                 results = [f.result() for f in futures]

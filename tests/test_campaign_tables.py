@@ -170,3 +170,36 @@ def test_thm6_evaluates_each_block_of_rows_once(monkeypatch):
         assert main(["verify", "--campaign", "thm6", "--fields", "2:2"]) == 0
     assert json.loads(out.getvalue())["campaigns"][0]["cases_total"] == 11169 + 1989752
     assert 0 < len(calls) <= 2 * (row_blocks + draw_blocks) < 2 * units
+
+
+def test_a_run_builds_one_context_per_field(monkeypatch):
+    # one FieldContext per distinct default field over every campaign, and
+    # every unit's verdicts read the context its grid was built on
+    built, grid_ctx, same = [], {}, []
+
+    def counted(*args, _build=verify.build_context, **kw):
+        built.append(_build(*args, **kw))
+        return built[-1]
+
+    for cid, sweep in SWEEPS.items():
+        def grid(ctx, seed, budget, _grid=sweep.grid):
+            units = _grid(ctx, seed, budget)
+            grid_ctx.update((id(unit), ctx) for unit in units)
+            return units
+
+        def verdicts(ctx, params, _verdicts=sweep.verdicts):
+            same.append(grid_ctx[id(params)] is ctx)
+            return _verdicts(ctx, params)
+
+        monkeypatch.setitem(SWEEPS, cid, dataclasses.replace(sweep, grid=grid,
+                                                             verdicts=verdicts))
+    monkeypatch.setattr(verify, "build_context", counted)
+    monkeypatch.setattr(verify, "_tables", {})
+    verify._worker_context.cache_clear()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["verify", "--campaign", "all", "--jobs", "1"]) == 0
+    verify._worker_context.cache_clear()
+    fields = {field for sweep in SWEEPS.values() for field in sweep.default_fields}
+    assert len(fields) == 15
+    assert sorted((ctx.m, ctx.n) for ctx in built) == sorted(fields)
+    assert same and all(same)

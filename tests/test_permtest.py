@@ -202,6 +202,33 @@ def test_bijective_rows_small_rows_match_sorting(dtype):
         assert got.ravel().tolist() == [want[i] for i in picks], size
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16])
+@pytest.mark.parametrize("size", [65, 100, 1024])
+def test_bijective_rows_long_rows_match_sorting(size, dtype):
+    # rows past the shift path with one entry replaced, inside the sorted
+    # prefix, at its edges, past it and last: by a repeat of the entry
+    # before, a negative entry, or one of at least size
+    rng = np.random.default_rng(size)
+    perm = rng.permutation(size)
+    prefix = pt._SORT_PREFIX
+    rows = [perm]
+    for pos in sorted({1, prefix - 1, prefix, prefix + 1, size - 1} & set(range(size))):
+        for entry in (int(perm[pos - 1]), -1, -size, size, 2 * size + 1):
+            if entry >= 0 or np.issubdtype(dtype, np.signedinteger):
+                row = perm.copy()
+                row[pos] = entry
+                rows.append(row)
+    rows = np.array(rows).astype(dtype)
+    want = [np.array_equal(np.sort(r), np.arange(size)) for r in rows]
+    assert want[0] and not any(want[1:])
+    for row, w in zip(rows, want):
+        assert bool(_bijective_rows(row)) == w
+    picks = rng.permutation(np.arange(24) % len(rows))
+    got = _bijective_rows(rows[picks].reshape(2, 3, 4, size))
+    assert got.shape == (2, 3, 4)
+    assert got.ravel().tolist() == [want[i] for i in picks]
+
+
 def _unique_witness(ctx, values):
     """The first-collision witness built with np.unique, kept as the oracle."""
     first_idx = np.full(ctx.order, -1, dtype=np.int64)

@@ -1,7 +1,10 @@
 """Oracle-equivalence campaigns, coefficient searches, determinism."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,6 +20,7 @@ from charperm import (
     run_search,
     run_verify,
 )
+import charperm
 from charperm import permtest, verify
 from charperm.errors import BadParameters, UnknownTheorem, WrongDegree
 from charperm.verify import _pool_workers, normalize_field
@@ -183,6 +187,23 @@ def test_jobs_do_not_change_reports():
         assert a.cases_total == b.cases_total
         assert a.cases_agreeing == b.cases_agreeing
         assert a.mismatches == b.mismatches
+
+
+def test_one_process_run_loads_no_pool():
+    # the pool's modules are imported only where a pool starts (jobs > 1)
+    code = ("import contextlib, io, sys\n"
+            "import charperm\n"
+            "import charperm.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = cli.main(['verify', '--campaign', 'thm4', '--jobs', '1'])\n"
+            "print(rc, [m for m in ('concurrent.futures', 'multiprocessing') "
+            "if m in sys.modules])\n")
+    src = os.path.dirname(os.path.dirname(charperm.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout == "0 []\n"
 
 
 def test_prop3_blocks_do_not_change_reports():
