@@ -11,10 +11,11 @@ by the kernel criterion, which it computes only on the forms with S != 0.
 s_fast, classify_form and s_bruteforce (with linearized.kernel) take a
 single LinearizedPoly or a stack of coefficient rows (..., bits), as
 linearized.evaluate_all does.  A stack is decided at once with numpy: the
-sign by a symplectic reduction of the GF(2) form Tr(v * L(v)) over every
-row, the kernel by one GF(2) elimination, and the reports hold arrays over
-the stack.  A single polynomial keeps the scalar route, which is cheaper for
-one form than a stack of one: 0.07-0.1 ms against 0.4-0.7 ms at 20 bits
+sign by a symplectic reduction of the GF(2) form Tr(v * L(v)) that runs
+stack-major, each operation over all forms of the stack, the kernel by one
+GF(2) elimination, and the reports hold arrays over the stack.  A single
+polynomial keeps the scalar route, cheaper for one form than a stack of
+one: s_fast takes 0.03-0.36 ms against 0.24-1.2 ms at 12 and 20 bits
 once the context holds its exp/log tables (see field.FieldContext.mul).
 """
 
@@ -34,6 +35,7 @@ from .errors import (
 )
 from .field import FieldContext, _linear_table
 from . import elementwise as ew
+from . import gf2
 from . import linearized as lin
 from .linearized import LinearizedPoly
 
@@ -112,23 +114,27 @@ def s_fast(ctx: FieldContext, poly) -> QuadraticFormReport:
     The criterion: S(L) != 0 exactly when Q vanishes on the kernel of
     adjoint(L) + L, and then S(L)^2 = q^n * |kernel|.  On every form that
     classify_form finds with S != 0 the kernel is computed anew and Q is
-    evaluated on a GF(2)-basis of it; Q is additive there, so vanishing on
-    the basis gives vanishing on the kernel.  A disagreement raises
-    InvariantViolation.  A stack tests vanishing with the absolute trace of
-    b * L(b): the kernel is an F_q-space and Q(c*v) = c^2 * Q(v), so
-    Tr(c^2 * Q(v)) = 0 for every c in F_q exactly when Q(v) = 0.
+    evaluated on a GF(2)-basis of it (Q is additive there); a disagreement
+    raises InvariantViolation.  One polynomial takes lin.kernel of P from
+    the F_q-basis images that _basis_images built for classify_form, and
+    L at the kernel vectors from the same images.  A stack tests vanishing
+    by the absolute trace of b * L(b): the kernel is an F_q-space and
+    Q(c*v) = c^2 * Q(v), so Tr(c^2 * Q(v)) = 0 for all c in F_q exactly
+    when Q(v) = 0.
 
     poly may also be a stack of coefficient rows (..., bits); every field
     of the report is then an array over the stack, row r equal to the
     report of row r alone.
     """
-    rep = classify_form(ctx, poly)
     if isinstance(poly, LinearizedPoly):
+        polar = polar_poly(ctx, poly)
+        images = _basis_images(ctx, poly, polar)
+        rep = classify_form(ctx, poly, images=images)
         if rep.vanishes_on_kernel:
-            ker = lin.kernel(ctx, polar_poly(ctx, poly))
-            _check_kernel(ctx, rep.s_value, ker.dim2,
-                          all(quad_value(ctx, poly, b) == 0 for b in ker.basis))
+            ker = lin.kernel(ctx, polar, images=[image[1] for image in images])
+            _check_kernel(ctx, rep.s_value, ker.dim2, _vanishes_at(ctx, images, ker.basis))
         return rep
+    rep = classify_form(ctx, poly)
     live = rep.vanishes_on_kernel
     if live.any():
         rows = np.asarray(poly, dtype=np.int64)[live]
@@ -139,16 +145,33 @@ def s_fast(ctx: FieldContext, poly) -> QuadraticFormReport:
     return rep
 
 
+def _basis_images(ctx: FieldContext, poly: LinearizedPoly, polar: LinearizedPoly) -> tuple:
+    """(b, P(b), L(b)) for each F_q-basis vector b, P = polar_poly(L)."""
+    return tuple((b, lin.evaluate(ctx, polar, b), lin.evaluate(ctx, poly, b))
+                 for b in ctx.fq_basis)
+
+
+def _vanishes_at(ctx: FieldContext, images: tuple, basis) -> bool:
+    """Whether Q vanishes at the bit-vectors that lin.kernel(..., images=)
+    returns, with v and L(v) both taken from the _basis_images."""
+    if not basis:
+        return True
+    points, _, values = zip(*images)
+    points, values = ctx.fq_columns(points), ctx.fq_columns(values)
+    return all(ctx.trace_to(ctx.mul(gf2.mat_apply(points, x), gf2.mat_apply(values, x)),
+                            ctx.m) == 0 for x in basis)
+
+
 def _check_kernel(ctx: FieldContext, s_value, dim2, vanishes: bool) -> None:
     """Raise unless Q vanishes on the kernel and S^2 = q^n * 2^dim2."""
-    two_exp = ctx.bits + np.asarray(dim2)
-    if not (vanishes and (two_exp % 2 == 0).all()
-            and (np.abs(s_value) == np.left_shift(1, two_exp // 2)).all()):
+    two_exp = ctx.bits + dim2
+    ok = vanishes & (two_exp % 2 == 0) & (abs(s_value) == 1 << two_exp // 2)
+    if ok is not True and not np.all(ok):     # np.all(True) alone takes 5 us
         raise InvariantViolation(
             "classify_form and the kernel criterion give different S(L)")
 
 
-def classify_form(ctx: FieldContext, poly) -> QuadraticFormReport:
+def classify_form(ctx: FieldContext, poly, *, images=None) -> QuadraticFormReport:
     """Canonical type and exact signed S(L) via symplectic reduction.
 
     Splits off hyperbolic planes of the polar form greedily, accumulating the
@@ -157,7 +180,10 @@ def classify_form(ctx: FieldContext, poly) -> QuadraticFormReport:
     contributes a factor q per dimension.
 
     poly may also be a stack of coefficient rows (..., bits); the report's
-    fields are then arrays over the stack (see _classify_rows).
+    fields are then arrays over the stack (see _classify_rows).  images
+    are one polynomial's _basis_images when the caller holds them; the
+    reduction reads them and builds new triples, so the caller's stay as
+    they were (a tuple).
     """
     if not isinstance(poly, LinearizedPoly):
         rows = np.asarray(poly, dtype=np.int64)
@@ -170,7 +196,6 @@ def classify_form(ctx: FieldContext, poly) -> QuadraticFormReport:
     # are q-linear and every update coefficient lies in F_q, so the images
     # follow the vectors exactly, and L and P are evaluated once per
     # F_q-basis vector; B(u, v) and Q(v) are then one mul and one trace each
-    polar = polar_poly(ctx, poly)
     mul, m = ctx.mul, ctx.m
 
     def bform(u: tuple, v: tuple) -> int:
@@ -185,8 +210,7 @@ def classify_form(ctx: FieldContext, poly) -> QuadraticFormReport:
                 v[1] ^ mul(a, u[1]) ^ mul(b, w[1]),
                 v[2] ^ mul(a, u[2]) ^ mul(b, w[2]))
 
-    work = [(b, lin.evaluate(ctx, polar, b), lin.evaluate(ctx, poly, b))
-            for b in ctx.fq_basis]
+    work = images or _basis_images(ctx, poly, polar_poly(ctx, poly))
     planes = 0
     arf = 0
     while True:
@@ -226,60 +250,59 @@ def classify_form(ctx: FieldContext, poly) -> QuadraticFormReport:
     return report
 
 
-def _classify_rows(ctx: FieldContext, rows: np.ndarray) -> QuadraticFormReport:
-    """classify_form on a stack of q-linear rows, over GF(2).
+_FORM_TYPES = np.array(["zero-sum", "plus", "minus"], dtype=object)  # vanishes * (1 + Arf)
 
-    The form q2(v) = Tr(v * L(v)) has the polar form Tr(u * P(v)), P =
-    adjoint(L) + L, with the same radical as the F_q polar form, and S(L)
-    is the sum of (-1)^q2(v).  Row j of a form's Gram matrix is the packed
-    bits k of Tr(e_k * P(e_j)), which chi_index_table reads off P(e_j).
-    Each step splits off one hyperbolic plane (u, w) = (e_p, e_s) of every
-    row that has one: the other vectors v become v + b(v, w) u + b(v, u) w,
-    q2 follows them, and the Arf bit gains q2(u) q2(w).  After at most
-    bits / 2 steps the vectors left span the radical, where q2 is linear:
-    S = 0 unless it vanishes there, else S = (-1)^Arf * 2^((bits + r) / 2).
-    """
+
+def _low_bit(x: np.ndarray) -> np.ndarray:
+    """Index of the lowest set bit of each entry of a positive int array."""
+    return np.frexp((x & -x).astype(np.float64))[1] - 1
+
+
+def _classify_rows(ctx: FieldContext, rows: np.ndarray) -> QuadraticFormReport:
+    """classify_form on a stack of q-linear rows, over GF(2), stack-major.
+
+    q2(v) = Tr(v * L(v)) has the polar form b(u, v) = Tr(u * P(v)), P =
+    adjoint(L) + L, with the radical of the F_q polar form, and S(L) is the
+    sum of (-1)^q2(v).  Row j of the Gram matrix packs b(e_k, e_j) over k,
+    read by chi_index_table off P(e_j), and bit j of q2 is q2(e_j); rows
+    are held (bits, B), so each numpy operation runs over the B forms.  A
+    step splits off a plane (u, w) = (e_p, e_s) of every form that has one:
+    v becomes v' = v + b(v, w) u + b(v, u) w, and the Arf bit gains q2(u)
+    q2(w).  Xoring b(v, w) row_u + b(v, u) row_w into row v gives b(v', x)
+    for the old x, which is b(v', x') as b is alternating (b(v', u) =
+    b(v', w) = 0): no column update is needed, and gram.any() guards that.
+    The vectors left span the radical: S = 0 unless q2 vanishes there, else
+    S = (-1)^Arf * 2^(bits - planes)."""
     bits, m = ctx.bits, ctx.m
-    flat = rows.reshape(-1, bits)
-    units = 1 << np.arange(bits)
-    shifts = np.arange(bits)
-    index = ctx.chi_index_table
-    gram = index[lin._evaluate_at(ctx, polar_poly(ctx, flat), units)]
-    q2 = (index[lin._evaluate_at(ctx, flat, units)] >> shifts) & 1
-    at = np.arange(len(flat))
-    arf = np.zeros(len(flat), dtype=np.int64)
-    planes = np.zeros(len(flat), dtype=np.int64)
+    flat = rows.reshape(1, -1, bits)
+    size = flat.shape[1]
+    index, units = ctx.chi_index_table, (1 << np.arange(bits))[:, None, None]
+    gram = index.take(lin._evaluate_at(ctx, polar_poly(ctx, flat), units)[..., 0])
+    q2 = (index.take(lin._evaluate_at(ctx, flat, units)[..., 0]) & units[..., 0]).sum(axis=0)
+    cells, at = gram.reshape(-1), np.arange(size)
+    top = 1 << (bits - 1)       # a form with no plane left reads row bits - 1, all 0
+    arf, planes = np.zeros((2, size), dtype=np.int64)
     for _ in range(bits // 2):
-        live = gram.any(axis=1)
-        if not live.any():
+        used = np.bitwise_or.reduce(gram, axis=0)   # the nonzero rows, by symmetry
+        if not used.any():
             break
-        p = np.argmax(gram != 0, axis=1)
-        row_u = gram[at, p]
-        s = np.where(live, np.frexp((row_u & -row_u).astype(np.float64))[1] - 1, 0)
-        row_w = gram[at, s]
-        alpha = (gram >> s[:, None]) & 1        # b(v, w)
-        beta = (gram >> p[:, None]) & 1         # b(v, u)
-        q_u, q_w = q2[at, p], q2[at, s]
+        live = used != 0
+        p = _low_bit(used | top)
+        row_u = cells.take(p * size + at)
+        s = _low_bit(row_u | top)
+        row_w = cells.take(s * size + at)
+        q_u, q_w = (q2 >> p) & 1, (q2 >> s) & 1
         arf ^= q_u & q_w & live
         planes += live
-        q2 ^= (alpha & q_u[:, None]) ^ (beta & q_w[:, None]) ^ (alpha & beta)
-        gram ^= (-alpha & row_u[:, None]) ^ (-beta & row_w[:, None])
-        gram ^= (-((gram >> p[:, None]) & 1) & row_w[:, None]) ^ (
-            -((gram >> s[:, None]) & 1) & row_u[:, None])
+        q2 ^= (row_w & (row_u ^ -q_u)) ^ (row_u & -q_w)    # b(v, w) is bit v of row_w
+        gram ^= ((gram >> s) & 1) * row_u ^ ((gram >> p) & 1) * row_w
     if gram.any() or (planes % m).any():
         raise InvariantViolation(
             "symplectic reduction left a radical that is not an F_q-space")
-    radical = bits - 2 * planes
-    vanishes = ~q2.any(axis=1)
-    sign = 1 - 2 * arf
-    s_value = np.where(vanishes, sign << ((bits + radical) // 2), 0)
-    form_type = np.where(vanishes, np.where(arf == 1, "minus", "plus"),
-                         "zero-sum").astype(object)
-    dim_fq = radical // m
-    shape = rows.shape[:-1]
-    return QuadraticFormReport(
-        dim_fq.reshape(shape), vanishes.reshape(shape), s_value.reshape(shape),
-        form_type.reshape(shape), (ctx.n - dim_fq + ~vanishes).reshape(shape))
+    vanishes, dim_fq = q2 == 0, (bits - 2 * planes) // m
+    fields = (dim_fq, vanishes, np.where(vanishes, (1 - 2 * arf) << (bits - planes), 0),
+              _FORM_TYPES.take(vanishes * (1 + arf)), ctx.n - dim_fq + ~vanishes)
+    return QuadraticFormReport(*(f.reshape(rows.shape[:-1]) for f in fields))
 
 
 def s_zero_quadratic_ext(ctx: FieldContext, a, b):

@@ -26,7 +26,7 @@ operand outside 0 .. order - 1.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -306,9 +306,15 @@ class FieldContext:
         elems = list(elems)
         if len(elems) * self.m > self.bits:
             return False
-        sub = self.subfield_basis(self.m)
-        vecs = [self.mul(s, e) for e in elems for s in sub]
+        vecs = self.fq_columns(elems)
         return gf2.mat_rank(vecs) == len(vecs)
+
+    def fq_columns(self, elems: Sequence[int]) -> List[int]:
+        """s_j * e_i over a GF(2)-basis s_j of F_q, entry i * m + j.  For
+        an F_q-basis e_i these span the field over GF(2), and a q-linear L
+        takes them to fq_columns of the values L(e_i)."""
+        sub = self.subfield_basis(self.m)
+        return [self.mul(s, e) for e in elems for s in sub]
 
     def _build_fq_basis(self) -> Tuple[int, ...]:
         """1, x, ..., x^(n-1): the residue of x generates the field over

@@ -337,8 +337,8 @@ def expand_quadspec(ctx: FieldContext, spec: QuadFamilySpec) -> MonomialPoly:
 
 # Shifts per s_fast call in is_perm_quadspec: the first block, doubling up
 # to the largest.  A failing shift is usually small, and a one-row stack
-# costs about as much as 64 rows (about 0.1 ms against 0.15 ms at 12 and 16
-# bits on a 2-core machine, 1024 rows about 0.6-0.7 ms); blocks past 1024
+# costs about as much as 64 rows (about 0.08 ms against 0.1 ms at 12 and 16
+# bits on a 2-core machine, 1024 rows about 0.3-0.45 ms); blocks past 1024
 # rows scan no faster but hold larger temporaries.
 _FIRST_SHIFTS = 64
 _MAX_SHIFTS = 1024

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charperm import BadParameters, build_context
+from charperm import BadParameters, build_context, gf2
 from charperm import linearized as lin
 
 
@@ -255,6 +255,37 @@ def test_q_kernel_dimension_multiple_of_m(gf64_tower):
     for _ in range(20):
         p = lin.q_linearized(ctx, [(i, rng.randrange(64)) for i in range(3)])
         assert lin.kernel(ctx, p).dim2 % 2 == 0
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (3, 4), (4, 5)], ids=lambda v: str(v))
+def test_kernel_from_fq_basis_images_spans_the_kernel(m, n):
+    # bit-vectors over the basis s_k * b_i that pick kernel elements, as many
+    # as the evaluated route finds, GF(2)-independent, every element mapped to 0
+    ctx = build_context(m, n)
+    rng = random.Random(m * n)
+    points = ctx.fq_columns(ctx.fq_basis)
+    assert gf2.mat_rank(points) == ctx.bits
+    polys = [lin.zero(ctx), lin.q_linearized(ctx, [(1, 1), (0, 1)])] + [
+        lin.q_linearized(ctx, [(j, rng.randrange(ctx.order)) for j in range(2)])
+        for _ in range(6)]
+    for poly in polys:
+        images = [lin.evaluate(ctx, poly, b) for b in ctx.fq_basis]
+        ker = lin.kernel(ctx, poly, images=images)
+        assert ker.dim2 == lin.kernel(ctx, poly).dim2 == len(ker.basis)
+        elems = [gf2.mat_apply(points, x) for x in ker.basis]
+        assert gf2.mat_rank(elems) == ker.dim2
+        assert all(lin.evaluate(ctx, poly, v) == 0 for v in elems)
+
+
+@pytest.mark.parametrize("count,value", [(128, 0x200), (1024, 0x40)])
+def test_stack_columns_see_sums_that_wrap_the_stack_dtype(count, value):
+    # count uint16 entries of value sum to 2^16, 0 in uint16 arithmetic
+    ctx = build_context(2, 6)
+    rows = np.zeros((count, ctx.bits), dtype=np.uint16)
+    rows[:, 2] = value
+    rows[-1, 6] = 1
+    assert lin.adjoint(ctx, rows).tolist() == lin.adjoint(ctx, rows.astype(np.int64)).tolist()
+    assert [i for i, _ in lin.pairs(ctx, rows)] == [2, 6]
 
 
 def test_add(gf16):

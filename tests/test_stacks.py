@@ -99,6 +99,37 @@ def test_stacks_cover_vanishing_kernels_and_both_signs():
     assert (rep.s_value == s_bruteforce(ctx, rows)).all()
 
 
+@pytest.mark.parametrize("fn", [classify_form, s_fast], ids=["classify_form", "s_fast"])
+def test_stacked_reports_ignore_layout_and_leading_shape(fn):
+    # 12 forms of 2:4 with both signs, zero sums and S != 0 (so s_fast
+    # reaches its kernel check): each layout and leading shape gives the
+    # report of the C-order stack, field for field, dtypes and shapes too
+    ctx = _ctx(2, 4)
+    rng = random.Random(4)
+    half = ctx.subfield_elements(4)
+    rows = np.zeros((12, ctx.bits), dtype=np.int64)
+    for row in rows[1:]:
+        row[4] = rng.choice(half)
+        row[2 * rng.randrange(4)] ^= rng.randrange(ctx.order) * rng.randrange(2)
+    want = fn(ctx, rows)
+    assert set(want.form_type.tolist()) == {"plus", "minus", "zero-sum"}
+
+    def same(rep, index=slice(None), shape=None):
+        for got, ref in zip(_report(rep), _report(want)):
+            ref = ref[index] if shape is None else ref.reshape(shape)
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tolist() == ref.tolist()
+
+    transposed = np.ascontiguousarray(rows.T).T
+    assert not transposed.flags.c_contiguous
+    same(fn(ctx, transposed))
+    same(fn(ctx, rows.reshape(3, 4, ctx.bits)), shape=(3, 4))
+    same(fn(ctx, rows[::-1]), slice(None, None, -1))
+    same(fn(ctx, rows[:0]), slice(0, 0))
+    for r in range(len(rows)):
+        same(fn(ctx, rows[r:r + 1]), slice(r, r + 1))
+
+
 def _doubled(real):
     """classify_form with every S doubled."""
     def doubled(ctx, poly, **kw):
@@ -134,8 +165,8 @@ def test_s_fast_checks_the_kernel(field, stacked, monkeypatch):
     rows[2, ctx.m * (ctx.n // 2)] = 1               # x^(q^(n/2))
     real = lin.kernel
 
-    def short(ctx, poly):
-        ker = real(ctx, poly)
+    def short(ctx, poly, **kw):
+        ker = real(ctx, poly, **kw)
         if isinstance(poly, lin.LinearizedPoly):
             return lin.Kernel(ker.basis[:-1] + (0,), ker.dim2 - 1)
         basis = ker.basis.copy()
