@@ -187,7 +187,7 @@ def classify_form(ctx: FieldContext, poly, *, images=None) -> QuadraticFormRepor
     """
     if not isinstance(poly, LinearizedPoly):
         rows = np.asarray(poly, dtype=np.int64)
-        if not lin._q_linear_rows(ctx, rows).all():
+        if not lin._all_q_linear(ctx, rows):
             raise NotQLinear("classify_form needs q-linear polynomials")
         return _classify_rows(ctx, rows)
     if not poly.q_linear:

@@ -295,14 +295,21 @@ def _cmd_verify(args) -> int:
                 w.writerow(["mismatch", mm["campaign"], mm["field"], "", "",
                             params, mm["structured"], mm["brute"],
                             mm.get("s", ""), mm["replay"]])
+            for label, count in rep.mismatches_omitted.items():
+                w.writerow(["omitted", cid, label, count, "", "", "", "", "", ""])
     else:
         _emit({"seed": args.seed,
-               "campaigns": [{"id": cid,
-                              "cases_total": rep.cases_total,
-                              "cases_agreeing": rep.cases_agreeing,
-                              "mismatches": rep.mismatches}
-                             for cid, rep in reports]})
+               "campaigns": [_campaign_json(cid, rep) for cid, rep in reports]})
     return 0
+
+
+def _campaign_json(cid: str, rep) -> dict:
+    """A campaign's report; mismatches_omitted only where a field has some."""
+    out = {"id": cid, "cases_total": rep.cases_total,
+           "cases_agreeing": rep.cases_agreeing, "mismatches": rep.mismatches}
+    if rep.mismatches_omitted:
+        out["mismatches_omitted"] = rep.mismatches_omitted
+    return out
 
 
 # ---- parser wiring ---------------------------------------------------------
@@ -390,6 +397,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

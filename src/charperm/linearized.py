@@ -140,6 +140,12 @@ def _q_linear_rows(ctx: FieldContext, rows: np.ndarray) -> np.ndarray:
     return ~rows[..., np.arange(ctx.bits) % ctx.m != 0].any(axis=-1)
 
 
+def _all_q_linear(ctx: FieldContext, rows: np.ndarray) -> bool:
+    """Is every row of a stack q-linear?  One flat any() of the columns off
+    the multiples of m, of which there are none for m = 1."""
+    return ctx.m == 1 or not rows[..., np.arange(ctx.bits) % ctx.m != 0].any()
+
+
 def _evaluate_at(ctx: FieldContext, rows: np.ndarray, points) -> np.ndarray:
     """Every row of a stack evaluated at points, an int array that
     broadcasts against rows[..., :1], one value per point along a new last

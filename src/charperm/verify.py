@@ -17,9 +17,14 @@ rows, by the same functions.
 One runner counts every campaign's cases, compares the verdicts by the
 campaign's agreement kind (exact match, or for a sufficient criterion: it
 never claims a non-permutation) and formats mismatch rows with replay
-strings.  `charperm eval --op check-<id>` re-runs the same verdicts on a
-batch of one (replay_case).  Units are split across processes in grid order
-and merged in that order, so reports are byte-identical for any --jobs.
+strings: the first MAX_ROWS per field in grid order, each parameter and
+verdict of a unit gathered at once, and the rest only counted, exactly
+(CampaignReport.mismatches_omitted).  `charperm eval --op check-<id>`
+re-runs the same verdicts on a batch of one (replay_case).  Units are split
+across processes in grid order, each part formatting at most MAX_ROWS rows
+of its field, and merged in that order, keeping the first MAX_ROWS of each
+field, so reports are byte-identical for any --jobs.  A campaign that runs
+out of memory raises SizeGuard naming the campaign and the field.
 
 A search (run_search) runs a template's campaign verdicts on the blocks of
 _a_grid or _ab_grid over its coefficients: it lists each case whose brute
@@ -52,7 +57,7 @@ from .errors import BadParameters, SizeGuard, UnknownTheorem
 from .field import DEFAULT_SIZE_CAP, FieldContext, build_context
 
 FieldTriple = Tuple[int, int, Optional[int]]
-BlockResult = Tuple[int, int, List[dict]]
+BlockResult = Tuple[int, int, List[dict], int]
 Params = Dict[str, object]
 
 # The kind of each case parameter, by its name in units, rows and `--args`:
@@ -88,9 +93,14 @@ class VerifyCampaign:
 
 @dataclass
 class CampaignReport:
+    """Exact case counts of a campaign, its first MAX_ROWS mismatch rows
+    per field in grid order, and by field label the count of mismatching
+    cases past them (only fields with some)."""
+
     cases_total: int
     cases_agreeing: int
     mismatches: List[dict]
+    mismatches_omitted: Dict[str, int]
     wall_time: float
 
 
@@ -253,8 +263,10 @@ def _thm6_tables(ctx: FieldContext, l0: np.ndarray, l1: np.ndarray) -> tuple:
     and x -> L0(x^2), both in the narrowest unsigned dtype that holds an
     element.  The map L1(x^(q+1)) + L0(x^2) of a pair is the xor of its
     rows' tables, so a block of rows pairs with another at the cost of one
-    xor per case."""
-    v0, v1 = lin.evaluate_all(ctx, l0), lin.evaluate_all(ctx, l1)
+    xor per case.  The same array for both (a grid's block of rows) is
+    evaluated once."""
+    v0 = lin.evaluate_all(ctx, l0)
+    v1 = v0 if l1 is l0 else lin.evaluate_all(ctx, l1)
     vanishes, injective = pt._quad_ext_conditions(ctx, v0, v1)
     dtype = np.min_scalar_type(ctx.order - 1)
     return (vanishes, injective, v1.astype(dtype)[..., ctx.monomial_vec(1, ctx.q + 1)],
@@ -269,7 +281,7 @@ def _thm6_grid(ctx, seed, budget):
     pt._need_quad_ext(ctx)
     polys = _support2(ctx)
     blocks = _blocks(len(polys), math.isqrt(_CELLS // ctx.order))
-    tables = [_thm6_tables(ctx, polys[sl], polys[sl]) for sl in blocks]
+    tables = [_thm6_tables(ctx, rows, rows) for rows in (polys[sl] for sl in blocks)]
     units = [{"l0": polys[s0], "l1": polys[s1, None],
               "tables": (t1[0][:, None], t0[1], t1[2][:, None], t0[3])}
              for s1, t1 in zip(blocks, tables) for s0, t0 in zip(blocks, tables)]
@@ -363,8 +375,7 @@ def _thm_tr_grid(ctx, seed, budget):
 
 def _thm_tr(ctx, p):
     l0, l1, shift = p["l0"], p["l1"], p["shift"]
-    if shift < 0 or not (lin._q_linear_rows(ctx, l0).all()
-                         and lin._q_linear_rows(ctx, l1).all()):
+    if shift < 0 or not (lin._all_q_linear(ctx, l0) and lin._all_q_linear(ctx, l1)):
         raise BadParameters("thm_tr needs q-linear L0 and L1 and shift >= 0")
     x_tab, y_tab, v1, v0 = (p["tables"] if "tables" in p
                             else _thm_tr_tables(ctx, l0, l1, shift))
@@ -533,23 +544,32 @@ SWEEPS: Dict[str, SweepDef] = {sweep.campaign_id: sweep for sweep in (
 
 # ---- the runner ------------------------------------------------------------
 
-def _shown(ctx: FieldContext, key: str, value, shape, idx) -> str:
-    """One case's parameter as a mismatch row and its replay string show it."""
+# Mismatch rows formatted per (campaign, field), the first in grid order;
+# the rest are counted exactly, as CampaignReport.mismatches_omitted.
+MAX_ROWS = 1000
+
+
+def _shown(ctx: FieldContext, key: str, value, shape, idx) -> list:
+    """The cases at idx (index arrays into shape, as np.unravel_index gives
+    them) of one parameter, as mismatch rows and replay strings show it: one
+    gather, then one text per case."""
     kind = PARAM_KINDS[key]
     if kind == "mono":
-        terms = np.broadcast_to(value, tuple(shape) + value.shape[-2:])[idx]
-        return pt.format_monomial(pt.MonomialPoly(tuple((c, e) for c, e in terms.tolist() if c)))
+        terms = np.broadcast_to(value, shape + value.shape[-2:])[idx].tolist()
+        return [pt.format_monomial(pt.MonomialPoly(tuple((c, e) for c, e in t if c)))
+                for t in terms]
     if kind == "lin":
-        row = np.broadcast_to(value, tuple(shape) + (ctx.bits,))[idx]
-        return lin.format_linearized(lin.linearized(ctx, enumerate(row.tolist())))
-    value = np.broadcast_to(value, shape)[idx].item()
-    return f"{value:x}" if kind == "elem" else str(value)
+        rows = np.broadcast_to(value, shape + (ctx.bits,))[idx].tolist()
+        return [lin.format_linearized(lin.linearized(ctx, enumerate(row))) for row in rows]
+    values = np.broadcast_to(value, shape)[idx].tolist()
+    return [f"{v:x}" for v in values] if kind == "elem" else [str(v) for v in values]
 
 
 def _verdict_fields(shape, idx, structured, brute, s) -> dict:
-    """One case's structured, brute and (unless s is None) s."""
+    """The structured, brute and (unless s is None) s of the cases at idx,
+    one gather each: lists for index arrays, one value for idx ()."""
     named = {"structured": structured, "brute": brute, "s": s}
-    return {k: np.broadcast_to(v, shape)[idx].item()
+    return {k: np.broadcast_to(v, shape)[idx].tolist()
             for k, v in named.items() if v is not None}
 
 
@@ -600,31 +620,47 @@ def _worker_context(m: int, n: int, modulus: Optional[int], size_cap: int) -> Fi
     return build_context(m, n, modulus, size_cap=size_cap)
 
 
+def _mismatch_rows(ctx: FieldContext, sweep: SweepDef, params: Params, ok: np.ndarray,
+                   count: int, verdicts: tuple) -> List[dict]:
+    """The first count mismatching cases of one unit, in grid order, as rows
+    with replay strings: each parameter and verdict gathered at once, then
+    the text of each case."""
+    shape = ok.shape
+    idx = np.unravel_index(np.flatnonzero(~ok)[:count], shape)
+    shown = {key: _shown(ctx, key, params[key], shape, idx) for key in sweep.keys}
+    fields = _verdict_fields(shape, idx, *verdicts)
+    label = field_label(ctx)
+    rows = []
+    for i in range(count):
+        case = {key: texts[i] for key, texts in shown.items()}
+        args = ";".join(f"{k}={v}" for k, v in case.items())
+        rows.append({"campaign": sweep.campaign_id, "field": label, "params": case,
+                     **{k: v[i] for k, v in fields.items()},
+                     "replay": f"charperm eval --field {label} "
+                               f"--op check-{sweep.campaign_id} --args {args}"})
+    return rows
+
+
 def _run_block(campaign_id: str, m: int, n: int, modulus: Optional[int],
                size_cap: int, seed: int, budget: int,
                lo: int, hi: int) -> BlockResult:
-    """Count, compare and format units lo .. hi - 1 of one campaign field."""
+    """Count and compare units lo .. hi - 1 of one campaign field, and
+    format the first MAX_ROWS mismatches; the rest are only counted."""
     ctx = _worker_context(m, n, modulus, size_cap)
     sweep = SWEEPS[campaign_id]
-    total = agree = 0
+    total = agree = omitted = 0
     rows: List[dict] = []
     for params in _grid(sweep, ctx, seed, budget)[lo:hi]:
-        structured, brute, s = sweep.verdicts(ctx, params)
-        ok = family_agreement(sweep.exact, structured, brute)
-        bad = np.flatnonzero(~ok)
+        verdicts = sweep.verdicts(ctx, params)
+        ok = family_agreement(sweep.exact, *verdicts[:2])
+        good = int(np.count_nonzero(ok))
         total += ok.size
-        agree += ok.size - bad.size
-        for i in bad.tolist():
-            idx = np.unravel_index(i, ok.shape)
-            shown = {key: _shown(ctx, key, params[key], ok.shape, idx)
-                     for key in sweep.keys}
-            args = ";".join(f"{k}={v}" for k, v in shown.items())
-            rows.append({"campaign": campaign_id, "field": field_label(ctx),
-                         "params": shown,
-                         **_verdict_fields(ok.shape, idx, structured, brute, s),
-                         "replay": f"charperm eval --field {field_label(ctx)} "
-                                   f"--op check-{campaign_id} --args {args}"})
-    return total, agree, rows
+        agree += good
+        count = min(ok.size - good, MAX_ROWS - len(rows))
+        if count:
+            rows += _mismatch_rows(ctx, sweep, params, ok, count, verdicts)
+        omitted += ok.size - good - count
+    return total, agree, rows, omitted
 
 
 def _pool_workers(jobs: int, tasks: int) -> int:
@@ -635,7 +671,8 @@ def _pool_workers(jobs: int, tasks: int) -> int:
 
 def run_verify(campaign: VerifyCampaign, *, jobs: int = 1,
                size_cap: int = DEFAULT_SIZE_CAP) -> CampaignReport:
-    """Run a campaign and report exact case counts and mismatches.
+    """Run a campaign and report exact case counts and its first MAX_ROWS
+    mismatch rows per field, with the count of the rest.
 
     Deterministic for a fixed campaign and seed regardless of jobs; the
     wall_time field is the only part that varies between runs.  A negative
@@ -653,32 +690,52 @@ def run_verify(campaign: VerifyCampaign, *, jobs: int = 1,
     if budget > MAX_SAMPLE_BUDGET:
         raise SizeGuard(f"sample budget {budget} exceeds {MAX_SAMPLE_BUDGET}")
     started = time.perf_counter()
+    label = ""
     try:
-        tasks = []
+        tasks, labels = [], []
         for entry in fields:
             m, n, modulus = normalize_field(entry)
+            label = f"{m}:{n}"
             ctx = _worker_context(m, n, modulus, size_cap)
+            label = field_label(ctx)
             units = len(_grid(sweep, ctx, campaign.seed, budget))
             if units == 0:
                 raise BadParameters(f"campaign {campaign.theorem_id} has no cases "
-                                    f"on field {field_label(ctx)}")
+                                    f"on field {label}")
             chunks = min(max(jobs, 1), units)
             tasks += [(campaign.theorem_id, m, n, modulus, size_cap,
                        campaign.seed, budget, units * i // chunks, units * (i + 1) // chunks)
                       for i in range(chunks)]
+            labels += [label] * chunks
+        results = []
         workers = _pool_workers(jobs, len(tasks))
         if workers == 1:
-            results = [_run_block(*t) for t in tasks]
+            for label, task in zip(labels, tasks):
+                results.append(_run_block(*task))
         else:
             # only a pool needs these modules, about 20 ms of imports
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [pool.submit(_run_block, *t) for t in tasks]
-                results = [f.result() for f in futures]
+                for label, future in zip(labels, futures):
+                    results.append(future.result())
+    except MemoryError as exc:
+        raise SizeGuard(f"campaign {campaign.theorem_id} ran out of memory "
+                        f"on field {label}") from exc
     finally:
         _tables.clear()
-    return CampaignReport(sum(r[0] for r in results), sum(r[1] for r in results),
-                          [row for r in results for row in r[2]],
+    # each task formatted at most MAX_ROWS rows of its field; keep the first
+    # MAX_ROWS of each field in grid order and count the rest
+    rows: List[dict] = []
+    shown: Dict[str, int] = {}
+    omitted: Dict[str, int] = {}
+    for label, (_, _, block_rows, rest) in zip(labels, results):
+        kept = block_rows[:MAX_ROWS - shown.get(label, 0)]
+        rows += kept
+        shown[label] = shown.get(label, 0) + len(kept)
+        omitted[label] = omitted.get(label, 0) + rest + len(block_rows) - len(kept)
+    return CampaignReport(sum(r[0] for r in results), sum(r[1] for r in results), rows,
+                          {k: v for k, v in omitted.items() if v},
                           time.perf_counter() - started)
 
 
