@@ -305,20 +305,32 @@ def _classify_rows(ctx: FieldContext, rows: np.ndarray) -> QuadraticFormReport:
     return QuadraticFormReport(*(f.reshape(rows.shape[:-1]) for f in fields))
 
 
+def _need_quad_ext(ctx: FieldContext) -> None:
+    """Refuse a field that is not a quadratic extension (n != 2): the one
+    domain check of s_zero_quadratic_ext and permtest.perm_quad_ext."""
+    if ctx.n != 2:
+        raise WrongDegree(f"needs a degree-2 extension, got n={ctx.n}")
+
+
 def s_zero_quadratic_ext(ctx: FieldContext, a, b):
     """Closed-form test for S(a*x^q + b*x) = 0 on a degree-2 extension.
 
     Holds exactly when a^q + a = 0 and b != 0.  a and b are elements or
     arrays of them (see elementwise).
     """
-    if ctx.n != 2:
-        raise WrongDegree(f"criterion needs n = 2, got n = {ctx.n}")
+    _need_quad_ext(ctx)
     a, b = ew.elements(ctx, a, b)
     return ew.result((ew.frobenius(ctx, a, ctx.m) == a) & (b != 0), a, b)
 
 
+def gold_ks(n: int) -> tuple:
+    """Exponents k with 0 < 2k < n and gcd(k, n) = 1: the one domain of k
+    for s_zero_binomial and for permtest's Gold criterion."""
+    return tuple(k for k in range(1, (n + 1) // 2) if math.gcd(k, n) == 1)
+
+
 def s_zero_binomial(ctx: FieldContext, a, b, k: int):
-    """Closed-form test for S(a*x^(q^k) + b*x) = 0 with 0 < 2k < n, gcd(k,n)=1.
+    """Closed-form test for S(a*x^(q^k) + b*x) = 0 with k in gold_ks(n).
 
     Three branches: a = 0 with b != 0; n odd with the trace condition on
     b * a^(-(q^(kn)+1)/(q^k+1)); n even with a nonzero twisted power sum.
@@ -327,7 +339,7 @@ def s_zero_binomial(ctx: FieldContext, a, b, k: int):
     or arrays of them (see elementwise).
     """
     n, q = ctx.n, ctx.q
-    if not (0 < 2 * k < n) or math.gcd(k, n) != 1:
+    if k not in gold_ks(n):
         raise BadParameters(f"need 0 < 2k < n and gcd(k, n) = 1, got k={k} n={n}")
     a, b = ew.elements(ctx, a, b)
     unit = a | (a == 0)             # a, and 1 where a = 0, whose branch is b != 0

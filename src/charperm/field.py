@@ -204,12 +204,10 @@ class FieldContext:
         """Sum of a^(2^(step * i)) for 0 <= i < terms: one lookup
         exp[(log a << step * i) mod group_order] per term where _load_views
         gives the tables, frobenius(t, step) steps otherwise."""
-        if terms == 1:
-            return a
         if not 0 <= a < self.order:
             self._reject(a)
-        if not a:
-            return 0
+        if terms == 1 or not a:
+            return a
         views = self._views or self._load_views()
         if views is None:
             r = t = a

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import List
 
+from .errors import DivisionByZero, InvariantViolation
+
 
 def poly_degree(p: int) -> int:
     """Degree of p, with degree(0) = -1."""
@@ -27,9 +29,9 @@ def poly_mul(a: int, b: int) -> int:
 
 
 def poly_mod(a: int, mod: int) -> int:
-    """Remainder of a modulo mod.  mod must be nonzero."""
+    """Remainder of a modulo mod; DivisionByZero for mod = 0."""
     if mod == 0:
-        raise ZeroDivisionError("polynomial modulo zero")
+        raise DivisionByZero("polynomial modulo zero")
     dm = poly_degree(mod)
     da = poly_degree(a)
     while da >= dm:
@@ -82,18 +84,7 @@ def irreducible_poly(degree: int) -> int:
     for p in range(1 << degree, 1 << (degree + 1)):
         if is_irreducible(p):
             return p
-    raise AssertionError("unreachable: irreducibles exist in every degree")
-
-
-def irreducible_polys(degree: int, count: int) -> List[int]:
-    """First `count` irreducible polynomials of the degree, ascending."""
-    out = []
-    for p in range(1 << degree, 1 << (degree + 1)):
-        if is_irreducible(p):
-            out.append(p)
-            if len(out) == count:
-                break
-    return out
+    raise InvariantViolation(f"no irreducible polynomial of degree {degree} found")
 
 
 def _prime_factors(n: int) -> List[int]:

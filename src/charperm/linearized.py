@@ -9,7 +9,7 @@ that condition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, NamedTuple, Tuple, Union
+from typing import Callable, Iterable, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -30,17 +30,12 @@ class LinearizedPoly:
         return not any(self.coeffs)
 
 
-PairsLike = Union[Dict[int, int], Iterable[Tuple[int, int]]]
-
-
-def linearized(ctx: FieldContext, pairs: PairsLike = ()) -> LinearizedPoly:
+def linearized(ctx: FieldContext, pairs: Iterable[Tuple[int, int]] = ()) -> LinearizedPoly:
     """Build a polynomial from (index, coefficient) pairs.
 
     Indices are folded modulo bits (x^(2^bits) = x) and coefficients at the
     same index are added.
     """
-    if isinstance(pairs, dict):
-        pairs = pairs.items()
     coeffs = [0] * ctx.bits
     for i, c in pairs:
         if not 0 <= c < ctx.order:
@@ -50,10 +45,8 @@ def linearized(ctx: FieldContext, pairs: PairsLike = ()) -> LinearizedPoly:
                           all(i % ctx.m == 0 for i, c in enumerate(coeffs) if c))
 
 
-def q_linearized(ctx: FieldContext, qpairs: PairsLike = ()) -> LinearizedPoly:
+def q_linearized(ctx: FieldContext, qpairs: Iterable[Tuple[int, int]] = ()) -> LinearizedPoly:
     """Build sum of c_j * x^(q^j) from (j, c_j) pairs."""
-    if isinstance(qpairs, dict):
-        qpairs = qpairs.items()
     return linearized(ctx, [((ctx.m * j) % ctx.bits, c) for j, c in qpairs])
 
 

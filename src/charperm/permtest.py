@@ -18,8 +18,8 @@ import numpy as np
 
 from . import elementwise as ew
 from . import linearized as lin
-from .charsum import s_fast
-from .errors import BadParameters, InvariantViolation, NotQLinear, UnknownTheorem, WrongDegree
+from .charsum import _need_quad_ext, gold_ks, s_fast
+from .errors import BadParameters, InvariantViolation, NotQLinear, UnknownTheorem
 from .field import FieldContext, walsh_hadamard
 
 Witness = Union[int, Tuple[int, int]]
@@ -305,17 +305,8 @@ class QuadFamilySpec:
     parts: Tuple[lin.LinearizedPoly, ...]
 
 
-def quad_family(ctx: FieldContext,
-                parts: Union[Mapping[int, lin.LinearizedPoly],
-                             Sequence[lin.LinearizedPoly]]) -> QuadFamilySpec:
-    """Normalize parts (sequence of n polys, or index -> poly) to a spec."""
-    if isinstance(parts, Mapping):
-        filled = [lin.zero(ctx)] * ctx.n
-        for i, p in parts.items():
-            if not 0 <= i < ctx.n:
-                raise BadParameters(f"part index {i} outside 0..{ctx.n - 1}")
-            filled[i] = p
-        parts = filled
+def quad_family(ctx: FieldContext, parts: Sequence[lin.LinearizedPoly]) -> QuadFamilySpec:
+    """The spec of parts, a sequence of n polynomials of this field."""
     parts = tuple(parts)
     if len(parts) != ctx.n:
         raise BadParameters(f"expected {ctx.n} parts, got {len(parts)}")
@@ -384,12 +375,6 @@ def perm_quad_ext(ctx: FieldContext, l0: lin.LinearizedPoly,
     return bool(vanishes & injective)
 
 
-def _need_quad_ext(ctx: FieldContext) -> None:
-    """Refuse a field that is not a quadratic extension (n != 2)."""
-    if ctx.n != 2:
-        raise WrongDegree(f"needs a degree-2 extension, got n={ctx.n}")
-
-
 def _quad_ext_conditions(ctx: FieldContext, v0: np.ndarray, v1: np.ndarray):
     """The two conditions of perm_quad_ext on value tables (..., order) of
     L0 and L1, each decided per row of its own table: whether L1 vanishes
@@ -416,12 +401,12 @@ def perm_gold_linearized(ctx: FieldContext, k: int,
                          l0: lin.LinearizedPoly) -> bool:
     """Odd-degree case: is x^(q^k+1) + L0(x^2) a permutation?
 
-    Requires n odd, 0 < 2k < n, gcd(k, n) = 1; L0 may be any 2-linear
-    polynomial.  Holds iff the relative trace of adjoint(L0)(u^(q^k+1)) *
-    u^-2 avoids 1 for every u != 0 (tested by substitution, see _gold_ok,
-    in blocks that stop at the first u that fails, so only a permutation
-    pays for the whole field, and the table of adjoint(L0) is built only
-    as far as the blocks read).
+    Requires n odd and k in gold_ks(n) (0 < 2k < n, gcd(k, n) = 1); L0 may
+    be any 2-linear polynomial.  Holds iff the relative trace of
+    adjoint(L0)(u^(q^k+1)) * u^-2 avoids 1 for every u != 0 (tested by
+    substitution, see _gold_ok, in blocks that stop at the first u that
+    fails, so only a permutation pays for the whole field, and the table of
+    adjoint(L0) is built only as far as the blocks read).
     """
     return bool(_gold_ok(ctx, k, lin.evaluate_blocks(ctx, lin.adjoint(ctx, l0))))
 
@@ -438,7 +423,7 @@ def _gold_ok(ctx: FieldContext, k: int,
     blocks, which take the rest at once past 1 / _PREFIX_SHARE of it), and
     stops, reading no further, once every row has failed; a field of at
     most _FIRST_BLOCK elements is one block."""
-    if ctx.n % 2 == 0 or not 0 < 2 * k < ctx.n or math.gcd(k, ctx.n) != 1:
+    if ctx.n % 2 == 0 or k not in gold_ks(ctx.n):
         raise BadParameters(
             f"needs n odd, 0 < 2k < n and gcd(k, n) = 1, got n={ctx.n} k={k}")
     go, gold = ctx.group_order, (1 << (ctx.m * k)) + 1
@@ -468,12 +453,17 @@ class TraceFormSpec:
 
 def trace_form_spec(ctx: FieldContext, l0: lin.LinearizedPoly,
                     l1: lin.LinearizedPoly, shift: int) -> TraceFormSpec:
+    _need_trace_form(shift, l0.q_linear and l1.q_linear)
+    return TraceFormSpec(l0, l1, shift)
+
+
+def _need_trace_form(shift: int, q_linear: bool) -> None:
+    """The trace-form criterion's domain, for trace_form_spec and the
+    thm_tr campaign alike: shift >= 0 and q-linear L0 and L1."""
     if shift < 0:
         raise BadParameters(f"shift must be nonnegative, got {shift}")
-    for p in (l0, l1):
-        if not p.q_linear:
-            raise NotQLinear("trace-form parts must be q-linear")
-    return TraceFormSpec(l0, l1, shift)
+    if not q_linear:
+        raise NotQLinear("trace-form parts must be q-linear")
 
 
 def traceform_terms(ctx: FieldContext, l0, l1, shift: int) -> list:
@@ -666,11 +656,10 @@ def _no_check(ctx: FieldContext):
 
 
 def _coprime_k_check(ctx: FieldContext, params, family: str):
-    """(a, k) of the trform and aqk families: a != 0 (every a of a batch),
-    0 < k < n and gcd(k, n) = 1."""
-    a, k = params["a"], params["k"]
-    zero = a == 0 if isinstance(a, int) else not np.all(a)
-    if zero:
+    """(a, k) of the trform and aqk families, a as elements (see
+    elementwise): a != 0 (every a of a batch), 0 < k < n and gcd(k, n) = 1."""
+    a, k = ew.elements(ctx, params["a"])[0], params["k"]
+    if not np.all(a):
         raise BadParameters(f"family {family} needs a != 0")
     if not 0 < k < ctx.n or math.gcd(k, ctx.n) != 1:
         raise BadParameters(
@@ -679,7 +668,7 @@ def _coprime_k_check(ctx: FieldContext, params, family: str):
 
 
 def _trform_predicate(ctx, params):
-    a, = ew.elements(ctx, _coprime_k_check(ctx, params, "trform")[0])
+    a, _ = _coprime_k_check(ctx, params, "trform")
     na = _norm(ctx, a)
     ok = ew.trace_to(ctx, ew.power(ctx, a, -1), ctx.m) != 0
     for c in ctx.subfield_elements(ctx.m)[1:]:
@@ -690,12 +679,11 @@ def _trform_predicate(ctx, params):
 def _trform_terms(ctx, params):
     a, k = _coprime_k_check(ctx, params, "trform")
     j = ctx.m * (ctx.n - k)
-    aq = ctx.frobenius(a, j) if isinstance(a, int) else ctx.frob_table(j)[a]
-    return traceform_terms(ctx, [(j, aq), (0, a)], [(0, 1)], 0)
+    return traceform_terms(ctx, [(j, ew.frobenius(ctx, a, j)), (0, a)], [(0, 1)], 0)
 
 
 def _aqk_predicate(ctx, params):
-    a, = ew.elements(ctx, _coprime_k_check(ctx, params, "aqk")[0])
+    a, _ = _coprime_k_check(ctx, params, "aqk")
     field_ok = ctx.n % 2 == 1 and math.gcd(ctx.n, ctx.q - 1) == 1
     return ew.result(ew.in_subfield(ctx, a, ctx.m) & field_ok, a)
 

@@ -46,8 +46,10 @@ import numpy as np
 from . import linearized as lin
 from . import permtest as pt
 from .charsum import (
+    _need_quad_ext,
     bilinear_psi_closed,
     bilinear_psi_sum,
+    gold_ks,        # re-exported: callers outside the library import it from here
     s_bruteforce,
     s_fast,
     s_zero_binomial,
@@ -144,12 +146,6 @@ def family_agreement(exact: bool, structured, brute):
     return np.logical_or(brute, np.logical_not(structured))
 
 
-def gold_ks(n: int) -> Tuple[int, ...]:
-    """Exponents k with 0 < 2k < n and gcd(k, n) = 1."""
-    return tuple(k for k in range(1, (n + 1) // 2)
-                 if 2 * k < n and math.gcd(k, n) == 1)
-
-
 def coprime_ks(n: int) -> Tuple[int, ...]:
     """Exponents k with 0 < k < n and gcd(k, n) = 1."""
     return tuple(k for k in range(1, n) if math.gcd(k, n) == 1)
@@ -222,10 +218,15 @@ def _ab_grid(ctx: FieldContext, values: Optional[np.ndarray] = None, **fixed) ->
             for sl in _blocks(e.size, _CELLS // (ctx.order * max(e.size, 1)))]
 
 
+def _monomial_rows(ctx: FieldContext) -> List[np.ndarray]:
+    """For each j < n, the coefficient rows of a * x^(q^j) for every a."""
+    return [lin.linearized_rows(ctx, [(ctx.m * j, ctx.elements)]) for j in range(ctx.n)]
+
+
 # ---- S = 0 criteria for binomial quadratic forms ---------------------------
 
 def _thm4_grid(ctx, seed, budget):
-    pt._need_quad_ext(ctx)
+    _need_quad_ext(ctx)
     return _ab_grid(ctx)
 
 
@@ -278,7 +279,7 @@ def _thm6_grid(ctx, seed, budget):
     # side rows of each, whose tables are built once per block of rows and
     # paired by slices; then seeded dense pairs, which hold about four
     # value tables per case, with tables per block
-    pt._need_quad_ext(ctx)
+    _need_quad_ext(ctx)
     polys = _support2(ctx)
     blocks = _blocks(len(polys), math.isqrt(_CELLS // ctx.order))
     tables = [_thm6_tables(ctx, rows, rows) for rows in (polys[sl] for sl in blocks)]
@@ -309,7 +310,7 @@ def _thm7_grid(ctx, seed, budget):
     # seeded dense q-linear L0
     if ctx.n % 2 == 0:
         raise BadParameters(f"thm7 sweep needs odd n, got n={ctx.n}")
-    monomials = [lin.linearized_rows(ctx, [(ctx.m * j, ctx.elements)]) for j in range(ctx.n)]
+    monomials = _monomial_rows(ctx)
     units = []
     for k in gold_ks(ctx.n):
         units += [{"k": k, "l0": l0} for l0 in monomials]
@@ -361,7 +362,7 @@ def _thm_tr_grid(ctx, seed, budget):
     # once per j, and their L0 part's values once per shift and j; a unit
     # reads them whole as L1 and a block of their rows as L0
     blocks = _blocks(ctx.order, _CELLS // ctx.order ** 2)
-    rows = [lin.linearized_rows(ctx, [(ctx.m * j, ctx.elements)]) for j in range(ctx.n)]
+    rows = _monomial_rows(ctx)
     adj = [_adjoint_values(ctx, r) for r in rows]
     v1 = [_traceform_values(ctx, [], lin.pairs(ctx, r), 0) for r in rows]
     v0 = {(shift, j): _traceform_values(ctx, lin.pairs(ctx, r), [], shift)
@@ -375,8 +376,7 @@ def _thm_tr_grid(ctx, seed, budget):
 
 def _thm_tr(ctx, p):
     l0, l1, shift = p["l0"], p["l1"], p["shift"]
-    if shift < 0 or not (lin._all_q_linear(ctx, l0) and lin._all_q_linear(ctx, l1)):
-        raise BadParameters("thm_tr needs q-linear L0 and L1 and shift >= 0")
+    pt._need_trace_form(shift, lin._all_q_linear(ctx, l0) and lin._all_q_linear(ctx, l1))
     x_tab, y_tab, v1, v0 = (p["tables"] if "tables" in p
                             else _thm_tr_tables(ctx, l0, l1, shift))
     return pt._trace_form_ok(ctx, x_tab, y_tab, shift), pt._bijective_rows(v1 ^ v0), None
@@ -772,18 +772,16 @@ def _traceform_params(ctx, p):
 
 
 def _binomial(ctx, p):
-    """a*x^(q+1) + b*x^2: L1(x^(q+1)) + L0(x^2) with L1 = a*x and L0 = b*x,
-    labelled thm6 by the n = 2 criterion, and on its a = 1 row, the map
-    x^(q+1) + L0(x^2), thm7 by the odd-n criterion with k = 1."""
+    """a*x^(q+1) + b*x^2, L1(x^(q+1)) + L0(x^2) with L1 = a*x, L0 = b*x: on
+    n = 2 thm6's own verdicts, else occupancy, with its a = 1 row (the map
+    x^(q+1) + L0(x^2)) labelled thm7 by the odd-n criterion with k = 1."""
     a, b = p["a"], p["b"]
     l0 = lin.linearized_rows(ctx, [(0, b)])
+    if ctx.n == 2:
+        structured, brute, _ = _thm6(ctx, {"l0": l0, "l1": lin.linearized_rows(ctx, [(0, a)])})
+        return {"thm6": structured}, brute
     brute = pt._bijective_rows(pt.evaluate_poly_all(ctx, [(a, ctx.q + 1), (b, 2)]))
     labels = {}
-    if ctx.n == 2:
-        l1 = lin.linearized_rows(ctx, [(0, a)])
-        vanishes, injective = pt._quad_ext_conditions(
-            ctx, lin.evaluate_all(ctx, l0), lin.evaluate_all(ctx, l1))
-        labels["thm6"] = vanishes & injective
     if ctx.n % 2 and 1 in gold_ks(ctx.n):
         labels["thm7"] = (a == 1) & pt._gold_ok(
             ctx, 1, lin.evaluate_blocks(ctx, lin.adjoint(ctx, l0)))

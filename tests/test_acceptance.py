@@ -255,7 +255,7 @@ def _verdict(cid, field):
     return rep.cases_total, rep.cases_agreeing, len(rep.mismatches)
 
 
-def test_criterion_12_basis_independence(emit):
+def test_criterion_12_basis_independence(emit, irreducibles):
     t0 = time.perf_counter()
     plans = {
         (1, 3): ("thm5", "thm1", "thm7", "thm_tr", "corollary", "family:tu",
@@ -266,7 +266,7 @@ def test_criterion_12_basis_independence(emit):
     ok = True
     checked = 0
     for (m, n), cids in plans.items():
-        moduli = gf2.irreducible_polys(m * n, 8)
+        moduli = irreducibles(m * n, 8)
         assert len(moduli) >= 2
         for cid in cids:
             verdicts = {_verdict(cid, f"{m}:{n}:0x{mod:x}") for mod in moduli}

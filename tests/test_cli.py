@@ -97,6 +97,24 @@ def test_eval_arithmetic(capsys):
     assert (code, out) == (0, "10\n")
 
 
+@pytest.mark.parametrize("argv, code, out, err", [
+    (("field-info", "--field", "2:3", "--format", "csv"), 0,
+     "m,n,bits,q,order,modulus,generator,fq_basis\n2,3,6,4,64,0x43,2,1 2 4\n", ""),
+    (("eval", "--field", "2:3", "--op", "psi", "--elem", "1"), 0, "1\n", ""),
+    (("eval", "--field", "2:3", "--op", "psi", "--elem", "9"), 1, "",
+     "error: 0x9 is not in GF(2^2)\n"),
+    (("eval", "--field", "2:3", "--op", "mul", "--elems", "1,2,3"), 2, "",
+     "usage error: --elems needs exactly two comma-separated elements\n"),
+    (("eval", "--field", "2:3", "--op", "check-thm_tr", "--args", "l0=1:1;l1=0:1;shift=0"),
+     1, "", "error: trace-form parts must be q-linear\n"),
+    (("field-info", "--field", "0:3"), 1, "",
+     "error: tower degrees must be positive, got m=0 n=3\n"),
+], ids=["field-info-csv", "psi", "psi-outside-fq", "mul-three-elems",
+        "thm_tr-not-q-linear", "field-zero-m"])
+def test_input_branches_exit_with_their_one_line(capsys, argv, code, out, err):
+    assert run_cli(capsys, *argv) == (code, out, err)
+
+
 # GF(2^6) has elements 0 .. 3f; 3:2 gives the n = 2 that check-thm4 needs
 @pytest.mark.parametrize("field,argv", [
     ("2:3", ("--op", "mul", "--elems=3,-1")),
@@ -659,7 +677,7 @@ REPLAY_EXPECT = {
                             _binomial_sum(ctx, p["a"], p["b"], p["k"])),
     "thm6": lambda ctx, p: (cp.perm_quad_ext(ctx, p["l0"], p["l1"]),
                             _perm(ctx, cp.expand_quadspec(
-                                ctx, cp.quad_family(ctx, {0: p["l0"], 1: p["l1"]}))),
+                                ctx, cp.quad_family(ctx, [p["l0"], p["l1"]]))),
                             None),
     "thm7": lambda ctx, p: (cp.perm_gold_linearized(ctx, p["k"], p["l0"]),
                             _perm(ctx, cp.gold_poly(ctx, p["k"], p["l0"])), None),

@@ -663,6 +663,16 @@ def test_scalar_ops_reject_non_elements(m, n, tables):
     assert ctx.mul(ctx.inv(top), top) == 1
 
 
+def test_trace_to_rejects_non_elements(gf64_tower):
+    # onto every subfield, the field itself (a trace of one term) included
+    ctx = gf64_tower
+    for sub_m in (1, 2, 6):
+        for bad in (-1, ctx.order, ctx.order + 3):
+            with pytest.raises(BadParameters):
+                ctx.trace_to(bad, sub_m)
+    assert ctx.trace_to(ctx.order - 1, 6) == ctx.order - 1
+
+
 def test_mul_elementwise_equal_and_broadcast_shapes(gf64_tower):
     ctx = gf64_tower
     col = ctx.elements[:, None]

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from charperm import gf2
+from charperm.errors import DivisionByZero
 
 
 def test_poly_degree():
@@ -26,17 +27,24 @@ def test_poly_mod():
     assert gf2.poly_mod(0b11, 0b111) == 0b11
 
 
+def test_poly_mod_by_zero_is_typed():
+    # a CharpermError that still is the ZeroDivisionError it was
+    with pytest.raises(DivisionByZero):
+        gf2.poly_mod(0b101, 0)
+    assert issubclass(DivisionByZero, ZeroDivisionError)
+
+
 def test_poly_gcd():
     # gcd(x^2 + 1, x + 1) = x + 1 since x^2 + 1 = (x+1)^2
     assert gf2.poly_gcd(0b101, 0b11) == 0b11
     assert gf2.poly_gcd(0b111, 0b11) == 1
 
 
-def test_irreducible_counts():
+def test_irreducible_counts(irreducibles):
     # number of monic irreducible binary polynomials by degree
     expected = {1: 2, 2: 1, 3: 2, 4: 3, 5: 6, 6: 9, 7: 18, 8: 30}
     for degree, count in expected.items():
-        polys = gf2.irreducible_polys(degree, count + 5)
+        polys = irreducibles(degree, count + 5)
         assert len(polys) == count
         for p in polys:
             assert gf2.poly_degree(p) == degree

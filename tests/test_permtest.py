@@ -458,19 +458,22 @@ def _reduction_at_shift(ctx, spec, u):
 
 
 def test_quad_family_shapes(gf8):
-    spec = quad_family(gf8, {1: lin.identity(gf8)})
+    spec = quad_family(gf8, [lin.zero(gf8), lin.identity(gf8), lin.zero(gf8)])
     assert len(spec.parts) == 3
-    with pytest.raises(BadParameters):
-        quad_family(gf8, {3: lin.identity(gf8)})
     with pytest.raises(BadParameters):
         quad_family(gf8, [lin.identity(gf8)])
 
 
+def test_quad_family_refuses_a_part_of_another_field(gf4, gf8):
+    with pytest.raises(BadParameters):
+        quad_family(gf4, [lin.identity(gf4), lin.identity(gf8)])
+
+
 def test_expand_quadspec_exponents(gf4):
     # L1 = x picks up exponent q + 1 = 3; 2-linear parts multiply in 2^j
-    spec = quad_family(gf4, {1: lin.identity(gf4)})
+    spec = quad_family(gf4, [lin.zero(gf4), lin.identity(gf4)])
     assert expand_quadspec(gf4, spec).terms == ((1, 3),)
-    spec2 = quad_family(gf4, {1: lin.linearized(gf4, [(1, 1)])})
+    spec2 = quad_family(gf4, [lin.zero(gf4), lin.linearized(gf4, [(1, 1)])])
     # x^2 substituted into x^{q+1} gives exponent 2 * 3 = 6, folded mod 3
     f = expand_quadspec(gf4, spec2)
     for x in range(4):
@@ -481,9 +484,8 @@ def test_quadspec_expansion_matches_direct(gf64_tower):
     ctx = gf64_tower
     rng = random.Random(2)
     for _ in range(10):
-        parts = {i: lin.linearized(ctx, [(j, rng.randrange(64))
-                                         for j in range(0, 6, 2)])
-                 for i in range(3)}
+        parts = [lin.linearized(ctx, [(j, rng.randrange(64)) for j in range(0, 6, 2)])
+                 for _ in range(3)]
         spec = quad_family(ctx, parts)
         f = expand_quadspec(ctx, spec)
         for x in range(64):
@@ -589,7 +591,7 @@ def test_quadspec_blocks_keep_the_smallest_witness(blocks, monkeypatch):
 
 
 def test_quadspec_x_q_plus_1_not_perm(gf4):
-    spec = quad_family(gf4, {1: lin.identity(gf4)})
+    spec = quad_family(gf4, [lin.zero(gf4), lin.identity(gf4)])
     assert not is_perm_quadspec(gf4, spec).is_permutation
 
 
@@ -598,7 +600,7 @@ def test_only_l0_reduces_to_kernel(gf64_tower):
     rng = random.Random(5)
     for _ in range(20):
         l0 = lin.linearized(ctx, [(j, rng.randrange(64)) for j in range(6)])
-        spec = quad_family(ctx, {0: l0})
+        spec = quad_family(ctx, [l0] + [lin.zero(ctx)] * (ctx.n - 1))
         assert (is_perm_quadspec(ctx, spec).is_permutation
                 == (lin.kernel(ctx, l0).dim2 == 0))
 
@@ -1097,6 +1099,14 @@ def test_aqk_exact_and_matches_tu_shape(gf8):
     # a = 1, k = 1 expands to the same polynomial as the tu family at a = 1
     f = family_polynomial(gf8, "aqk", {"a": 1, "k": 1})
     assert format_monomial(f) == "1:1,3:1,5:1"
+
+
+def test_coprime_k_families_refuse_a_coefficient_outside_the_field(gf8):
+    # _coprime_k_check reads a through elementwise for the predicate and the terms
+    for family in ("trform", "aqk"):
+        for read in (family_predicate, family_polynomial):
+            with pytest.raises(BadParameters):
+                read(gf8, family, {"a": 9, "k": 1})
 
 
 def test_aqk_never_permutes_at_q4(gf64_tower):

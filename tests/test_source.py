@@ -6,12 +6,19 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "charperm"
 
 
+def _raises_assertion_error(node) -> bool:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_no_assert_statements_in_the_library():
-    # invariants raise typed CharpermErrors: an assert vanishes under python -O
+    # invariants raise typed CharpermErrors: an assert vanishes under python -O,
+    # and a raised AssertionError is no CharpermError
     paths = sorted(SRC.glob("*.py"))
     found = [f"{path.name}:{node.lineno}" for path in paths
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if isinstance(node, ast.Assert)]
+             if isinstance(node, ast.Assert)
+             or isinstance(node, ast.Raise) and node.exc and _raises_assertion_error(node)]
     assert paths and found == []
 
 

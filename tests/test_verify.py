@@ -19,10 +19,12 @@ from charperm import (
     family_predicate,
     run_search,
     run_verify,
+    trace_form_spec,
 )
 import charperm
+from charperm import linearized as lin
 from charperm import permtest, verify
-from charperm.errors import BadParameters, UnknownTheorem, WrongDegree
+from charperm.errors import BadParameters, NotQLinear, UnknownTheorem, WrongDegree
 from charperm.verify import _pool_workers, normalize_field
 
 
@@ -436,3 +438,13 @@ def test_search_traceform_rows_tagged():
     for r in rows:
         assert r["is_permutation"] is True
         assert r["matched_criteria"] == "thm_tr"
+
+
+def test_thm_tr_replay_of_a_part_that_is_not_q_linear_raises_not_q_linear(gf64_tower):
+    # the trace-form domain is trace_form_spec's, on the sweep and its replay alike
+    ctx = gf64_tower
+    with pytest.raises(NotQLinear):
+        verify.replay_case(ctx, "thm_tr", {"l0": lin.linearized(ctx, [(1, 1)]),
+                                           "l1": lin.identity(ctx), "shift": 0})
+    with pytest.raises(NotQLinear):
+        trace_form_spec(ctx, lin.linearized(ctx, [(1, 1)]), lin.identity(ctx), 0)
