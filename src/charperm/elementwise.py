@@ -7,10 +7,15 @@ these helpers are the context's scalar operations, which build no table
 above field._TABLE_BITS, and a criterion returns a plain bool or int; as
 soon as an operand is an array they read the context's tables (exp/log,
 frob_table, trace_table, subfield_mask) over the broadcast operands, and a
-criterion returns an array of the broadcast shape (see result).
+criterion returns an array of the broadcast shape (see result).  An integer
+parameter (an exponent or a shift) may be an array in the same way (see
+integers): perm_monomial_trace takes k and shift as ints or as arrays.
 """
 
 from __future__ import annotations
+
+import math
+import operator
 
 import numpy as np
 
@@ -29,6 +34,14 @@ def elements(ctx: FieldContext, *values) -> list:
     return out
 
 
+def integers(*values) -> list:
+    """Integer parameters as a criterion reads them: a 0-d value as an int,
+    anything else as an int64 array (TypeError for a value that is not an
+    integer); the criterion checks their range."""
+    return [operator.index(v) if np.ndim(v) == 0
+            else np.asarray(v).astype(np.int64, casting="same_kind") for v in values]
+
+
 def result(value, *values):
     """A criterion's value: a plain bool or int when every one of values is
     an int, else an array of their broadcast shape."""
@@ -44,8 +57,16 @@ def mul(ctx: FieldContext, a, b):
     return ctx.mul_elementwise(a, b)
 
 
-def power(ctx: FieldContext, a, e: int):
-    return ctx.pow(a, e) if isinstance(a, int) else ctx.pow_vec(a, e)
+def power(ctx: FieldContext, a, e):
+    if isinstance(a, int) and isinstance(e, int):
+        return ctx.pow(a, e)
+    return ctx.pow_vec(a, e)
+
+
+def gcd(a, b):
+    if isinstance(a, int) and isinstance(b, int):
+        return math.gcd(a, b)
+    return np.gcd(a, b)
 
 
 def frobenius(ctx: FieldContext, a, k: int):

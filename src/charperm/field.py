@@ -443,13 +443,17 @@ class FieldContext:
         log = self.log_table
         return self.exp_table.take(log.take(x) + log.take(y))
 
-    def pow_vec(self, arr: np.ndarray, e: int) -> np.ndarray:
-        """Elementwise arr^e with the same conventions as pow()."""
-        if e == 0:
+    def pow_vec(self, arr: np.ndarray, e) -> np.ndarray:
+        """Elementwise arr^e with the same conventions as pow(); e is an int
+        or an array of them that broadcasts against arr."""
+        if np.ndim(e) == 0 and e == 0:
             return np.ones_like(arr)
         arr = np.asarray(arr)
         zero = arr == 0
-        if e < 0 and zero.any():
+        if not isinstance(e, int):
+            e = np.asarray(e, dtype=np.int64)
+            zero = zero & (e != 0)      # 0^0 = 1
+        if np.any(e < 0) and np.any(zero & (e < 0)):
             raise DivisionByZero("inverse of zero")
         go = max(self.group_order, 1)
         # log * e needs int64; the sentinel of 0 is no log, so zeros are cleared after

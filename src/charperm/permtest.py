@@ -198,13 +198,14 @@ def _values_in(ctx: FieldContext, f) -> Callable[[slice], np.ndarray]:
     """Block evaluator of f: values(block) are the values of f on the
     inputs of block, a slice of element order.  f is a LinearizedPoly, a
     MonomialPoly or a list of (c, e) terms c * x^e, each c an element or an
-    array of them (a batch: the coefficients broadcast against each other,
-    and the values carry their shape before the input axis).  The 2-linear
-    part (a LinearizedPoly, or the terms c * x^(2^j)) is one table per
-    coefficient shape, built by linearity only as far as the blocks read
-    (see linearized.evaluate_blocks), so that a batch of one shape does not
-    widen to the product of all of them before the values do; each other
-    term is one exp_table lookup over the block (see
+    array of them and each e an int or an array of them (a batch: the
+    coefficients and exponents broadcast against each other, and the values
+    carry their shape before the input axis).  The 2-linear part (a
+    LinearizedPoly, or the terms c * x^(2^j) with an int exponent) is one
+    table per coefficient shape, built by linearity only as far as the
+    blocks read (see linearized.evaluate_blocks), so that a batch of one
+    shape does not widen to the product of all of them before the values
+    do; each other term is one exp_table lookup over the block (see
     FieldContext.monomial_vec)."""
     if isinstance(f, lin.LinearizedPoly):
         tables, powers = [lin.evaluate_blocks(ctx, f)], []
@@ -213,8 +214,9 @@ def _values_in(ctx: FieldContext, f) -> Callable[[slice], np.ndarray]:
         powers = []
         for c, e in f.terms if isinstance(f, MonomialPoly) else f:
             batch = not isinstance(c, int)
-            if e & (e - 1):
-                powers.append((np.asarray(c)[..., None] if batch else c, e))
+            if not isinstance(e, int) or e & (e - 1):
+                powers.append((np.asarray(c)[..., None] if batch else c,
+                               e if isinstance(e, int) else np.asarray(e)[..., None]))
             else:
                 linear.setdefault(np.shape(c) if batch else (), []).append(
                     (e.bit_length() - 1, c))
@@ -423,9 +425,7 @@ def _gold_ok(ctx: FieldContext, k: int,
     blocks, which take the rest at once past 1 / _PREFIX_SHARE of it), and
     stops, reading no further, once every row has failed; a field of at
     most _FIRST_BLOCK elements is one block."""
-    if ctx.n % 2 == 0 or k not in gold_ks(ctx.n):
-        raise BadParameters(
-            f"needs n odd, 0 < 2k < n and gcd(k, n) = 1, got n={ctx.n} k={k}")
+    _need_gold(ctx, k)
     go, gold = ctx.group_order, (1 << (ctx.m * k)) + 1
     if math.gcd(gold, go) != 1:
         raise InvariantViolation(f"gcd(q^k+1, q^n-1) != 1 for n={ctx.n} k={k}")
@@ -437,6 +437,14 @@ def _gold_ok(ctx: FieldContext, k: int,
         ok = ok & np.all(trace[ctx.monomial_vec(adj(block), c, block)] != 1, axis=-1)
         lo, hi = hi, 4 * hi
     return ok
+
+
+def _need_gold(ctx: FieldContext, k: int) -> None:
+    """The Gold criterion's domain, for _gold_ok and the thm7 campaign
+    alike: n odd and k in gold_ks(n)."""
+    if ctx.n % 2 == 0 or k not in gold_ks(ctx.n):
+        raise BadParameters(
+            f"needs n odd, 0 < 2k < n and gcd(k, n) = 1, got n={ctx.n} k={k}")
 
 
 @dataclass(frozen=True)
@@ -522,9 +530,10 @@ def _trace_form_ok(ctx: FieldContext, x_tab: np.ndarray, y_tab: np.ndarray,
     return ~np.any(fails, axis=-1)
 
 
-def monomial_trace_terms(ctx: FieldContext, a, k: int, shift: int) -> list:
-    """Terms of a * x^(2^shift * q^k) + x * Tr(x), a an element or a batch:
-    the trace form with L0 = a * x^(q^k) and L1 = x (see traceform_terms)."""
+def monomial_trace_terms(ctx: FieldContext, a, k, shift) -> list:
+    """Terms of a * x^(2^shift * q^k) + x * Tr(x), a an element or a batch
+    and k and shift ints or batches: the trace form with L0 = a * x^(q^k)
+    and L1 = x (see traceform_terms)."""
     return traceform_terms(ctx, [(ctx.m * k, a)], [(0, 1)], shift)
 
 
@@ -535,7 +544,14 @@ def monomial_trace_poly(ctx: FieldContext, a: int, k: int,
     return monomial(ctx, monomial_trace_terms(ctx, a, k, shift))
 
 
-def perm_monomial_trace(ctx: FieldContext, a, k: int, shift: int):
+def _need_monomial_trace(ctx: FieldContext) -> None:
+    """The monomial-plus-trace criterion's domain, for perm_monomial_trace
+    and the corollary campaign alike: n > 1 (see perm_monomial_trace)."""
+    if ctx.n == 1:
+        raise BadParameters(f"the monomial-plus-trace criterion needs n > 1, got n={ctx.n}")
+
+
+def perm_monomial_trace(ctx: FieldContext, a, k, shift):
     """Does a * x^(2^shift * q^k) + x * Tr(x) permute the field?
 
     Closed form: n odd, gcd(2^(shift + m*k) - 1, (q^n-1)/(q-1)) = 1, and a
@@ -543,24 +559,25 @@ def perm_monomial_trace(ctx: FieldContext, a, k: int, shift: int):
     d = gcd(|shift - 1|, m).  (q^n-1)/(q-1) divides 2^bits - 1, so the gcd
     is taken with shift + m*k reduced modulo bits (a residue of 0 gives
     2^0 - 1 = 0, whose gcd is (q^n-1)/(q-1), as for any multiple of bits).
-    a is an element or an array of them (see elementwise).
+    a is an element or an array of them, and k and shift are ints or
+    arrays of them, all broadcasting against each other (see elementwise).
 
     n = 1 raises BadParameters: there Tr is the identity, so a = 0 gives
     x^2, a permutation that the condition a != 0 rejects.  PAPER.md holds
     only the abstract, so this domain is not checked against the paper's
     text.
     """
-    if ctx.n == 1:
-        raise BadParameters(f"the monomial-plus-trace criterion needs n > 1, got n={ctx.n}")
-    if k < 0 or shift < 0:
-        raise BadParameters(f"k and shift must be nonnegative, got k={k} shift={shift}")
+    _need_monomial_trace(ctx)
+    k, shift = ew.integers(k, shift)
+    if np.any(k < 0) or np.any(shift < 0):
+        raise BadParameters(f"k and shift must be nonnegative, "
+                            f"got k={np.min(k)} shift={np.min(shift)}")
     a, = ew.elements(ctx, a)
-    if ctx.n % 2 == 0 or math.gcd((1 << ((shift + ctx.m * k) % ctx.bits)) - 1,
-                                  ctx.group_order // (ctx.q - 1)) != 1:
-        return ew.result(False, a)
-    d = math.gcd(abs(shift - 1), ctx.m)
-    return ew.result((a != 0) & ew.in_subfield(ctx, a, ctx.m)
-                     & (ew.power(ctx, a, (ctx.q - 1) // ((1 << d) - 1)) != 1), a)
+    field_ok = (ctx.n % 2 == 1) & (ew.gcd((1 << ((shift + ctx.m * k) % ctx.bits)) - 1,
+                                          ctx.group_order // (ctx.q - 1)) == 1)
+    d = ew.gcd(abs(shift - 1), ctx.m)
+    return ew.result(field_ok & (a != 0) & ew.in_subfield(ctx, a, ctx.m)
+                     & (ew.power(ctx, a, (ctx.q - 1) // ((1 << d) - 1)) != 1), a, k, shift)
 
 
 # ---- named families --------------------------------------------------------

@@ -4,9 +4,19 @@ A campaign is one SweepDef in SWEEPS.  Its grid is a list of units, each a
 batch of parameters keyed by the names of PARAM_KINDS, whose values
 (scalars or arrays) broadcast against each other; a linearized polynomial
 is a coefficient row, so it carries one extra last axis, and a sparse
-polynomial (thm1) is its (coefficient, exponent) terms, two.  Its
-verdicts map a batch to the structured verdict (a closed form from permtest
-or charsum), the brute-force verdict and, where rows show it, the sum S.
+polynomial (thm1) is its (coefficient, exponent) terms, two.
+
+A unit is a block of its campaign's parameter space, in grid order: the
+units' cases, each unit's in flat (C) order, one unit after another, are
+the grid's cases in the order its mismatch rows list them.  A block holds
+at most _CELLS value-table entries and at least one row.  corollary's
+blocks cut its whole (k, l, a) space and thm7's the rows of each k; thm5,
+thm_tr and the per-k or per-variant families cut per scalar parameter
+first.
+
+A campaign's verdicts map a batch to the structured verdict (a closed form
+from permtest or charsum), the brute-force verdict and, where rows show it,
+the sum S.
 
 A grid may also build tables once per field that many units read (thm6's
 per-row conditions and value tables, thm_tr's adjoint tables and the value
@@ -306,16 +316,17 @@ def _thm6(ctx, p):
 # ---- odd-degree x^(q^k+1) + L0(x^2) criterion ------------------------------
 
 def _thm7_grid(ctx, seed, budget):
-    # per k: every monomial a * x^(q^j), whose rows every k shares, then
-    # seeded dense q-linear L0
-    if ctx.n % 2 == 0:
-        raise BadParameters(f"thm7 sweep needs odd n, got n={ctx.n}")
-    monomials = _monomial_rows(ctx)
+    # per k, each checked first by the criterion's own domain check (an even
+    # n fails there): one stack of rows, every monomial a * x^(q^j) by j,
+    # which every k shares, then seeded dense q-linear L0, cut into blocks
+    ks = gold_ks(ctx.n)
+    for k in ks:
+        pt._need_gold(ctx, k)
+    monomials = np.concatenate(_monomial_rows(ctx))
     units = []
-    for k in gold_ks(ctx.n):
-        units += [{"k": k, "l0": l0} for l0 in monomials]
-        rows = _q_draws(_rng(seed, "thm7", ctx, k), ctx, budget)
-        units += [{"k": k, "l0": rows[sl]} for sl in _blocks(budget, _CELLS // ctx.order)]
+    for k in ks:
+        rows = np.concatenate([monomials, _q_draws(_rng(seed, "thm7", ctx, k), ctx, budget)])
+        units += [{"k": k, "l0": rows[sl]} for sl in _blocks(len(rows), _CELLS // ctx.order)]
     return units
 
 
@@ -384,15 +395,17 @@ def _thm_tr(ctx, p):
 
 # ---- monomial-plus-trace corollary -----------------------------------------
 
-_COROLLARY_SHIFTS = (0, 1, 2, 3)
+_COROLLARY_SHIFTS = 4     # the shifts l = 0 .. 3
 
 
 def _corollary_grid(ctx, seed, budget):
-    # every a for each k and shift l; the closed form needs n > 1
-    if ctx.n == 1:
-        raise BadParameters(f"corollary sweep needs n > 1, got n={ctx.n}")
-    return [unit for k in range(ctx.n) for l in _COROLLARY_SHIFTS
-            for unit in _a_grid(ctx, k=k, l=l)]
+    # every (k, shift l, a), in that order, as one flat batch cut into
+    # blocks; k, l and the element a are each their own index
+    pt._need_monomial_trace(ctx)
+    shape = (ctx.n, _COROLLARY_SHIFTS, ctx.order)
+    k, l, a = np.unravel_index(np.arange(math.prod(shape)), shape)
+    return [{"a": a[sl], "k": k[sl], "l": l[sl]}
+            for sl in _blocks(a.size, _CELLS // ctx.order)]
 
 
 def _corollary(ctx, p):

@@ -454,11 +454,23 @@ def test_corollary_refuses_n_1(capsys, field):
     code, out, err = run_cli(capsys, "verify", "--campaign", "corollary",
                              "--fields", field)
     assert (code, out) == (1, "")
-    assert err == "error: corollary sweep needs n > 1, got n=1\n"
-    code, out, err = run_cli(capsys, "eval", "--field", field, "--op",
-                             "check-corollary", "--args", "a=0;k=0;l=0")
+    assert err == "error: the monomial-plus-trace criterion needs n > 1, got n=1\n"
+    # the sweep refuses through the closed form's own check, so its replay
+    # says the same
+    code, out, replay_err = run_cli(capsys, "eval", "--field", field, "--op",
+                                    "check-corollary", "--args", "a=0;k=0;l=0")
+    assert (code, out, replay_err) == (1, "", err)
+
+
+@pytest.mark.parametrize("field", ["1:4", "2:4", "1:6"])
+def test_thm7_refuses_even_n_as_its_replay_does(capsys, field):
+    code, out, err = run_cli(capsys, "verify", "--campaign", "thm7", "--fields", field)
     assert (code, out) == (1, "")
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    n = field.split(":")[1]
+    assert err == f"error: needs n odd, 0 < 2k < n and gcd(k, n) = 1, got n={n} k=1\n"
+    code, out, replay_err = run_cli(capsys, "eval", "--field", field, "--op",
+                                    "check-thm7", "--args", "k=1;l0=")
+    assert (code, out, replay_err) == (1, "", err)
 
 
 def test_search_csv_header_always(capsys):

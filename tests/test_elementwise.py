@@ -4,6 +4,8 @@ Each closed form takes its element parameters as ints or as arrays (see
 charperm.elementwise).  On every (a, b) of six small fields the array call
 must equal the scalar call entry by entry, a scalar call must return a plain
 bool or int, and a bad parameter must raise the same typed error either way.
+The integer parameters k and shift of the monomial-plus-trace criterion, and
+an exponent of a power or a term, may be arrays as well.
 """
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 
 from charperm import (
     FAMILIES,
+    evaluate_poly_all,
     bilinear_psi_closed,
     bilinear_psi_sum,
     build_context,
@@ -19,7 +22,9 @@ from charperm import (
     s_zero_binomial,
     s_zero_quadratic_ext,
 )
-from charperm.errors import BadParameters, NotInSubfield, WrongDegree
+from charperm import elementwise as ew
+from charperm import permtest
+from charperm.errors import BadParameters, DivisionByZero, NotInSubfield, WrongDegree
 from charperm.verify import coprime_ks, gold_ks
 
 PARITY_FIELDS = [(2, 2), (3, 2), (1, 3), (1, 4), (1, 5), (2, 3)]
@@ -140,3 +145,81 @@ def test_bad_parameters_raise_the_same_error_on_both_paths():
             _raises_alike(BadParameters, fn, (bad, 1), (np.array([bad, 1]), arr[:2]))
         _raises_alike(BadParameters, lambda a: perm_monomial_trace(gf8, a, 0, 1),
                       (bad,), (np.array([1, bad]),))
+
+
+INTEGER_FIELDS = [(1, 3), (2, 3), (1, 5), (3, 3)]
+
+
+def _monomial_trace_space(ctx):
+    """Every (k, shift, a) with k < n and shift < 4, flat, in that order."""
+    return [axis.ravel() for axis in np.meshgrid(np.arange(ctx.n), np.arange(4), ctx.elements,
+                                                 indexing="ij")]
+
+
+@pytest.mark.parametrize("m,n", INTEGER_FIELDS, ids=lambda v: str(v))
+def test_integer_array_parameters_equal_the_scalar_calls(m, n):
+    ctx = build_context(m, n)
+    k, shift, a = _monomial_trace_space(ctx)
+    cases = list(zip(a.tolist(), k.tolist(), shift.tolist()))
+    want = [perm_monomial_trace(ctx, *case) for case in cases]
+    assert {type(v) for v in want} == {bool}
+    got = perm_monomial_trace(ctx, a, k, shift)
+    assert got.dtype == bool and got.tolist() == want
+    # k, shift and a as broadcasting axes give the same cases in that order
+    grid = perm_monomial_trace(ctx, ctx.elements, np.arange(n)[:, None, None],
+                               np.arange(4)[:, None])
+    assert grid.shape == (n, 4, ctx.order) and grid.ravel().tolist() == want
+    # a scalar a against arrays of k and shift
+    assert perm_monomial_trace(ctx, 1, k, shift).tolist() == [
+        perm_monomial_trace(ctx, 1, *case[1:]) for case in cases]
+    values = evaluate_poly_all(ctx, permtest.monomial_trace_terms(ctx, a, k, shift))
+    assert values.shape == (len(cases), ctx.order)
+    for row, case in zip(values, cases):
+        one = evaluate_poly_all(ctx, permtest.monomial_trace_terms(ctx, *case))
+        assert row.dtype == one.dtype and np.array_equal(row, one)
+
+
+def test_a_negative_integer_entry_raises_as_the_scalar_call_does():
+    gf8 = build_context(1, 3)
+    arr = np.array([1, 2, 3])
+    def fn(a, k, shift):
+        return perm_monomial_trace(gf8, a, k, shift)
+
+    for k, shift in ((-1, 0), (0, -1)):
+        ks, shifts = np.array([0, k, 1]), np.array([1, shift, 0])
+        for batch in ((arr, ks, shifts), (1, ks, shift), (1, k, shifts)):
+            _raises_alike(BadParameters, fn, (1, k, shift), batch)
+    # the scalar message is the one it always was
+    with pytest.raises(BadParameters, match="got k=-1 shift=0$"):
+        perm_monomial_trace(gf8, 1, -1, 0)
+
+
+def test_values_in_with_an_array_exponent_equals_the_tables_per_case():
+    # 2-powers (a scalar call's linear tables) and other exponents, with a
+    # batch of coefficients and with one coefficient, in whole and in blocks
+    ctx = build_context(2, 3)
+    e = np.array([1, 2, 8, 3, ctx.q + 1, 1 + ctx.q ** 2, ctx.group_order, 5 * ctx.order])
+    c = np.arange(3, 3 + e.size)
+    for coeff in (c, 7):
+        f = [(coeff, e), (5, 2), (1, ctx.q + 1)]
+        values = permtest._values_in(ctx, f)
+        for block in (slice(None), slice(0, 10), slice(10, ctx.order)):
+            got = values(block)
+            assert got.shape == (e.size, block.indices(ctx.order)[1] - (block.start or 0))
+            for i in range(e.size):
+                ci = int(coeff[i]) if isinstance(coeff, np.ndarray) else coeff
+                one = permtest._values_in(ctx, [(ci, int(e[i])), (5, 2), (1, ctx.q + 1)])(block)
+                assert np.array_equal(got[i], one)
+
+
+def test_power_with_an_array_exponent_equals_pow_per_case():
+    ctx = build_context(2, 3)
+    a = ctx.elements[:, None]
+    e = np.array([0, 1, 2, 3, ctx.group_order, 7 * ctx.order + 3])
+    got = ew.power(ctx, a, e)
+    assert got.tolist() == [[ctx.pow(x, y) for y in e.tolist()] for x in range(ctx.order)]
+    assert ew.power(ctx, 5, e).tolist() == [ctx.pow(5, y) for y in e.tolist()]
+    # 0^0 = 1, and 0 to a negative power raises on both paths
+    assert ew.power(ctx, np.array([0]), np.array([0, 1])).tolist() == [1, 0]
+    _raises_alike(DivisionByZero, lambda a, e: ew.power(ctx, a, e), (0, -1),
+                  (np.array([0, 1]), np.array([-1, -1])))

@@ -30,11 +30,12 @@ MUTANTS = {
         "charsum.py", "(ew.frobenius(ctx, a, ctx.m) == a) & (b != 0)",
         "(ew.frobenius(ctx, a, ctx.m) == a)", "thm4"),
     "corollary-gcd-of-shift": (
-        "permtest.py", "d = math.gcd(abs(shift - 1), ctx.m)", "d = math.gcd(shift, ctx.m)",
+        "permtest.py", "d = ew.gcd(abs(shift - 1), ctx.m)", "d = ew.gcd(shift, ctx.m)",
         "corollary"),
     "corollary-drops-power-test": (
-        "permtest.py", "\n                     & (ew.power(ctx, a, (ctx.q - 1) // ((1 << d) - 1)) != 1), a)",
-        ", a)", "corollary"),
+        "permtest.py",
+        "\n                     & (ew.power(ctx, a, (ctx.q - 1) // ((1 << d) - 1)) != 1), a, k, shift)",
+        ", a, k, shift)", "corollary"),
     "aqk-drops-gcd-n-q-1": (
         "permtest.py", "field_ok = ctx.n % 2 == 1 and math.gcd(ctx.n, ctx.q - 1) == 1",
         "field_ok = ctx.n % 2 == 1", "family:aqk"),
@@ -72,7 +73,7 @@ MUTANTS = {
 # equivalent.
 SURVIVORS = {
     "corollary-gcd-with-group-order": (
-        "permtest.py", "ctx.group_order // (ctx.q - 1)) != 1:", "ctx.group_order) != 1:",
+        "permtest.py", "ctx.group_order // (ctx.q - 1)) == 1)", "ctx.group_order) == 1)",
         "corollary"),
 }
 

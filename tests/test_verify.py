@@ -419,6 +419,29 @@ def test_search_units_stay_bounded(monkeypatch):
                    if ctx.norm_to(a, 3) ^ ctx.norm_to(b, 3) == ctx.mul(a, b)]
 
 
+@pytest.mark.parametrize("cid", ["corollary", "thm7"])
+def test_corollary_and_thm7_units_stay_bounded(monkeypatch, cid):
+    # each grid is one parameter space (thm7's per k) cut into blocks of at
+    # least one row: a unit holds at most max(_CELLS, order) value-table
+    # entries, and the units hold every case once; on 1:7 the space is cut
+    sizes = _count_value_tables(monkeypatch)
+    sweep = SWEEPS[cid]
+    for field in sweep.default_fields + ((1, 7),):
+        ctx = build_context(*field)
+        units = sweep.grid(ctx, 0, sweep.default_budget)
+        cases = [len(p["a" if cid == "corollary" else "l0"]) for p in units]
+        assert max(cases) * ctx.order <= max(verify._CELLS, ctx.order)
+        sizes.clear()
+        rep = _run(cid, field_ranges=(field,))
+        assert rep.cases_total == sum(cases)
+        assert len(sizes) == len(units)
+        assert max(sizes) <= max(verify._CELLS, ctx.order)
+        assert sum(sizes) == rep.cases_total * ctx.order
+        # one block per space on the default fields, more on 1:7
+        spaces = len(verify.gold_ks(ctx.n)) if cid == "thm7" else 1
+        assert (len(units) > spaces) == (field == (1, 7))
+
+
 def test_thm_tr_verdicts_keep_the_shape_of_a_zero_batch():
     # lin.pairs keeps a zero column of an all-zero stack, so the occupancy
     # oracle's terms carry the batch shape as the structured side does
