@@ -15,8 +15,9 @@ sign by a symplectic reduction of the GF(2) form Tr(v * L(v)) that runs
 stack-major, each operation over all forms of the stack, the kernel by one
 GF(2) elimination, and the reports hold arrays over the stack.  A single
 polynomial keeps the scalar route, cheaper for one form than a stack of
-one: s_fast takes 0.03-0.36 ms against 0.24-1.2 ms at 12 and 20 bits
-once the context holds its exp/log tables (see field.FieldContext.mul).
+one: s_fast takes 0.04-0.30 ms against 0.49-0.86 ms at 12 and 20 bits
+once the context holds its exp/log tables (see field.FieldContext.mul), on
+2 cores with numpy 2.4.
 """
 
 from __future__ import annotations

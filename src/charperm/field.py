@@ -72,6 +72,8 @@ class FieldContext:
         if modulus is None:
             modulus = gf2.irreducible_poly(bits)
         else:
+            if modulus < 0:
+                raise InvalidModulus(f"modulus {modulus:#x} is negative")
             if gf2.poly_degree(modulus) != bits:
                 raise InvalidModulus(
                     f"modulus 0x{modulus:x} has degree {gf2.poly_degree(modulus)}, expected {bits}")
@@ -298,14 +300,10 @@ class FieldContext:
     def fq_linearly_independent(self, elems: Sequence[int]) -> bool:
         """True iff the elements are linearly independent over F_q.
 
-        GF(2)-rank test on the t*m vectors s_j * e_i, where the s_j run over
-        a GF(2)-basis of F_q.
+        The t*m vectors s_j * e_i, where the s_j run over a GF(2)-basis of
+        F_q, have no GF(2) relation.
         """
-        elems = list(elems)
-        if len(elems) * self.m > self.bits:
-            return False
-        vecs = self.fq_columns(elems)
-        return gf2.mat_rank(vecs) == len(vecs)
+        return not gf2.mat_kernel(self.fq_columns(elems))
 
     def fq_columns(self, elems: Sequence[int]) -> List[int]:
         """s_j * e_i over a GF(2)-basis s_j of F_q, entry i * m + j.  For

@@ -57,7 +57,7 @@ def is_irreducible(p: int) -> bool:
     x^(2^d) = x mod p and gcd(x^(2^(d/r)) - x, p) = 1 for every prime r | d.
     """
     d = poly_degree(p)
-    if d <= 0:
+    if p < 0 or d <= 0:
         return False
     if d == 1:
         return True
@@ -112,18 +112,6 @@ def mat_apply(cols: List[int], x: int) -> int:
         x >>= 1
         j += 1
     return r
-
-
-def mat_rank(vecs: List[int]) -> int:
-    """Rank of the span of the given bit-vectors."""
-    pivots: List[int] = []
-    for v in vecs:
-        for p in pivots:
-            if v ^ p < v:
-                v ^= p
-        if v:
-            pivots.append(v)
-    return len(pivots)
 
 
 def mat_kernel(cols: List[int]) -> List[int]:

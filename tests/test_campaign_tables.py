@@ -106,12 +106,16 @@ def _assert_same_verdicts(sweep, ctx, unit):
 
 @pytest.mark.parametrize("field", SWEEPS["thm_tr"].default_fields + ((3, 2), (1, 6)))
 def test_thm_tr_tables_match_the_rows(field):
-    # each unit's slices of the per-j tables hold what _thm_tr_tables builds
-    # from the unit's own rows: same shapes, dtypes and entries
+    # each unit's slices of the per-j tables hold what _adjoint_values and
+    # _traceform_values build from the unit's own rows, as a replay builds
+    # them: same shapes, dtypes and entries
     sweep, ctx = SWEEPS["thm_tr"], build_context(*field)
     for unit in sweep.grid(ctx, 0, sweep.default_budget):
         _assert_same_verdicts(sweep, ctx, unit)
-        rebuilt = verify._thm_tr_tables(ctx, unit["l0"], unit["l1"], unit["shift"])
+        l0, l1 = unit["l0"], unit["l1"]
+        rebuilt = (verify._adjoint_values(ctx, l1), verify._adjoint_values(ctx, l0),
+                   verify._traceform_values(ctx, [], lin.pairs(ctx, l1), 0),
+                   verify._traceform_values(ctx, lin.pairs(ctx, l0), [], unit["shift"]))
         for shared, own in zip(unit["tables"], rebuilt, strict=True):
             assert shared.dtype == own.dtype and shared.shape == own.shape
             assert np.array_equal(shared, own)
@@ -151,11 +155,12 @@ def test_thm6_tables_match_the_rows(field):
 
 
 def test_thm6_evaluates_each_block_of_rows_once(monkeypatch):
-    # one value table per block of rows (its L0 and its L1) and two per
-    # draw block, not two per unit
+    # one value table for every support-2 row (its L0 and its L1), which
+    # every block of rows slices, and two per draw block, not two per unit
     ctx, budget = build_context(2, 2), SWEEPS["thm6"].default_budget
     side = math.isqrt(verify._CELLS // ctx.order)
-    row_blocks = len(verify._blocks(len(verify._support2(ctx)), side))
+    support2 = len(verify._support2(ctx))
+    assert len(verify._blocks(support2, side)) == 16
     draw_blocks = len(verify._blocks(budget, verify._CELLS // (4 * ctx.order)))
     units = len(verify._thm6_grid(ctx, 0, budget))
     calls = []
@@ -171,7 +176,8 @@ def test_thm6_evaluates_each_block_of_rows_once(monkeypatch):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         assert main(["verify", "--campaign", "thm6", "--fields", "2:2"]) == 0
     assert json.loads(out.getvalue())["campaigns"][0]["cases_total"] == 11169 + 1989752
-    assert len(calls) == row_blocks + 2 * draw_blocks < 2 * units
+    assert len(calls) == 1 + 2 * draw_blocks < 2 * units
+    assert calls[0] == (support2, ctx.bits)
 
 
 def test_a_run_builds_one_context_per_field(monkeypatch):

@@ -109,10 +109,34 @@ def test_eval_arithmetic(capsys):
      1, "", "error: trace-form parts must be q-linear\n"),
     (("field-info", "--field", "0:3"), 1, "",
      "error: tower degrees must be positive, got m=0 n=3\n"),
+    (("field-info", "--field", "1:2:-0x7"), 1, "", "error: modulus -0x7 is negative\n"),
+    (("field-info", "--field", "2:2:-0x13"), 1, "", "error: modulus -0x13 is negative\n"),
+    (("verify", "--campaign", "thm4", "--fields", "1:2:-0x7"), 1, "",
+     "error: modulus -0x7 is negative\n"),
 ], ids=["field-info-csv", "psi", "psi-outside-fq", "mul-three-elems",
-        "thm_tr-not-q-linear", "field-zero-m"])
+        "thm_tr-not-q-linear", "field-zero-m", "field-negative-modulus",
+        "field-negative-modulus-2-2", "verify-negative-modulus"])
 def test_input_branches_exit_with_their_one_line(capsys, argv, code, out, err):
     assert run_cli(capsys, *argv) == (code, out, err)
+
+
+def test_fuzzed_moduli_exit_cleanly():
+    # every m:n:MOD with m*n <= 8 and |MOD| <= 2^10 returns (a negative
+    # modulus once looped forever), and a failure is one line on stderr
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(m=st.integers(0, 8), n=st.integers(0, 8), mod=st.integers(-(1 << 10), 1 << 10))
+    def check(m, n, mod):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["field-info", "--field", f"{m}:{n}:{mod:#x}"])
+        assert code in (0, 1, 2)
+        if code:
+            assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+            assert err.getvalue().endswith("\n")
+        else:
+            assert json.loads(out.getvalue())["modulus"] == f"{mod:#x}"
+
+    check()
 
 
 # GF(2^6) has elements 0 .. 3f; 3:2 gives the n = 2 that check-thm4 needs

@@ -42,6 +42,9 @@ def test_bad_modulus():
         build_context(1, 2, 0b1011)      # wrong degree
     with pytest.raises(InvalidModulus):
         build_context(1, 3, 0b111)
+    # -7 has the bit length of a degree-2 polynomial; it is refused first
+    with pytest.raises(InvalidModulus, match="modulus -0x7 is negative"):
+        build_context(1, 2, -7)
 
 
 def test_size_guard_on_build():

@@ -61,6 +61,8 @@ def test_is_irreducible_rejects():
     assert not gf2.is_irreducible(0b110)      # x^2 + x = x(x+1)
     assert not gf2.is_irreducible(0b101)      # (x+1)^2
     assert not gf2.is_irreducible(0b10101)    # (x^2+x+1)^2
+    # a negative int encodes no polynomial; it must not reach poly_mul
+    assert not any(gf2.is_irreducible(p) for p in range(-40, 0))
 
 
 def _random_cols(rng, n):
@@ -79,17 +81,18 @@ def test_mat_apply_and_mul():
 
 
 def test_mat_rank_kernel_dimension():
+    # the kernel basis spans exactly the solutions, counted by brute force
     rng = random.Random(1)
     n = 7
     for _ in range(50):
         cols = _random_cols(rng, n)
-        rank = gf2.mat_rank(list(cols))
         ker = gf2.mat_kernel(list(cols))
-        assert rank + len(ker) == n
+        solutions = {x for x in range(1 << n) if gf2.mat_apply(cols, x) == 0}
         for v in ker:
             assert gf2.mat_apply(cols, v) == 0
-        # kernel basis is independent
-        assert gf2.mat_rank(list(ker)) == len(ker)
+        # the basis is independent: its 2^len(ker) combinations are distinct
+        span = {gf2.mat_apply(ker, x) for x in range(1 << len(ker))}
+        assert span == solutions and len(solutions) == 1 << len(ker)
 
 
 def test_mat_kernel_sorted():

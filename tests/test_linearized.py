@@ -264,7 +264,7 @@ def test_kernel_from_fq_basis_images_spans_the_kernel(m, n):
     ctx = build_context(m, n)
     rng = random.Random(m * n)
     points = ctx.fq_columns(ctx.fq_basis)
-    assert gf2.mat_rank(points) == ctx.bits
+    assert len(points) == ctx.bits and gf2.mat_kernel(points) == []
     polys = [lin.zero(ctx), lin.q_linearized(ctx, [(1, 1), (0, 1)])] + [
         lin.q_linearized(ctx, [(j, rng.randrange(ctx.order)) for j in range(2)])
         for _ in range(6)]
@@ -273,7 +273,7 @@ def test_kernel_from_fq_basis_images_spans_the_kernel(m, n):
         ker = lin.kernel(ctx, poly, images=images)
         assert ker.dim2 == lin.kernel(ctx, poly).dim2 == len(ker.basis)
         elems = [gf2.mat_apply(points, x) for x in ker.basis]
-        assert gf2.mat_rank(elems) == ker.dim2
+        assert gf2.mat_kernel(elems) == []
         assert all(lin.evaluate(ctx, poly, v) == 0 for v in elems)
 
 

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,37 @@ def test_thm5_on_2_4_keeps_the_first_1000_rows_and_counts_the_rest():
         "params": {"a": "7", "b": "eb", "k": "1"},
         "structured": True, "brute": False, "s": -16,
         "replay": "charperm eval --field 2:4:0x11b --op check-thm5 --args a=7;b=eb;k=1"}
+
+
+def test_a_divergent_report_holds_its_rows_not_its_mismatches():
+    # tracemalloc sees numpy's buffers: formatting all 52,020 rows of thm5
+    # on 2:4 would take about 43 MB, the 1000 kept ones far less
+    tracemalloc.start()
+    try:
+        rep = run_verify(VerifyCampaign("thm5", field_ranges=("2:4",)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rep.mismatches) == 1000 and rep.mismatches_omitted == {"2:4:0x11b": 51020}
+    assert peak < 8 << 20
+
+
+def test_negated_thm5_counts_the_other_mismatches_as_omitted(monkeypatch):
+    # the omitted count is the field's mismatches less its rows, on the
+    # other split of the same cases
+    sweep = SWEEPS["thm5"]
+
+    def negated(ctx, p):
+        structured, brute, s = sweep.verdicts(ctx, p)
+        return np.logical_not(structured), brute, s
+
+    monkeypatch.setitem(SWEEPS, "thm5", dataclasses.replace(sweep, verdicts=negated))
+    monkeypatch.setattr(verify, "_pool_workers", lambda jobs, tasks: 1)
+    for jobs in (1, 2, 7):
+        rep = run_verify(VerifyCampaign("thm5", field_ranges=("2:4",)), jobs=jobs)
+        assert (rep.cases_total, rep.cases_agreeing) == (65536, 52020)
+        assert len(rep.mismatches) == 1000
+        assert rep.mismatches_omitted == {"2:4:0x11b": 12516}
 
 
 def test_the_cap_holds_per_field_whatever_the_chunks(monkeypatch):

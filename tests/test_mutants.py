@@ -63,6 +63,17 @@ MUTANTS = {
     "thm6-l0-kernel-loosened": (
         "permtest.py", "np.count_nonzero(v0, axis=-1) == ctx.order - 1)",
         "np.count_nonzero(v0, axis=-1) >= ctx.order - 2)", "thm6"),
+    "thm6-l1-vanishes-on-part-of-fq": (
+        "permtest.py", "np.all(v1[..., fq] == 0, axis=-1)",
+        "np.all(v1[..., fq[:2]] == 0, axis=-1)", "thm6"),
+    "prop2-psi-of-a-plus-b": (
+        "charsum.py", "ew.psi(ctx, ew.mul(ctx, a, b)) * ctx.q", "ew.psi(ctx, a ^ b) * ctx.q",
+        "prop2"),
+    "prop3-arf-sign-flipped": (
+        "charsum.py", "(1 - 2 * arf)", "(2 * arf - 1)", "prop3"),
+    "thm1-counts-the-zero-shift": (
+        "permtest.py", "    bad[:, 0] = False  # u = 0 always sums to the field order\n", "",
+        "thm1"),
 }
 
 # Mutants the default fields do not catch, with the reason; each row as in
